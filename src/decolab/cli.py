@@ -9,7 +9,24 @@ Commands:
 Every artifact is a pure function of (scenario, seed): reruns are
 byte-identical.  A manifest.json records a content hash for each emitted
 file.  Exit codes: 0 success, 2 schema violation, 3 numerical invariant
-violation during the run, 4 I/O failure.
+violation during the run (or any other failure, reported in one line), 4
+I/O failure.
+
+``validate`` and ``run`` apply the same parse: one function per kind reads
+the parameters, fills in defaults and builds the library objects the run
+needs, so a scenario that validates never fails the run on a schema
+problem.  Every schema problem exits 2 with a diagnostic that names the
+field.  Rejected are: files that are not UTF-8 JSON, non-finite numbers
+(NaN, Infinity), booleans given as numbers or integers, values the library
+constructors refuse (such as a pointer overlap outside (-1/(n-1), 1) for n
+outcomes, duplicate subsystem labels or a Hamiltonian that is not
+Hermitian), and any scenario whose largest dense array would exceed
+MAX_DENSE_BYTES (1 GiB of complex128 values), estimated from the parsed
+sizes before anything is allocated: a joint dimension D above 8192 for the
+D x D unitaries of the premeasurement, chain, branch and ledger kinds, a
+Wigner grid above 8192 points, a histories dim above 406 (its projector
+family holds dim^3 values), a Schmidt state above 2^26 amplitudes, or a
+graham n of 2^26 or more.
 
 DECOLAB_THREADS caps the worker threads used for trial batches (0 or unset
 means automatic).
@@ -20,16 +37,16 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, serialize
 from .dynamics import Hamiltonian, collapse
 from .entanglement import decoherence_factor, linear_entropy, schmidt_decompose
-from .errors import DecolabError, ValidationError
+from .errors import DecolabError, SpaceMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
     StateVector,
@@ -60,8 +77,6 @@ from .measurement import (
     write_chain_csv,
 )
 from .wigner import (
-    GridState,
-    marginals,
     oscillator_state,
     two_packet_mixture,
     two_packet_superposition,
@@ -94,13 +109,9 @@ KINDS = (
     "ledger_branching",
 )
 
-
-@dataclass
-class Scenario:
-    kind: str
-    seed: int
-    params: dict
-    raw_bytes: bytes
+# Largest dense array a scenario may make the run allocate, counted as
+# complex128 values: 8192 x 8192 of them.
+MAX_DENSE_BYTES = 1 << 30
 
 
 def thread_cap() -> int:
@@ -116,8 +127,80 @@ def thread_cap() -> int:
     return val
 
 
+# ---- parse: one function per kind, shared by validate and run ----
+#
+# Each _parse_<kind>(params, seed, diags) appends a diagnostic per schema
+# problem and returns the arguments of _run_<kind>; the return value is
+# discarded whenever a diagnostic was filed.
+
+
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number; booleans are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_int(x, minimum: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
+
+
+def _number(doc: dict, key: str, path: str, diags: list[str], default=None) -> float | None:
+    val = doc.get(key, default)
+    if not _is_number(val):
+        diags.append(f"{path}.{key}: expected a finite number, got {val!r}")
+        return None
+    return float(val)
+
+
+def _integer(doc: dict, key: str, path: str, diags: list[str], minimum: int, default=None):
+    val = doc.get(key, default)
+    if not _is_int(val, minimum):
+        diags.append(f"{path}.{key}: expected an integer >= {minimum}, got {val!r}")
+        return None
+    return val
+
+
+def _numbers(raw, field: str, diags: list[str], min_len: int = 0) -> list[float] | None:
+    if not isinstance(raw, list) or not all(_is_number(x) for x in raw):
+        diags.append(f"{field}: expected a list of finite numbers")
+        return None
+    if len(raw) < min_len:
+        diags.append(f"{field}: expected at least {min_len} entries, got {len(raw)}")
+        return None
+    return [float(x) for x in raw]
+
+
+def _complex(item) -> complex | None:
+    """A number or an [re, im] pair of numbers."""
+    if _is_number(item):
+        return complex(item)
+    if isinstance(item, list) and len(item) == 2 and all(_is_number(x) for x in item):
+        return complex(item[0], item[1])
+    return None
+
+
+def _build(diags: list[str], field: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), or None with its complaint filed under ``field``."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValidationError, SpaceMismatchError) as exc:
+        diags.append(f"{field}: {exc}")
+        return None
+
+
+def _fits(entries: int, field: str, diags: list[str]) -> bool:
+    """Whether a dense array of ``entries`` complex128 values stays under the cap."""
+    if 16 * entries <= MAX_DENSE_BYTES:
+        return True
+    diags.append(
+        f"{field}: needs a dense array of {entries} complex values, "
+        f"over the {MAX_DENSE_BYTES >> 30} GiB cap"
+    )
+    return False
 
 
 def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
@@ -126,18 +209,11 @@ def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
         return None
     out = np.empty(len(raw), dtype=np.complex128)
     for i, item in enumerate(raw):
-        if _is_number(item):
-            out[i] = complex(item)
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and _is_number(item[0])
-            and _is_number(item[1])
-        ):
-            out[i] = complex(item[0], item[1])
-        else:
+        z = _complex(item)
+        if z is None:
             diags.append(f"{field}[{i}]: expected a number or an [re, im] pair")
             return None
+        out[i] = z
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > 1e-6:
         diags.append(f"{field}: amplitudes are not normalized (norm {norm:.12g})")
@@ -146,13 +222,10 @@ def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
 
 
 def _parse_probabilities(raw, diags: list[str], field: str) -> np.ndarray | None:
-    if not isinstance(raw, list) or len(raw) < 2:
-        diags.append(f"{field}: expected a list of two or more probabilities")
+    p = _numbers(raw, field, diags, min_len=2)
+    if p is None:
         return None
-    if not all(_is_number(x) for x in raw):
-        diags.append(f"{field}: entries must be numbers")
-        return None
-    p = np.asarray(raw, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     if p.min() < 0.0:
         diags.append(f"{field}: negative entry {p.min()}")
         return None
@@ -162,326 +235,334 @@ def _parse_probabilities(raw, diags: list[str], field: str) -> np.ndarray | None
     return p
 
 
-def _require_positive_int(params, key, diags, default=None, minimum=1):
-    val = params.get(key, default)
-    if val is None:
-        diags.append(f"params.{key}: required")
-        return None
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        diags.append(f"params.{key}: expected an integer >= {minimum}, got {val!r}")
-        return None
-    return val
-
-
-def _validate_premeasurement(params, diags):
-    _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
-    g = params.get("pointer_overlap", 0.0)
-    if not _is_number(g) or not -1.0 < float(g) <= 1.0:
-        diags.append(f"params.pointer_overlap: expected a number in (-1, 1], got {g!r}")
-
-
-def _validate_chain(params, diags):
-    _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
-    links = _require_positive_int(params, "links", diags, minimum=0, default=None)
-    overlaps = params.get("overlaps")
-    if overlaps is not None:
-        if not isinstance(overlaps, list) or (
-            links is not None and len(overlaps) != links
-        ):
-            diags.append("params.overlaps: expected one overlap per link")
-        elif not all(_is_number(g) for g in overlaps):
-            diags.append("params.overlaps: entries must be numbers")
-    else:
-        g = params.get("overlap", 0.0)
-        if not _is_number(g):
-            diags.append(f"params.overlap: expected a number, got {g!r}")
-
-
-def _validate_branch(params, diags):
+def _system_state(params: dict, diags: list[str]) -> StateVector | None:
     amps = _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
-    env_dim = params.get("env_dim")
-    if env_dim is not None:
-        if not isinstance(env_dim, int) or isinstance(env_dim, bool):
-            diags.append(f"params.env_dim: expected an integer, got {env_dim!r}")
-        elif amps is not None and env_dim < len(amps) + 1:
-            diags.append(
-                f"params.env_dim: {env_dim} too small for {len(amps)} records plus a ready state"
-            )
+    if amps is None:
+        return None
+    return StateVector(TensorSpace((("system", amps.size),)), amps)
 
 
-def _validate_collapse_mc(params, diags):
-    _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
-    _require_positive_int(params, "trials", diags)
-    limit = params.get("record_limit", 5)
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-        diags.append(f"params.record_limit: expected an integer >= 0, got {limit!r}")
+def _parse_ledger_quantum(params, seed, diags):
+    system = _system_state(params, diags)
+    if system is not None:
+        n = system.space.total_dim
+        _fits((n * (n + 1)) ** 2, "params.amplitudes", diags)
+    return (system,)
 
 
-def _validate_wigner(params, diags):
+def _parse_premeasurement(params, seed, diags):
+    (system,) = _parse_ledger_quantum(params, seed, diags)
+    g = _number(params, "pointer_overlap", "params", diags, default=0.0)
+    if diags:
+        return None
+    n = system.space.total_dim
+    app = _build(diags, "params.pointer_overlap", ApparatusModel.with_overlap, "pointer", n, g)
+    return system, app
+
+
+def _parse_chain(params, seed, diags):
+    system = _system_state(params, diags)
+    k = _integer(params, "links", "params", diags, minimum=0)
+    if diags:
+        return None
+    n = system.space.total_dim
+    # Registers have dimension n + 1; capping the exponent keeps the product
+    # small when links is huge, and any capped value is far over the cap.
+    if not _fits((n * (n + 1) ** min(k + 1, 64)) ** 2, "params.links", diags):
+        return None
+    if params.get("overlaps") is None:
+        field = "params.overlap"
+        overlaps = [_number(params, "overlap", "params", diags, default=0.0)] * k
+    else:
+        field = "params.overlaps"
+        overlaps = _numbers(params["overlaps"], field, diags)
+        if overlaps is not None and len(overlaps) != k:
+            diags.append(f"{field}: expected one overlap per link, got {len(overlaps)} for {k}")
+    if diags:
+        return None
+    links = []
+    for i, g in enumerate(overlaps):
+        links.append(_build(diags, field, ApparatusModel.with_overlap, f"link{i}", n, g))
+        if diags:
+            return None
+    observer = ApparatusModel.ideal("observer", n)
+    return system, ChainSpec(computational_basis(system.space), tuple(links), observer)
+
+
+def _parse_branch(params, seed, diags):
+    system = _system_state(params, diags)
+    if system is None:
+        return None
+    n = system.space.total_dim
+    env_dim = _integer(params, "env_dim", "params", diags, minimum=1, default=n + 1)
+    if env_dim is None or not _fits((n * (n + 1) * env_dim**2) ** 2, "params.env_dim", diags):
+        return None
+    return system, _build(diags, "params.env_dim", BranchingModel.ideal, n, env_dim=env_dim)
+
+
+def _parse_collapse_mc(params, seed, diags):
+    system = _system_state(params, diags)
+    trials = _integer(params, "trials", "params", diags, minimum=1)
+    limit = _integer(params, "record_limit", "params", diags, minimum=0, default=5)
+    return system, trials, limit, seed
+
+
+def _parse_wigner(params, seed, diags):
     state = params.get("state")
     if not isinstance(state, dict):
         diags.append("params.state: required object")
-        return
+        return None
+    n_points = _integer(params, "n_points", "params", diags, minimum=1, default=256)
+    q_range = (
+        _number(params, "q_min", "params", diags, default=-8.0),
+        _number(params, "q_max", "params", diags, default=8.0),
+    )
     kind = state.get("kind")
     if kind == "oscillator":
-        n = state.get("n", 0)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            diags.append(f"params.state.n: expected an integer >= 0, got {n!r}")
+        factory = oscillator_state
+        n = _integer(state, "n", "params.state", diags, minimum=0, default=0)
+        if n is not None:  # one Hermite coefficient per level
+            _fits(n + 1, "params.state.n", diags)
+        args = (n,)
     elif kind in ("superposition", "mixture"):
-        center = state.get("center")
-        if not _is_number(center) or float(center) <= 0:
+        factory = two_packet_superposition if kind == "superposition" else two_packet_mixture
+        center = _number(state, "center", "params.state", diags)
+        if center is not None and center <= 0.0:
             diags.append(f"params.state.center: expected a positive number, got {center!r}")
+        momentum = _number(state, "momentum", "params.state", diags, default=0.0)
+        width = _number(state, "width", "params.state", diags, default=1.0)
+        args = (center, momentum, width)
     else:
         diags.append(f"params.state.kind: unknown kind {kind!r}")
-    n_points = params.get("n_points", 256)
-    if not isinstance(n_points, int) or n_points < 2 or n_points & (n_points - 1):
-        diags.append(f"params.n_points: expected a power of two >= 2, got {n_points!r}")
-    q_min = params.get("q_min", -8.0)
-    q_max = params.get("q_max", 8.0)
-    if not (_is_number(q_min) and _is_number(q_max) and float(q_max) > float(q_min)):
-        diags.append("params.q_min/q_max: expected numbers with q_max > q_min")
+    if diags or not _fits(n_points * n_points, "params.n_points", diags):
+        return None
+    return (_build(diags, "params.state", factory, *args, *q_range, n_points),)
 
 
-def _validate_schmidt(params, diags):
+def _parse_schmidt(params, seed, diags):
     dims = params.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) < 2
-        or not all(
-            isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
-            and isinstance(d[1], int) and d[1] >= 1
-            for d in dims
-        )
+    if not isinstance(dims, list) or not all(
+        isinstance(d, list) and len(d) == 2 and isinstance(d[0], str) and _is_int(d[1], 1)
+        for d in dims
     ):
-        diags.append('params.dims: expected [["label", dim], ...] with at least two entries')
-        return
-    labels = [d[0] for d in dims]
+        diags.append('params.dims: expected [["label", dim], ...] with integer dims >= 1')
+        return None
+    if not _fits(math.prod(d[1] for d in dims), "params.dims", diags):
+        return None
+    space = _build(diags, "params.dims", TensorSpace, tuple((d[0], d[1]) for d in dims))
+    if space is None:
+        return None
     system = params.get("system")
     if (
         not isinstance(system, list)
         or not system
-        or not all(isinstance(s, str) and s in labels for s in system)
-        or len(system) >= len(labels)
+        or not all(isinstance(s, str) and s in space.labels for s in system)
+        or len(set(system)) >= len(space.labels)
     ):
         diags.append("params.system: expected a proper nonempty subset of the labels")
     state = params.get("state", {"kind": "random"})
     if isinstance(state, dict) and "amplitudes" in state:
-        total = 1
-        for d in dims:
-            total *= d[1]
-        amps = state["amplitudes"]
-        if not isinstance(amps, list) or len(amps) != total:
-            diags.append(f"params.state.amplitudes: expected {total} entries")
-        else:
-            _parse_amplitudes(amps, diags, "params.state.amplitudes")
-    elif not (isinstance(state, dict) and state.get("kind") == "random"):
+        field = "params.state.amplitudes"
+        amps = _parse_amplitudes(state["amplitudes"], diags, field)
+        psi = None if amps is None else _build(diags, field, StateVector, space, amps)
+    elif isinstance(state, dict) and state.get("kind") == "random":
+        psi = random_state(space, np.random.default_rng(seed))
+    else:
         diags.append('params.state: expected {"kind": "random"} or explicit amplitudes')
+        psi = None
+    return psi, system
 
 
-def _validate_master(params, diags):
+def _parse_master(params, seed, diags):
     p0 = _parse_probabilities(params.get("p0"), diags, "params.p0")
     rates = params.get("rates")
-    if not isinstance(rates, list) or not rates:
-        diags.append("params.rates: required square matrix")
-        return
-    size = len(rates)
+    if not isinstance(rates, list) or not rates or not all(
+        isinstance(row, list) and len(row) == len(rates) for row in rates
+    ):
+        diags.append("params.rates: expected a square matrix")
+        return None
     for i, row in enumerate(rates):
-        if not isinstance(row, list) or len(row) != size:
-            diags.append(f"params.rates[{i}]: expected {size} entries")
-            return
         for j, val in enumerate(row):
-            if not _is_number(val):
-                diags.append(f"params.rates[{i}][{j}]: expected a number")
-                return
-            if val < 0:
-                diags.append(f"params.rates[{i}][{j}]: negative rate {val}")
-            if i == j and val != 0:
-                diags.append(f"params.rates[{i}][{j}]: diagonal must be zero")
-    if p0 is not None and p0.size != size:
-        diags.append(f"params.p0: {p0.size} entries for a {size}-state rate matrix")
-    times = params.get("times")
-    if not isinstance(times, list) or not times or not all(_is_number(t) for t in times):
-        diags.append("params.times: expected a nonempty list of numbers")
-    elif any(t < 0 for t in times):
+            # Checked entry by entry so the diagnostic names the entry.
+            if not _is_number(val) or val < 0:
+                diags.append(f"params.rates[{i}][{j}]: expected a finite rate >= 0, got {val!r}")
+    if p0 is not None and p0.size != len(rates):
+        diags.append(f"params.p0: {p0.size} entries for a {len(rates)}-state rate matrix")
+    times = _numbers(params.get("times"), "params.times", diags, min_len=1)
+    if times is not None and min(times) < 0.0:
         diags.append("params.times: negative time rejected for the rate equation")
+    if diags:
+        return None
+    matrix = _build(diags, "params.rates", RateMatrix, np.asarray(rates, dtype=np.float64))
+    return p0, matrix, times
+
+
+_PAULI = {
+    "sigma_x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "sigma_y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "sigma_z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
 
 
 def _named_hamiltonian(dim: int, doc, diags) -> np.ndarray | None:
+    """The Hamiltonian matrix a scenario names; Hamiltonian() checks it."""
     if not isinstance(doc, dict):
         diags.append("params.hamiltonian: required object")
         return None
     name = doc.get("name")
-    scale = doc.get("scale", 1.0)
-    if not _is_number(scale):
-        diags.append(f"params.hamiltonian.scale: expected a number, got {scale!r}")
+    scale = _number(doc, "scale", "params.hamiltonian", diags, default=1.0)
+    if scale is None:
         return None
-    pauli = {
-        "sigma_x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        "sigma_y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-        "sigma_z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    }
     if name == "zero":
         return np.zeros((dim, dim), dtype=np.complex128)
-    if name in pauli:
-        if dim != 2:
-            diags.append(f"params.hamiltonian: {name} needs dimension 2, space has {dim}")
-            return None
-        return float(scale) * pauli[name]
+    if isinstance(name, str) and name in _PAULI:
+        return scale * _PAULI[name]
+    entries = doc.get("entries")
     if name == "diagonal":
-        entries = doc.get("entries")
-        if not isinstance(entries, list) or len(entries) != dim or not all(
-            _is_number(e) for e in entries
-        ):
-            diags.append(f"params.hamiltonian.entries: expected {dim} numbers")
-            return None
-        return np.diag(np.asarray(entries, dtype=np.complex128))
+        values = _numbers(entries, "params.hamiltonian.entries", diags)
+        return None if values is None else np.diag(np.asarray(values, dtype=np.complex128))
     if name == "matrix":
-        entries = doc.get("entries")
-        try:
-            mat = serialize.pairs_to_matrix(entries)
-        except (TypeError, ValueError, IndexError):
-            diags.append("params.hamiltonian.entries: expected a matrix of [re, im] pairs")
+        mat = None
+        if isinstance(entries, list) and all(
+            isinstance(row, list) and len(row) == len(entries) for row in entries
+        ):
+            mat = [[_complex(z) for z in row] for row in entries]
+        if not mat or any(z is None for row in mat for z in row):
+            diags.append("params.hamiltonian.entries: expected a square matrix of [re, im] pairs")
             return None
-        if mat.shape != (dim, dim):
-            diags.append(f"params.hamiltonian.entries: shape {mat.shape}, expected {(dim, dim)}")
-            return None
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
-            diags.append("params.hamiltonian.entries: matrix is not Hermitian")
-            return None
-        return mat
+        return np.array(mat, dtype=np.complex128)
     diags.append(f"params.hamiltonian.name: unknown name {name!r}")
     return None
 
 
-def _validate_histories(params, diags):
-    dim = _require_positive_int(params, "dim", diags, minimum=2)
-    if dim is None:
-        return
-    _named_hamiltonian(dim, params.get("hamiltonian"), diags)
-    t0 = params.get("t0", 0.0)
-    if not _is_number(t0):
-        diags.append(f"params.t0: expected a number, got {t0!r}")
-        t0 = 0.0
-    times = params.get("times")
-    if not isinstance(times, list) or not times or not all(_is_number(t) for t in times):
-        diags.append("params.times: expected a nonempty list of numbers")
+def _parse_projectors(space: TensorSpace, doc, field: str, diags) -> ProjectorSet | None:
+    dim = space.total_dim
+    if not isinstance(doc, dict):
+        diags.append(f"{field}: expected an object")
+    elif doc.get("type") == "computational":
+        return ProjectorSet.from_basis(computational_basis(space))
+    elif doc.get("type") == "blocks":
+        blocks = doc.get("blocks")
+        if isinstance(blocks, list) and all(
+            isinstance(block, list) and all(_is_int(b, 0) and b < dim for b in block)
+            for block in blocks
+        ):
+            return _build(diags, f"{field}.blocks", ProjectorSet.from_index_blocks, space, blocks)
+        diags.append(f"{field}.blocks: expected lists of indices in [0, {dim})")
     else:
-        prev = float(t0)
-        for i, t in enumerate(times):
-            if t <= prev:
-                diags.append(f"params.times[{i}]: must increase strictly after t0")
-                break
-            prev = float(t)
-    projectors = params.get("projectors", {"type": "computational"})
-    slot_docs = projectors if isinstance(projectors, list) else [projectors]
-    for i, pd in enumerate(slot_docs):
-        if not isinstance(pd, dict):
-            diags.append(f"params.projectors[{i}]: expected an object")
-        elif pd.get("type") == "blocks":
-            blocks = pd.get("blocks")
-            if not isinstance(blocks, list) or not blocks:
-                diags.append(f"params.projectors[{i}].blocks: required")
-            else:
-                seen = []
-                for block in blocks:
-                    if not isinstance(block, list) or not all(
-                        isinstance(b, int) and 0 <= b < dim for b in block
-                    ):
-                        diags.append(
-                            f"params.projectors[{i}].blocks: indices must lie in [0, {dim})"
-                        )
-                        break
-                    seen.extend(block)
-                else:
-                    if sorted(seen) != list(range(dim)):
-                        diags.append(
-                            f"params.projectors[{i}].blocks: must partition all {dim} indices"
-                        )
-        elif pd.get("type") != "computational":
-            diags.append(f"params.projectors[{i}].type: unknown type {pd.get('type')!r}")
+        diags.append(f"{field}.type: unknown type {doc.get('type')!r}")
+    return None
+
+
+def _parse_histories(params, seed, diags):
+    dim = _integer(params, "dim", "params", diags, minimum=2)
+    # A computational projector family holds dim matrices of dim x dim.
+    if dim is None or not _fits(dim**3, "params.dim", diags):
+        return None
+    space = TensorSpace((("system", dim),))
+    hmat = _named_hamiltonian(dim, params.get("hamiltonian"), diags)
+    hamiltonian = None if hmat is None else _build(diags, "params.hamiltonian", Hamiltonian, space, hmat)
+    t0 = _number(params, "t0", "params", diags, default=0.0)
+    times = _numbers(params.get("times"), "params.times", diags)
+    proj_doc = params.get("projectors", {"type": "computational"})
+    if isinstance(proj_doc, list):
+        psets = [
+            _parse_projectors(space, pd, f"params.projectors[{i}]", diags)
+            for i, pd in enumerate(proj_doc)
+        ]
+    else:
+        psets = [_parse_projectors(space, proj_doc, "params.projectors", diags)] * len(times or ())
     initial = params.get("initial")
+    rho = None
     if not isinstance(initial, dict):
         diags.append("params.initial: required object")
     elif "amplitudes" in initial:
-        amps = initial["amplitudes"]
-        if not isinstance(amps, list) or len(amps) != dim:
-            diags.append(f"params.initial.amplitudes: expected {dim} entries")
-        else:
-            _parse_amplitudes(amps, diags, "params.initial.amplitudes")
+        field = "params.initial.amplitudes"
+        amps = _parse_amplitudes(initial["amplitudes"], diags, field)
+        psi = None if amps is None else _build(diags, field, StateVector, space, amps)
+        rho = None if psi is None else psi.density()
     elif "diagonal" in initial:
-        diag = _parse_probabilities(initial["diagonal"], diags, "params.initial.diagonal")
-        if diag is not None and diag.size != dim:
-            diags.append(f"params.initial.diagonal: expected {dim} entries")
+        field = "params.initial.diagonal"
+        p = _parse_probabilities(initial["diagonal"], diags, field)
+        if p is not None:
+            rho = _build(diags, field, DensityOperator, space, np.diag(p.astype(np.complex128)))
     else:
         diags.append("params.initial: expected amplitudes or diagonal")
+    if diags:
+        return None
+    spec = _build(
+        diags, "params.times", HistorySpec,
+        hamiltonian=hamiltonian, initial_state=rho, times=tuple(times),
+        projector_sets=tuple(psets), t0=t0,
+    )
+    return (spec,)
 
 
-def _validate_graham(params, diags):
+def _parse_graham(params, seed, diags):
     p = params.get("p")
     if _is_number(p):
-        if not 0.0 <= float(p) <= 1.0:
+        born = [float(p), 1.0 - float(p)]
+        if not 0.0 <= p <= 1.0:
             diags.append(f"params.p: probability out of range: {p}")
     else:
-        _parse_probabilities(p, diags, "params.p")
-    eps = params.get("epsilon")
-    if not _is_number(eps) or float(eps) <= 0.0:
+        probs = _parse_probabilities(p, diags, "params.p")
+        born = None if probs is None else [float(x) for x in probs]
+    eps = _number(params, "epsilon", "params", diags)
+    if eps is not None and eps <= 0.0:
         diags.append(f"params.epsilon: expected a positive number, got {eps!r}")
     n_values = params.get("n_values")
+    field = "params.n_values"
     if n_values is None:
-        _require_positive_int(params, "n", diags)
-    elif not isinstance(n_values, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
-    ):
-        diags.append("params.n_values: expected a list of integers >= 1")
+        field = "params.n"
+        n = _integer(params, "n", "params", diags, minimum=1)
+        n_values = [] if n is None else [n]
+    elif not isinstance(n_values, list) or not all(_is_int(n, 1) for n in n_values):
+        diags.append(f"{field}: expected a list of integers >= 1")
+        n_values = []
+    # The binomial route holds arrays over all n + 1 success counts.
+    if n_values and not _fits(max(n_values) + 1, field, diags):
+        return None
+    return born, eps, n_values
 
 
-def _validate_ledger_classical(params, diags):
+def _parse_ledger_classical(params, seed, diags):
     p = _parse_probabilities(params.get("p"), diags, "params.p")
     if p is not None and (p > 0).sum() < 2:
         diags.append("params.p: need at least two outcomes with positive probability")
+    return (p,)
 
 
-def _validate_ledger_quantum(params, diags):
-    _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
-
-
-_VALIDATORS = {
-    "premeasurement": _validate_premeasurement,
-    "chain": _validate_chain,
-    "branch_recohere": _validate_branch,
-    "collapse_mc": _validate_collapse_mc,
-    "wigner": _validate_wigner,
-    "schmidt": _validate_schmidt,
-    "master": _validate_master,
-    "histories": _validate_histories,
-    "graham": _validate_graham,
-    "ledger_classical": _validate_ledger_classical,
-    "ledger_quantum": _validate_ledger_quantum,
-    "ledger_branching": _validate_branch,
-}
-
-
-def validate_document(doc) -> list[str]:
-    """Schema-level diagnostics for a parsed scenario document."""
-    diags: list[str] = []
+def _parse_document(doc, seed: int | None = None):
+    """(diagnostics, (kind, seed, runner arguments) or None) for a scenario document."""
     if not isinstance(doc, dict):
-        return ["scenario: expected a JSON object"]
+        return ["scenario: expected a JSON object"], None
+    diags: list[str] = []
     schema = doc.get("schema")
     if schema != SCENARIO_SCHEMA:
         diags.append(f"schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
     kind = doc.get("kind")
     if kind not in KINDS:
         diags.append(f"kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-        return diags
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        return diags, None
+    if seed is None:
+        seed = doc.get("seed", 0)
+    if not _is_int(seed, 0):
         diags.append(f"seed: expected a nonnegative integer, got {seed!r}")
+        seed = 0
     params = doc.get("params")
     if not isinstance(params, dict):
         diags.append("params: required object")
-        return diags
-    _VALIDATORS[kind](params, diags)
-    return diags
+        return diags, None
+    args = _HANDLERS[kind][0](params, seed, diags)
+    return diags, None if diags else (kind, seed, args)
+
+
+def validate_document(doc) -> list[str]:
+    """Schema-level diagnostics for a parsed scenario document."""
+    return _parse_document(doc)[0]
+
+
+# ---- run: one function per kind, taking only what its parse built ----
 
 
 class _Emitter:
@@ -510,24 +591,16 @@ class _Emitter:
             {"name": name, "sha256": serialize.sha256_hex(data), "bytes": len(data)}
         )
 
-    def manifest(self, scenario: Scenario) -> None:
+    def manifest(self, kind: str, seed: int, raw_bytes: bytes) -> None:
         doc = {
             "schema": MANIFEST_SCHEMA,
-            "kind": scenario.kind,
-            "seed": scenario.seed,
-            "scenario_sha256": serialize.sha256_hex(scenario.raw_bytes),
+            "kind": kind,
+            "seed": seed,
+            "scenario_sha256": serialize.sha256_hex(raw_bytes),
             "files": sorted(self.entries, key=lambda e: e["name"]),
         }
         with open(self.path("manifest.json"), "w", newline="") as fh:
             fh.write(serialize.dumps(doc))
-
-
-def _amplitudes(params) -> np.ndarray:
-    diags: list[str] = []
-    amps = _parse_amplitudes(params["amplitudes"], diags, "params.amplitudes")
-    if amps is None:
-        raise ValidationError("; ".join(diags))
-    return amps
 
 
 def _check(cond: bool, message: str) -> None:
@@ -535,19 +608,14 @@ def _check(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _run_premeasurement(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    amps = _amplitudes(params)
-    n = amps.size
-    sys_space = TensorSpace((("system", n),))
-    system = StateVector(sys_space, amps)
-    g = float(params.get("pointer_overlap", 0.0))
-    app = ApparatusModel.with_overlap("pointer", n, g)
-    joint = premeasure(system, app, computational_basis(sys_space))
+def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel) -> None:
+    n = system.space.total_dim
+    basis = computational_basis(system.space)
+    joint = premeasure(system, app, basis)
     purity = joint.norm() ** 4
     _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r}")
     rho_sys = partial_trace(joint, "system")
-    off, _pops = decoherence_factor(rho_sys, computational_basis(sys_space))
+    off, _pops = decoherence_factor(rho_sys, basis)
     emit.write_text("joint_state.json", joint.to_json())
     emit.write_text("system_density.json", rho_sys.to_json())
     emit.write_text(
@@ -565,26 +633,12 @@ def _run_premeasurement(scenario: Scenario, emit: _Emitter) -> None:
     )
 
 
-def _run_chain(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    amps = _amplitudes(params)
-    n = amps.size
-    k = int(params["links"])
-    overlaps = params.get("overlaps")
-    if overlaps is None:
-        overlaps = [float(params.get("overlap", 0.0))] * k
-    spec = ChainSpec.from_scenario(
-        {
-            "system_dim": n,
-            "links": [{"overlap": float(g)} for g in overlaps],
-            "observer": {},
-        }
-    )
-    system = StateVector(spec.system_space, amps)
+def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
+    n = system.space.total_dim
     states = chain_propagate(spec, system)
-    basis = computational_basis(spec.system_space)
+    basis = spec.system_basis
     rows = []
-    for step in range(1, k + 1):
+    for step in range(1, len(spec.links) + 1):
         state = states[step]
         purity = state.norm() ** 4
         _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r} at step {step}")
@@ -596,7 +650,7 @@ def _run_chain(scenario: Scenario, emit: _Emitter) -> None:
     final = states[-1]
     rho_final = partial_trace(final, "system")
     _off, pops = decoherence_factor(rho_final, basis)
-    born = np.abs(amps) ** 2
+    born = np.abs(system.amplitudes) ** 2
     _check(
         float(np.abs(pops - born).max()) <= 1e-10,
         "final populations deviate from the squared amplitudes",
@@ -609,11 +663,7 @@ def _run_chain(scenario: Scenario, emit: _Emitter) -> None:
     emit.write_text("summary.json", serialize.dumps(summary))
 
 
-def _run_branch_recohere(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    amps = _amplitudes(params)
-    model = BranchingModel.ideal(amps.size, env_dim=params.get("env_dim"))
-    system = StateVector(model.system_basis[0].space, amps)
+def _run_branch_recohere(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
     initial = model.ready_joint(system)
     states = (initial,) + branch_and_recohere(initial, model)
     ready = model.apparatus.pointer_ready.amplitudes
@@ -648,17 +698,11 @@ def _collapse_counts(psi, basis, seeds) -> np.ndarray:
     return counts
 
 
-def _run_collapse_mc(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    amps = _amplitudes(params)
-    trials = int(params["trials"])
-    limit = int(params.get("record_limit", 5))
-    n = amps.size
-    sys_space = TensorSpace((("system", n),))
-    psi = StateVector(sys_space, amps)
-    basis = computational_basis(sys_space)
+def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, seed: int) -> None:
+    n = psi.space.total_dim
+    basis = computational_basis(psi.space)
     workers = thread_cap()
-    seeds = [scenario.seed + i for i in range(trials)]
+    seeds = range(seed, seed + trials)
     if workers <= 1 or trials < 256:
         counts = _collapse_counts(psi, basis, seeds)
     else:
@@ -667,7 +711,7 @@ def _run_collapse_mc(scenario: Scenario, emit: _Emitter) -> None:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda part: _collapse_counts(psi, basis, part), parts))
         counts = np.sum(results, axis=0)
-    born = np.abs(amps) ** 2
+    born = np.abs(psi.amplitudes) ** 2
     rows = []
     for i in range(n):
         rows.append(
@@ -682,28 +726,11 @@ def _run_collapse_mc(scenario: Scenario, emit: _Emitter) -> None:
         "collapse.csv",
         serialize.csv_text(["outcome", "born_probability", "count", "frequency"], rows),
     )
-    records = [collapse(psi, basis, scenario.seed + i).to_json_obj() for i in range(min(limit, trials))]
+    records = [collapse(psi, basis, seed + i).to_json_obj() for i in range(min(limit, trials))]
     emit.write_text("records.json", serialize.dumps(records))
 
 
-def _wigner_state(params) -> GridState:
-    doc = params["state"]
-    q_min = float(params.get("q_min", -8.0))
-    q_max = float(params.get("q_max", 8.0))
-    n_points = int(params.get("n_points", 256))
-    kind = doc["kind"]
-    if kind == "oscillator":
-        return oscillator_state(int(doc.get("n", 0)), q_min, q_max, n_points)
-    center = float(doc["center"])
-    momentum = float(doc.get("momentum", 0.0))
-    width = float(doc.get("width", 1.0))
-    if kind == "superposition":
-        return two_packet_superposition(center, momentum, width, q_min, q_max, n_points)
-    return two_packet_mixture(center, momentum, width, q_min, q_max, n_points)
-
-
-def _run_wigner(scenario: Scenario, emit: _Emitter) -> None:
-    state = _wigner_state(scenario.params)
+def _run_wigner(emit: _Emitter, state) -> None:
     w = wigner_transform(state)
     write_wigner_csv(emit.path("wigner.csv"), w)
     emit.add_existing("wigner.csv")
@@ -714,19 +741,8 @@ def _run_wigner(scenario: Scenario, emit: _Emitter) -> None:
     emit.add_existing("marginals.csv")
 
 
-def _run_schmidt(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    space = TensorSpace(tuple((d[0], int(d[1])) for d in params["dims"]))
-    state_doc = params.get("state", {"kind": "random"})
-    if "amplitudes" in state_doc:
-        diags: list[str] = []
-        amps = _parse_amplitudes(state_doc["amplitudes"], diags, "params.state.amplitudes")
-        if amps is None:
-            raise ValidationError("; ".join(diags))
-        psi = StateVector(space, amps)
-    else:
-        psi = random_state(space, np.random.default_rng(scenario.seed))
-    dec = schmidt_decompose(psi, params["system"])
+def _run_schmidt(emit: _Emitter, psi: StateVector, system: list[str]) -> None:
+    dec = schmidt_decompose(psi, system)
     err = float(np.abs(dec.reconstruct().amplitudes - psi.amplitudes).max())
     _check(err <= 1e-10, f"reconstruction error {err!r}")
     doc = dec.to_json_obj()
@@ -741,11 +757,7 @@ def _run_schmidt(scenario: Scenario, emit: _Emitter) -> None:
     )
 
 
-def _run_master(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    p0 = np.asarray(params["p0"], dtype=np.float64)
-    rates = RateMatrix(np.asarray(params["rates"], dtype=np.float64))
-    times = [float(t) for t in params["times"]]
+def _run_master(emit: _Emitter, p0: np.ndarray, rates: RateMatrix, times: list[float]) -> None:
     rows = []
     for t in times:
         p = pauli_master_evolve(p0, rates, t)
@@ -756,44 +768,7 @@ def _run_master(scenario: Scenario, emit: _Emitter) -> None:
     emit.write_text("master.csv", serialize.csv_text(header, rows))
 
 
-def _histories_spec(params) -> HistorySpec:
-    dim = int(params["dim"])
-    space = TensorSpace((("system", dim),))
-    diags: list[str] = []
-    hmat = _named_hamiltonian(dim, params["hamiltonian"], diags)
-    if hmat is None:
-        raise ValidationError("; ".join(diags))
-    hamiltonian = Hamiltonian(space, hmat)
-    initial = params["initial"]
-    if "amplitudes" in initial:
-        amps = _parse_amplitudes(initial["amplitudes"], diags, "params.initial.amplitudes")
-        if amps is None:
-            raise ValidationError("; ".join(diags))
-        rho = StateVector(space, amps).density()
-    else:
-        rho = DensityOperator(space, np.diag(np.asarray(initial["diagonal"], dtype=np.complex128)))
-    times = tuple(float(t) for t in params["times"])
-    proj_doc = params.get("projectors", {"type": "computational"})
-    slot_docs = proj_doc if isinstance(proj_doc, list) else [proj_doc] * len(times)
-    if len(slot_docs) != len(times):
-        raise ValidationError("one projector family per time slice required")
-    psets = []
-    for pd in slot_docs:
-        if pd.get("type") == "blocks":
-            psets.append(ProjectorSet.from_index_blocks(space, pd["blocks"]))
-        else:
-            psets.append(ProjectorSet.from_basis(computational_basis(space)))
-    return HistorySpec(
-        hamiltonian=hamiltonian,
-        initial_state=rho,
-        times=times,
-        projector_sets=tuple(psets),
-        t0=float(params.get("t0", 0.0)),
-    )
-
-
-def _run_histories(scenario: Scenario, emit: _Emitter) -> None:
-    spec = _histories_spec(scenario.params)
+def _run_histories(emit: _Emitter, spec: HistorySpec) -> None:
     defect = consistency_defect(spec)
     rows = []
     total = 0.0
@@ -824,116 +799,104 @@ def _run_histories(scenario: Scenario, emit: _Emitter) -> None:
     )
 
 
-def _run_graham(scenario: Scenario, emit: _Emitter) -> None:
-    params = scenario.params
-    p = params["p"]
-    born = [float(p), 1.0 - float(p)] if _is_number(p) else [float(x) for x in p]
-    eps = float(params["epsilon"])
-    n_values = params.get("n_values")
-    if n_values is None:
-        n_values = [int(params["n"])]
+def _run_graham(emit: _Emitter, born: list[float], eps: float, n_values: list[int]) -> None:
     rows = []
     for n in n_values:
-        val = graham_deviant_norm(born, int(n), eps)
-        rows.append([str(int(n)), serialize.fmt(eps), serialize.fmt(val)])
+        val = graham_deviant_norm(born, n, eps)
+        rows.append([str(n), serialize.fmt(eps), serialize.fmt(val)])
     emit.write_text("graham.csv", serialize.csv_text(["n", "epsilon", "deviant_norm"], rows))
 
 
-def _run_ledger_classical(scenario: Scenario, emit: _Emitter) -> None:
-    rows = classical_ledger(np.asarray(scenario.params["p"], dtype=np.float64))
-    write_ledger_csv(emit.path("ledger.csv"), rows)
+def _run_ledger_classical(emit: _Emitter, p: np.ndarray) -> None:
+    write_ledger_csv(emit.path("ledger.csv"), classical_ledger(p))
     emit.add_existing("ledger.csv")
 
 
-def _run_ledger_quantum(scenario: Scenario, emit: _Emitter) -> None:
-    rows = quantum_collapse_ledger(_amplitudes(scenario.params))
-    write_ledger_csv(emit.path("ledger.csv"), rows)
+def _run_ledger_quantum(emit: _Emitter, system: StateVector) -> None:
+    write_ledger_csv(emit.path("ledger.csv"), quantum_collapse_ledger(system.amplitudes))
     emit.add_existing("ledger.csv")
 
 
-def _run_ledger_branching(scenario: Scenario, emit: _Emitter) -> None:
-    rows = branching_ledger(
-        _amplitudes(scenario.params), env_dim=scenario.params.get("env_dim")
-    )
-    write_ledger_csv(emit.path("ledger.csv"), rows)
+def _run_ledger_branching(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
+    env_dim = model.env_decohere.space.total_dim
+    write_ledger_csv(emit.path("ledger.csv"), branching_ledger(system.amplitudes, env_dim=env_dim))
     emit.add_existing("ledger.csv")
 
 
-_RUNNERS = {
-    "premeasurement": _run_premeasurement,
-    "chain": _run_chain,
-    "branch_recohere": _run_branch_recohere,
-    "collapse_mc": _run_collapse_mc,
-    "wigner": _run_wigner,
-    "schmidt": _run_schmidt,
-    "master": _run_master,
-    "histories": _run_histories,
-    "graham": _run_graham,
-    "ledger_classical": _run_ledger_classical,
-    "ledger_quantum": _run_ledger_quantum,
-    "ledger_branching": _run_ledger_branching,
+_HANDLERS = {
+    "premeasurement": (_parse_premeasurement, _run_premeasurement),
+    "chain": (_parse_chain, _run_chain),
+    "branch_recohere": (_parse_branch, _run_branch_recohere),
+    "collapse_mc": (_parse_collapse_mc, _run_collapse_mc),
+    "wigner": (_parse_wigner, _run_wigner),
+    "schmidt": (_parse_schmidt, _run_schmidt),
+    "master": (_parse_master, _run_master),
+    "histories": (_parse_histories, _run_histories),
+    "graham": (_parse_graham, _run_graham),
+    "ledger_classical": (_parse_ledger_classical, _run_ledger_classical),
+    "ledger_quantum": (_parse_ledger_quantum, _run_ledger_quantum),
+    "ledger_branching": (_parse_branch, _run_ledger_branching),
 }
 
 
-def _load_document(path: str):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return json.loads(raw.decode("utf-8")), raw
+def _read_scenario(path: str, seed: int | None, out):
+    """(exit code, parsed scenario, raw bytes); diagnostics are printed to ``out``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return EXIT_IO, None, None
+    try:
+        diags, parsed = _parse_document(json.loads(raw.decode("utf-8")), seed)
+    except UnicodeDecodeError:
+        diags, parsed = ["schema: not valid UTF-8"], None
+    except json.JSONDecodeError as exc:
+        diags, parsed = [f"schema: not valid JSON: {exc}"], None
+    for d in diags:
+        print(d, file=out)
+    return (EXIT_SCHEMA if diags else EXIT_OK), parsed, raw
+
+
+def _unexpected(exc: Exception) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def run(scenario_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
     """Execute one scenario; returns the process exit code."""
     try:
-        doc, raw = _load_document(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"schema: not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    diags = validate_document(doc)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return EXIT_SCHEMA
-    effective_seed = seed if seed is not None else int(doc.get("seed", 0))
-    scenario = Scenario(
-        kind=doc["kind"], seed=effective_seed, params=doc["params"], raw_bytes=raw
-    )
-    if out_dir is None:
-        stem = os.path.splitext(os.path.basename(scenario_path))[0]
-        out_dir = f"{stem}_out"
-    try:
+        code, parsed, raw = _read_scenario(scenario_path, seed, sys.stderr)
+        if code != EXIT_OK:
+            return code
+        kind, seed, args = parsed
+        if out_dir is None:
+            stem = os.path.splitext(os.path.basename(scenario_path))[0]
+            out_dir = f"{stem}_out"
         os.makedirs(out_dir, exist_ok=True)
         emit = _Emitter(out_dir)
-        _RUNNERS[scenario.kind](scenario, emit)
-        emit.manifest(scenario)
+        _HANDLERS[kind][1](emit, *args)
+        emit.manifest(kind, seed, raw)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except DecolabError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:  # anything else: one line, no traceback
+        return _unexpected(exc)
     return EXIT_OK
 
 
 def validate(scenario_path: str) -> int:
     """Print diagnostics for a scenario file; exit 0 iff clean."""
     try:
-        doc, _raw = _load_document(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"schema: not valid JSON: {exc}")
-        return EXIT_SCHEMA
-    diags = validate_document(doc)
-    if diags:
-        for d in diags:
-            print(d)
-        return EXIT_SCHEMA
-    print("OK")
-    return EXIT_OK
+        code = _read_scenario(scenario_path, None, sys.stdout)[0]
+    except Exception as exc:  # anything else: one line, no traceback
+        return _unexpected(exc)
+    if code == EXIT_OK:
+        print("OK")
+    return code
 
 
 def main(argv=None) -> int:

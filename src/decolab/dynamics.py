@@ -21,7 +21,13 @@ from .errors import (
     ZeroProbabilityError,
     VALIDITY_ATOL,
 )
-from .hilbert import DensityOperator, StateVector, TensorSpace, _check_orthonormal_complete
+from .hilbert import (
+    DensityOperator,
+    StateVector,
+    TensorSpace,
+    _check_hermitian,
+    _check_orthonormal_complete,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,13 +37,7 @@ class Hamiltonian:
     note: str | None = None
 
     def __post_init__(self):
-        d = self.space.total_dim
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if mat.shape != (d, d):
-            raise SpaceMismatchError(f"matrix shape {mat.shape} for dimension {d}")
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > VALIDITY_ATOL:
-            raise ValidationError(f"Hamiltonian is not Hermitian (deviation {dev:.3e})")
+        mat = _check_hermitian(self.matrix, self.space.total_dim, "Hamiltonian")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -157,11 +157,7 @@ def collapse(psi: StateVector, basis, seed: int) -> CollapseRecord:
 
 
 def _check_projector(p: np.ndarray, dim: int) -> np.ndarray:
-    p = np.asarray(p, dtype=np.complex128)
-    if p.shape != (dim, dim):
-        raise SpaceMismatchError(f"projector shape {p.shape} for dimension {dim}")
-    if np.abs(p - p.conj().T).max() > VALIDITY_ATOL:
-        raise ValidationError("projector is not Hermitian")
+    p = _check_hermitian(p, dim, "projector")
     if np.abs(p @ p - p).max() > VALIDITY_ATOL:
         raise ValidationError("projector is not idempotent")
     return p

@@ -168,15 +168,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        d = self.space.total_dim
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if mat.shape != (d, d):
-            raise SpaceMismatchError(f"matrix shape {mat.shape} for dimension {d}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValidationError("non-finite matrix entry")
-        herm = np.abs(mat - mat.conj().T).max()
-        if herm > VALIDITY_ATOL:
-            raise ValidationError(f"matrix is not Hermitian (deviation {herm:.3e})")
+        mat = _check_hermitian(self.matrix, self.space.total_dim, "matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > VALIDITY_ATOL:
             raise ValidationError(f"trace is {tr:.15g}, expected 1")
@@ -226,19 +218,26 @@ class Observable:
     scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        d = self.space.total_dim
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if mat.shape != (d, d):
-            raise SpaceMismatchError(f"matrix shape {mat.shape} for dimension {d}")
-        herm = np.abs(mat - mat.conj().T).max()
-        if herm > VALIDITY_ATOL:
-            raise ValidationError(f"observable is not Hermitian (deviation {herm:.3e})")
+        mat = _check_hermitian(self.matrix, self.space.total_dim, "observable")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def identity(cls, space: TensorSpace) -> Observable:
         return cls(space, np.eye(space.total_dim, dtype=np.complex128))
+
+
+def _check_hermitian(mat, dim: int, what: str) -> np.ndarray:
+    """A (dim, dim) complex128 copy of ``mat``, finite and Hermitian within VALIDITY_ATOL."""
+    mat = np.array(mat, dtype=np.complex128, copy=True)
+    if mat.shape != (dim, dim):
+        raise SpaceMismatchError(f"{what} shape {mat.shape} for dimension {dim}")
+    if not np.all(np.isfinite(mat.view(np.float64))):
+        raise ValidationError(f"non-finite {what} entry")
+    dev = np.abs(mat - mat.conj().T).max()
+    if dev > VALIDITY_ATOL:
+        raise ValidationError(f"{what} is not Hermitian (deviation {dev:.3e})")
+    return mat
 
 
 def _check_same_space(a: TensorSpace, b: TensorSpace) -> None:

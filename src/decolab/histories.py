@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import Hamiltonian, propagator
+from .dynamics import Hamiltonian, _check_projector, propagator
 from .errors import SpaceMismatchError, ValidationError, VALIDITY_ATOL
 from .hilbert import DensityOperator, StateVector, TensorSpace
 
@@ -34,13 +34,7 @@ class ProjectorSet:
         d = self.space.total_dim
         mats = []
         for p in self.projectors:
-            p = np.array(p, dtype=np.complex128, copy=True)
-            if p.shape != (d, d):
-                raise SpaceMismatchError(f"projector shape {p.shape} for dimension {d}")
-            if np.abs(p - p.conj().T).max() > VALIDITY_ATOL:
-                raise ValidationError("projector is not Hermitian")
-            if np.abs(p @ p - p).max() > VALIDITY_ATOL:
-                raise ValidationError("projector is not idempotent")
+            p = _check_projector(p, d)
             p.setflags(write=False)
             mats.append(p)
         for i in range(len(mats)):

@@ -74,8 +74,14 @@ def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> lis
     """
     if dim < n_outcomes + 1:
         raise ValidationError(f"dimension {dim} too small for {n_outcomes} records plus ready state")
-    if not -1.0 / max(1, n_outcomes - 1) < overlap <= 1.0:
-        raise ValidationError(f"overlap {overlap} outside the positive-semidefinite range")
+    # Two or more records with overlap 1 coincide: their Gram matrix is
+    # singular and has no Cholesky factor.
+    lower = -1.0 / max(1, n_outcomes - 1)
+    if not (lower < overlap < 1.0 or (overlap == 1.0 and n_outcomes == 1)):
+        raise ValidationError(
+            f"overlap {overlap} outside the positive-definite range "
+            f"(-1/(n-1), 1) for n = {n_outcomes} records"
+        )
     gram = np.full((n_outcomes, n_outcomes), float(overlap))
     np.fill_diagonal(gram, 1.0)
     chol = np.linalg.cholesky(gram)
@@ -359,7 +365,6 @@ class BranchingModel:
     apparatus: ApparatusModel
     env_decohere: ApparatusModel
     env_reset: ApparatusModel
-    explicit_steps: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         n = len(self.system_basis)
@@ -401,17 +406,6 @@ class BranchingModel:
 
     def step_unitaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         full = self.joint_space()
-        if self.explicit_steps is not None:
-            d = full.total_dim
-            steps = []
-            for u in self.explicit_steps:
-                u = np.asarray(u, dtype=np.complex128)
-                if u.shape != (d, d):
-                    raise SpaceMismatchError(f"step shape {u.shape} for dimension {d}")
-                if np.abs(u.conj().T @ u - np.eye(d)).max() > VALIDITY_ATOL:
-                    raise ValidationError("step specification is not unitary")
-                steps.append(u)
-            return tuple(steps)
         u1 = measurement_unitary(self.system_basis, self.apparatus, full)
         u2 = measurement_unitary(self.system_basis, self.env_decohere, full)
         # Reset: |pointer_n>|ready> -> |ready>|record_n> on apparatus x env_reset.

@@ -34,6 +34,13 @@ IMAG_RESIDUE_ATOL = 1e-10
 _GRID_ALIGN_ATOL = 1e-9
 
 
+def _check_grid(q_min: float, q_max: float, n_points: int) -> None:
+    if n_points < 2 or n_points & (n_points - 1):
+        raise ValidationError(f"n_points must be a power of two, got {n_points}")
+    if not q_max > q_min:
+        raise ValidationError("q_max must exceed q_min")
+
+
 def grid_points(q_min: float, q_max: float, n_points: int) -> np.ndarray:
     dq = (q_max - q_min) / n_points
     return q_min + dq * np.arange(n_points)
@@ -50,13 +57,12 @@ class GridState:
 
     def __post_init__(self):
         n = int(self.n_points)
-        if n < 2 or n & (n - 1):
-            raise ValidationError(f"n_points must be a power of two, got {n}")
-        if not self.q_max > self.q_min:
-            raise ValidationError("q_max must exceed q_min")
+        _check_grid(self.q_min, self.q_max, n)
         v = np.array(self.values, dtype=np.complex128, copy=True)
         if v.shape not in ((n,), (n, n)):
             raise ValidationError(f"values shape {v.shape} incompatible with {n} grid points")
+        if not np.all(np.isfinite(v.view(np.float64))):
+            raise ValidationError("non-finite grid sample")
         if v.ndim == 1:
             total = float((np.abs(v) ** 2).sum() * self.dq)
         else:
@@ -234,6 +240,7 @@ def oscillator_state(
     """Unit-frequency oscillator eigenstate, renormalized on the grid."""
     if n < 0:
         raise ValidationError("quantum number must be nonnegative")
+    _check_grid(q_min, q_max, n_points)
     q = grid_points(q_min, q_max, n_points)
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
@@ -259,6 +266,7 @@ def two_packet_superposition(
     n_points: int = 256,
 ) -> GridState:
     """Coherent sum of two packets at +/- center; shows interference fringes."""
+    _check_grid(q_min, q_max, n_points)
     q = grid_points(q_min, q_max, n_points)
     psi = gaussian_packet_samples(center, momentum, width, q) + gaussian_packet_samples(
         -center, -momentum, width, q
@@ -277,6 +285,7 @@ def two_packet_mixture(
     n_points: int = 256,
 ) -> GridState:
     """Equal-weight incoherent mixture of the same two packets; no fringes."""
+    _check_grid(q_min, q_max, n_points)
     q = grid_points(q_min, q_max, n_points)
     dq = (q_max - q_min) / n_points
     rho = np.zeros((n_points, n_points), dtype=np.complex128)

@@ -1,14 +1,20 @@
 """Scenario runner: schemas, artifacts, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decolab import cli, serialize
 
@@ -314,3 +320,186 @@ def test_console_script_installed(tmp_path):
     )
     assert res.returncode == 0
     assert (tmp_path / "o" / "manifest.json").exists()
+
+
+# ---- one parse for validate and run ----
+
+R3 = 1.0 / math.sqrt(3.0)
+NAN = float("nan")
+
+SCHEMA_DEFECTS = [
+    ("premeasurement", {"amplitudes": [R2, R2], "pointer_overlap": 1.0}, "params.pointer_overlap"),
+    ("premeasurement", {"amplitudes": [R3, R3, R3], "pointer_overlap": -0.6}, "params.pointer_overlap"),
+    ("chain", {"amplitudes": [1, 0], "links": 1, "overlap": 2.0}, "params.overlap"),
+    ("chain", {"amplitudes": [1, 0], "links": 1, "overlaps": [NAN]}, "params.overlaps"),
+    ("graham", {"p": 0.5, "epsilon": NAN, "n": 4}, "params.epsilon"),
+    ("graham", {"p": 0.5, "epsilon": float("inf"), "n": 4}, "params.epsilon"),
+    ("schmidt", {"dims": [["a", True], ["b", 2]], "system": ["a"]}, "params.dims"),
+    ("schmidt", {"dims": [["a", 2], ["a", 2]], "system": ["a"]}, "params.dims"),
+    (
+        "histories",
+        {
+            "dim": 2,
+            "hamiltonian": {"name": "sigma_x"},
+            "times": [0.5, 1.0],
+            "projectors": [{"type": "computational"}],
+            "initial": {"amplitudes": [1.0, 0.0]},
+        },
+        "params.times",
+    ),
+    (
+        "histories",
+        {
+            "dim": 2,
+            "hamiltonian": {"name": "sigma_x", "scale": NAN},
+            "times": [0.5],
+            "initial": {"amplitudes": [1.0, 0.0]},
+        },
+        "params.hamiltonian.scale",
+    ),
+    ("master", {"p0": [0.5, 0.5], "rates": [[0.0, NAN], [1.0, 0.0]], "times": [1.0]}, "params.rates[0][1]"),
+    ("collapse_mc", {"amplitudes": [NAN, 1.0], "trials": 10}, "params.amplitudes[0]"),
+]
+
+
+def _both_reject(path, out_dir, capsys, field):
+    assert cli.validate(path) == 2
+    assert field in capsys.readouterr().out
+    assert cli.run(path, out_dir=str(out_dir)) == 2
+    assert field in capsys.readouterr().err
+    assert not (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind,params,field", SCHEMA_DEFECTS)
+def test_schema_defects_exit_2_from_validate_and_run(tmp_path, capsys, kind, params, field):
+    path = _write(tmp_path, "s.json", _scenario(kind, params))
+    _both_reject(path, tmp_path / "out", capsys, field)
+
+
+def test_non_utf8_file_is_a_schema_violation(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"schema": "\xff\xfe"}')
+    _both_reject(str(path), tmp_path / "out", capsys, "schema: not valid UTF-8")
+
+
+def test_memory_cap_rejects_before_allocating(tmp_path, capsys):
+    # chain n=2 with 7 links needs one dense 13122 x 13122 unitary (2.75 GB)
+    doc = _scenario("chain", {"amplitudes": [R2, R2], "links": 7})
+    path = _write(tmp_path, "c.json", doc)
+    start = time.perf_counter()
+    _both_reject(path, tmp_path / "out", capsys, "params.links")
+    assert time.perf_counter() - start < 1.0
+    wide = _scenario("wigner", {"state": {"kind": "oscillator"}, "n_points": 16384})
+    assert any("params.n_points" in d for d in cli.validate_document(wide))
+    # the largest benchmark rung (n=3 with 4 links, D=3072) stays accepted
+    largest = _scenario("chain", {"amplitudes": [R3, R3, R3], "links": 4})
+    assert cli.validate_document(largest) == []
+
+
+def test_unexpected_failure_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "schmidt_decompose", broken)
+    doc = _scenario("schmidt", {"dims": [["a", 2], ["b", 2]], "system": ["a"]})
+    assert cli.run(_write(tmp_path, "s.json", doc), out_dir=str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == "error: LinAlgError: SVD did not converge\n"
+
+
+# Near-valid values per kind and field; a document then loses or junks up
+# to two fields.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([NAN, float("inf"), -float("inf"), 1e300, -1, 0, "1", [], {}, [[1]]]),
+    st.integers(-2, 5),
+    st.floats(-2.0, 2.0),
+)
+_AMPS = st.sampled_from([[R2, R2], [0.6, [0.0, 0.8]], [R3, R3, R3], [1.0, 0.0], [0.5, 0.5]])
+_PROBS = st.sampled_from([[0.5, 0.5], [0.9, 0.1], [0.2, 0.3, 0.5], [1.0, 0.0]])
+_OVERLAP = st.floats(-0.45, 0.95)
+_TIMES = st.lists(st.floats(0.1, 1.0), min_size=1, max_size=2).map(lambda d: list(np.cumsum(d)))
+_FIELDS = {
+    "premeasurement": {"amplitudes": _AMPS, "pointer_overlap": _OVERLAP},
+    "chain": {"amplitudes": _AMPS, "links": st.integers(0, 3), "overlap": _OVERLAP},
+    "branch_recohere": {"amplitudes": _AMPS, "env_dim": st.integers(3, 5)},
+    "collapse_mc": {"amplitudes": _AMPS, "trials": st.integers(1, 30), "record_limit": st.integers(0, 3)},
+    "wigner": {
+        "state": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["oscillator", "superposition", "mixture"])},
+            optional={"n": st.integers(0, 3), "center": st.floats(0.5, 3.0), "width": st.floats(0.7, 1.3)},
+        ),
+        "n_points": st.sampled_from([16, 32, 64]),
+        "q_min": st.sampled_from([-8.0, -12.0]),
+        "q_max": st.sampled_from([8.0, 12.0]),
+    },
+    "schmidt": {
+        "dims": st.sampled_from([[["a", 2], ["b", 2]], [["a", 2], ["b", 3], ["c", 1]]]),
+        "system": st.sampled_from([["a"], ["b", "c"], ["a", "b"]]),
+        "state": st.one_of(st.just({"kind": "random"}), st.fixed_dictionaries({"amplitudes": _AMPS})),
+    },
+    "master": {
+        "p0": _PROBS,
+        "rates": st.floats(0.0, 2.0).map(lambda r: [[0.0, r], [r, 0.0]]),
+        "times": _TIMES,
+    },
+    "histories": {
+        "dim": st.just(2),
+        "hamiltonian": st.sampled_from(
+            [
+                {"name": "sigma_x", "scale": 0.7},
+                {"name": "zero"},
+                {"name": "diagonal", "entries": [0.0, 1.0]},
+                {"name": "matrix", "entries": [[[1, 0], [0, 1]], [[0, -1], [0, 0]]]},
+            ]
+        ),
+        "times": _TIMES,
+        "projectors": st.sampled_from([{"type": "computational"}, {"type": "blocks", "blocks": [[0], [1]]}]),
+        "initial": st.one_of(st.fixed_dictionaries({"amplitudes": _AMPS}), st.fixed_dictionaries({"diagonal": _PROBS})),
+    },
+    "graham": {
+        "p": st.one_of(st.floats(0.05, 0.95), _PROBS),
+        "epsilon": st.floats(0.05, 0.5),
+        "n_values": st.lists(st.integers(1, 30), max_size=3),
+    },
+    "ledger_classical": {"p": _PROBS},
+    "ledger_quantum": {"amplitudes": _AMPS},
+    "ledger_branching": {"amplitudes": _AMPS, "env_dim": st.integers(3, 5)},
+}
+
+_NESTED_KEYS = ["kind", "n", "center", "width", "name", "scale", "entries", "type", "blocks", "amplitudes", "diagonal"]
+
+
+@st.composite
+def _documents(draw):
+    kind = draw(st.sampled_from(sorted(_FIELDS)))
+    fields = _FIELDS[kind]
+    params = {key: draw(good) for key, good in fields.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=2)):
+        if draw(st.booleans()):
+            del params[key]
+        else:
+            params[key] = draw(_JUNK)
+    nested = sorted(key for key, val in params.items() if isinstance(val, dict))
+    if nested and draw(st.booleans()):
+        key = draw(st.sampled_from(nested))
+        params[key] = {**params[key], draw(st.sampled_from(_NESTED_KEYS)): draw(_JUNK)}
+    doc = _scenario(kind, params, seed=draw(st.integers(0, 3)))
+    for key in draw(st.sets(st.sampled_from(["schema", "kind", "seed", "params"]), max_size=1)):
+        doc[key] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=_documents())
+def test_fuzzed_documents_never_escape_and_validate_agrees_with_run(doc):
+    sink = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sink), redirect_stderr(sink):
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.run(path, out_dir=os.path.join(tmp, "out"))
+        assert code in (0, 2, 3, 4)
+        # exit 3 here is a checked invariant, never the catch-all handler
+        assert code != 3 or "invariant violation" in sink.getvalue()
+        assert (cli.validate(path) == 2) == (code == 2)

@@ -312,3 +312,11 @@ def test_graham_input_validation():
         graham_deviant_norm([0.5, 0.5], 0, 0.1)
     with pytest.raises(ValidationError):
         graham_deviant_norm([0.5, 0.5], 10, 0.0)
+
+
+def test_operator_checks_reject_non_finite_entries():
+    sp = TensorSpace((("q", 2),))
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    for make in (Hamiltonian, DensityOperator, lambda space, m: ProjectorSet(space, (m,))):
+        with pytest.raises(ValidationError, match="non-finite"):
+            make(sp, bad)

@@ -48,6 +48,15 @@ def test_record_states_reject_impossible_overlap():
         record_states_with_overlap(3, -0.9, 4)  # Gram matrix not PSD
 
 
+def test_record_states_reject_coinciding_records():
+    # Overlap 1 makes two or more records one vector (singular Gram matrix).
+    for n in (2, 3):
+        with pytest.raises(ValidationError, match="positive-definite"):
+            record_states_with_overlap(n, 1.0, n + 1)
+    (vec,) = record_states_with_overlap(1, 1.0, 2)
+    assert np.vdot(vec, vec).real == pytest.approx(1.0)
+
+
 def test_ideal_apparatus_pointers_orthogonal():
     app = ApparatusModel.ideal("ptr", 3)
     assert app.space.dim_of("ptr") == 4

@@ -45,6 +45,15 @@ def test_grid_state_requires_normalization():
         GridState(-8.0, 8.0, 128, 3.0 * gaussian_packet_samples(0.0, 0.0, 1.0, q))
 
 
+def test_constructors_check_the_grid_before_normalizing():
+    with pytest.raises(ValidationError, match="q_max"):
+        oscillator_state(0, q_min=8.0, q_max=-8.0, n_points=64)
+    with pytest.raises(ValidationError, match="q_max"):
+        two_packet_mixture(3.0, q_min=12.0, q_max=-12.0, n_points=64)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        two_packet_superposition(3.0, width=0.0, n_points=64)
+
+
 def test_oscillator_states_orthogonal_on_grid():
     states = [oscillator_state(n) for n in range(4)]
     dq = states[0].dq

@@ -16,17 +16,26 @@ I/O failure.
 the parameters, fills in defaults and builds the library objects the run
 needs, so a scenario that validates never fails the run on a schema
 problem.  Every schema problem exits 2 with a diagnostic that names the
-field.  Rejected are: files that are not UTF-8 JSON, non-finite numbers
-(NaN, Infinity), booleans given as numbers or integers, values the library
-constructors refuse (such as a pointer overlap outside (-1/(n-1), 1) for n
-outcomes, duplicate subsystem labels or a Hamiltonian that is not
-Hermitian), and any scenario whose largest dense array would exceed
-MAX_DENSE_BYTES (1 GiB of complex128 values), estimated from the parsed
-sizes before anything is allocated: a joint dimension D above 8192 for the
-D x D unitaries of the premeasurement, chain, branch and ledger kinds, a
-Wigner grid above 8192 points, a histories dim above 406 (its projector
-family holds dim^3 values), a Schmidt state above 2^26 amplitudes, or a
-graham n of 2^26 or more.
+field.  Rejected are: files that are not UTF-8 JSON or are nested too deeply
+for the JSON decoder, non-finite numbers (NaN, Infinity), booleans given as
+numbers or integers, values the library constructors refuse (such as a
+pointer overlap outside (-1/(n-1), 1) for n outcomes, duplicate subsystem
+labels or a Hamiltonian that is not Hermitian), and any scenario whose
+memory would exceed MAX_DENSE_BYTES (1 GiB of complex128 values), estimated
+from the parsed sizes before anything is allocated.  Register unitaries act
+on the state tensor locally, so no kind builds a D x D unitary; charged are:
+
+* chain: the links + 2 joint states of D amplitudes it keeps, plus
+  JOINT_TEMPORARIES more, plus LOCAL_TEMPORARIES matrices the size of the
+  local system x register shift;
+* branch_recohere and ledger_branching: 4 joint states plus
+  JOINT_TEMPORARIES, plus LOCAL_TEMPORARIES times the local operators of
+  the three steps;
+* premeasurement and ledger_quantum: a D x D matrix (D above 8192 is
+  refused), since the quantum ledger builds D x D sector projectors;
+* a Wigner grid above 8192 points, a histories dim above 406 (its
+  projector family holds dim^3 values), a Schmidt state above 2^26
+  amplitudes, or a graham n of 2^26 or more.
 
 DECOLAB_THREADS caps the worker threads used for trial batches (0 or unset
 means automatic).
@@ -66,15 +75,15 @@ from .histories import (
     history_trace_single_sided,
     pauli_master_evolve,
 )
-from .ledger import branching_ledger, classical_ledger, quantum_collapse_ledger, write_ledger_csv
+from .ledger import branching_ledger, classical_ledger, ledger_csv_text, quantum_collapse_ledger
 from .measurement import (
     ApparatusModel,
     BranchingModel,
     ChainSpec,
     branch_and_recohere,
+    chain_csv_text,
     chain_propagate,
     premeasure,
-    write_chain_csv,
 )
 from .wigner import (
     oscillator_state,
@@ -109,9 +118,22 @@ KINDS = (
     "ledger_branching",
 )
 
-# Largest dense array a scenario may make the run allocate, counted as
-# complex128 values: 8192 x 8192 of them.
+# Dense arrays a scenario may make the run hold at once, counted as
+# complex128 values: as many as one 8192 x 8192 matrix.
 MAX_DENSE_BYTES = 1 << 30
+
+# Joint-state-sized arrays alive at once besides the states a run keeps,
+# rounded up: a register step holds the permuted amplitude tensor, the
+# contraction result and its copy back in the space's order, then the copy
+# a StateVector takes; a partial trace holds a permuted copy and its
+# conjugate.
+JOINT_TEMPORARIES = 4
+
+# Arrays the size of one local register operator alive while it is built
+# and checked, rounded up: the operator, its completed bases or the product
+# and difference of its unitarity check, and the finished operators of the
+# other steps.
+LOCAL_TEMPORARIES = 5
 
 
 def thread_cap() -> int:
@@ -193,14 +215,21 @@ def _build(diags: list[str], field: str, factory, *args, **kwargs):
 
 
 def _fits(entries: int, field: str, diags: list[str]) -> bool:
-    """Whether a dense array of ``entries`` complex128 values stays under the cap."""
+    """Whether dense arrays of ``entries`` complex128 values in all stay under the cap."""
     if 16 * entries <= MAX_DENSE_BYTES:
         return True
     diags.append(
-        f"{field}: needs a dense array of {entries} complex values, "
+        f"{field}: needs dense arrays of {entries} complex values, "
         f"over the {MAX_DENSE_BYTES >> 30} GiB cap"
     )
     return False
+
+
+def _fits_registers(kept: int, joint_dim: int, local_dims, field: str, diags: list[str]) -> bool:
+    """Whether a register run fits: ``kept`` joint states, their temporaries,
+    and the local operators of side ``local_dims`` with their checks."""
+    local = LOCAL_TEMPORARIES * sum(d * d for d in local_dims)
+    return _fits((kept + JOINT_TEMPORARIES) * joint_dim + local, field, diags)
 
 
 def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
@@ -244,7 +273,7 @@ def _system_state(params: dict, diags: list[str]) -> StateVector | None:
 
 def _parse_ledger_quantum(params, seed, diags):
     system = _system_state(params, diags)
-    if system is not None:
+    if system is not None:  # ledger_quantum builds D x D sector projectors
         n = system.space.total_dim
         _fits((n * (n + 1)) ** 2, "params.amplitudes", diags)
     return (system,)
@@ -268,7 +297,8 @@ def _parse_chain(params, seed, diags):
     n = system.space.total_dim
     # Registers have dimension n + 1; capping the exponent keeps the product
     # small when links is huge, and any capped value is far over the cap.
-    if not _fits((n * (n + 1) ** min(k + 1, 64)) ** 2, "params.links", diags):
+    joint_dim = n * (n + 1) ** min(k + 1, 64)
+    if not _fits_registers(k + 2, joint_dim, [n * (n + 1)], "params.links", diags):
         return None
     if params.get("overlaps") is None:
         field = "params.overlap"
@@ -295,7 +325,12 @@ def _parse_branch(params, seed, diags):
         return None
     n = system.space.total_dim
     env_dim = _integer(params, "env_dim", "params", diags, minimum=1, default=n + 1)
-    if env_dim is None or not _fits((n * (n + 1) * env_dim**2) ** 2, "params.env_dim", diags):
+    if env_dim is None:
+        return None
+    # The initial state and three step states; the steps act on system x
+    # apparatus, system x env_record and apparatus x env_reset.
+    local_dims = [n * (n + 1), n * env_dim, (n + 1) * env_dim]
+    if not _fits_registers(4, n * (n + 1) * env_dim**2, local_dims, "params.env_dim", diags):
         return None
     return system, _build(diags, "params.env_dim", BranchingModel.ideal, n, env_dim=env_dim)
 
@@ -645,8 +680,7 @@ def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
         rho_sys = partial_trace(state, "system")
         off, _pops = decoherence_factor(rho_sys, basis)
         rows.append((step, off.max() if n > 1 else 0.0, linear_entropy(rho_sys), purity))
-    write_chain_csv(emit.path("chain.csv"), rows)
-    emit.add_existing("chain.csv")
+    emit.write_text("chain.csv", chain_csv_text(rows))
     final = states[-1]
     rho_final = partial_trace(final, "system")
     _off, pops = decoherence_factor(rho_final, basis)
@@ -808,19 +842,17 @@ def _run_graham(emit: _Emitter, born: list[float], eps: float, n_values: list[in
 
 
 def _run_ledger_classical(emit: _Emitter, p: np.ndarray) -> None:
-    write_ledger_csv(emit.path("ledger.csv"), classical_ledger(p))
-    emit.add_existing("ledger.csv")
+    emit.write_text("ledger.csv", ledger_csv_text(classical_ledger(p)))
 
 
 def _run_ledger_quantum(emit: _Emitter, system: StateVector) -> None:
-    write_ledger_csv(emit.path("ledger.csv"), quantum_collapse_ledger(system.amplitudes))
-    emit.add_existing("ledger.csv")
+    emit.write_text("ledger.csv", ledger_csv_text(quantum_collapse_ledger(system.amplitudes)))
 
 
 def _run_ledger_branching(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
     env_dim = model.env_decohere.space.total_dim
-    write_ledger_csv(emit.path("ledger.csv"), branching_ledger(system.amplitudes, env_dim=env_dim))
-    emit.add_existing("ledger.csv")
+    rows = branching_ledger(system.amplitudes, env_dim=env_dim)
+    emit.write_text("ledger.csv", ledger_csv_text(rows))
 
 
 _HANDLERS = {
@@ -847,12 +879,17 @@ def _read_scenario(path: str, seed: int | None, out):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_IO, None, None
+    parsed = None
     try:
-        diags, parsed = _parse_document(json.loads(raw.decode("utf-8")), seed)
+        doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError:
-        diags, parsed = ["schema: not valid UTF-8"], None
+        diags = ["schema: not valid UTF-8"]
     except json.JSONDecodeError as exc:
-        diags, parsed = [f"schema: not valid JSON: {exc}"], None
+        diags = [f"schema: not valid JSON: {exc}"]
+    except RecursionError:
+        diags = ["schema: JSON nested too deeply"]
+    else:
+        diags, parsed = _parse_document(doc, seed)
     for d in diags:
         print(d, file=out)
     return (EXIT_SCHEMA if diags else EXIT_OK), parsed, raw

@@ -87,10 +87,13 @@ LEDGER_CSV_HEADER = [
 ]
 
 
+def ledger_csv_text(rows) -> str:
+    return serialize.csv_text(LEDGER_CSV_HEADER, [r.as_csv_row() for r in rows])
+
+
 def write_ledger_csv(path, rows) -> None:
-    text = serialize.csv_text(LEDGER_CSV_HEADER, [r.as_csv_row() for r in rows])
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(ledger_csv_text(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,7 +350,8 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
     The global state stays pure at every row, so the ensemble entropy never
     moves from zero; only the marginal sum grows as correlations are
     declared irrelevant.  No information row ever fires because nothing is
-    read out.
+    read out.  The zero is exact: every row's state is a normalized state
+    vector (checked), whose density has entropy 0 by construction.
     """
     c = _validated_amplitudes(amplitudes)
     model = BranchingModel.ideal(c.size, env_dim=env_dim)
@@ -358,10 +362,12 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
     names = ("initial", "apparatus_entangled", "environment_recorded", "apparatus_reset")
     rows = []
     for name, state in zip(names, step_states):
+        if not state.is_normalized():
+            raise ValidationError(f"step {name!r}: global state lost its normalization")
         rows.append(
             LedgerRow(
                 name,
-                ensemble_entropy(state.density()),
+                0.0,
                 _marginal_entropy_sum(state, labels),
                 0.0,
                 _marginal_entropy_sum(state, labels[1:]),

@@ -21,6 +21,7 @@ from .hilbert import (
     StateVector,
     TensorSpace,
     _check_orthonormal_complete,
+    apply_local,
     basis_state,
     computational_basis,
     embed_matrix,
@@ -163,7 +164,11 @@ class ApparatusModel:
 def measurement_unitary(
     basis: Sequence[StateVector], app: ApparatusModel, full_space: TensorSpace | None = None
 ) -> np.ndarray:
-    """Controlled shift sum(|n><n| x V_n), optionally embedded in a larger space."""
+    """Controlled shift sum(|n><n| x V_n) on system x device.
+
+    With ``full_space`` the shift comes back as the D x D matrix on that
+    space; to act on a state, apply the local one with ``apply_local``.
+    """
     basis = tuple(basis)
     sys_space = basis[0].space
     _check_orthonormal_complete(basis, sys_space)
@@ -217,8 +222,9 @@ def premeasure(
             raise ValidationError("apparatus is not in its ready state")
     else:
         joint = tensor(system, app.pointer_ready)
-    u = measurement_unitary(basis, app, joint.space)
-    out = StateVector(joint.space, u @ joint.amplitudes)
+    local = basis[0].space.concat(app.space)
+    amps = apply_local(joint.amplitudes, measurement_unitary(basis, app), local, joint.space)
+    out = StateVector(joint.space, amps)
     if post_maps is not None:
         out = _apply_post_maps(out, app, basis, post_maps)
     return out
@@ -244,8 +250,7 @@ def _apply_post_maps(joint, app, basis, post_maps):
         rest -= pp
     u += np.kron(np.eye(ds), rest)
     local = sys_space.concat(app.space)
-    big = embed_matrix(u, local, joint.space) if joint.space != local else u
-    return StateVector(joint.space, big @ joint.amplitudes)
+    return StateVector(joint.space, apply_local(joint.amplitudes, u, local, joint.space))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,12 +345,11 @@ def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateV
         joint = tensor(joint, link.pointer_ready)
     joint = tensor(joint, spec.observer.pointer_ready)
     states = [joint]
-    for idx in spec.activation_order:
-        u = measurement_unitary(spec.system_basis, spec.links[idx], full)
-        joint = StateVector(full, u @ joint.amplitudes)
-        states.append(joint)
-    u = measurement_unitary(spec.system_basis, spec.observer, full)
-    states.append(StateVector(full, u @ joint.amplitudes))
+    registers = [spec.links[idx] for idx in spec.activation_order] + [spec.observer]
+    for app in registers:
+        u = measurement_unitary(spec.system_basis, app)
+        local = spec.system_space.concat(app.space)
+        states.append(StateVector(full, apply_local(states[-1].amplitudes, u, local, full)))
     return states
 
 
@@ -404,10 +408,13 @@ class BranchingModel:
             self.env_reset.pointer_ready,
         )
 
-    def step_unitaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        full = self.joint_space()
-        u1 = measurement_unitary(self.system_basis, self.apparatus, full)
-        u2 = measurement_unitary(self.system_basis, self.env_decohere, full)
+    def local_steps(self) -> tuple[tuple[np.ndarray, TensorSpace], ...]:
+        """(operator, the subsystems it acts on) for each of the three steps."""
+        sys_space = self.system_basis[0].space
+        steps = [
+            (measurement_unitary(self.system_basis, reg), sys_space.concat(reg.space))
+            for reg in (self.apparatus, self.env_decohere)
+        ]
         # Reset: |pointer_n>|ready> -> |ready>|record_n> on apparatus x env_reset.
         da = self.apparatus.space.total_dim
         dr = self.env_reset.space.total_dim
@@ -419,10 +426,14 @@ class BranchingModel:
             np.kron(self.apparatus.pointer_ready.amplitudes, r.amplitudes)
             for r in self.env_reset.pointer_states
         ]
-        u3_local = _transport_unitary(src, dst, da * dr)
-        local = self.apparatus.space.concat(self.env_reset.space)
-        u3 = embed_matrix(u3_local, local, full)
-        return u1, u2, u3
+        u3 = _transport_unitary(src, dst, da * dr)
+        steps.append((u3, self.apparatus.space.concat(self.env_reset.space)))
+        return tuple(steps)
+
+    def step_unitaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three steps as D x D matrices on the joint space."""
+        full = self.joint_space()
+        return tuple(embed_matrix(u, sub, full) for u, sub in self.local_steps())
 
 
 def branch_and_recohere(
@@ -437,21 +448,23 @@ def branch_and_recohere(
     full = model.joint_space()
     if initial.space != full:
         raise SpaceMismatchError("initial state lives off the model's joint space")
-    u1, u2, u3 = model.step_unitaries()
-    s1 = StateVector(full, u1 @ initial.amplitudes)
-    s2 = StateVector(full, u2 @ s1.amplitudes)
-    s3 = StateVector(full, u3 @ s2.amplitudes)
-    return s1, s2, s3
+    states = [initial]
+    for u, sub in model.local_steps():
+        states.append(StateVector(full, apply_local(states[-1].amplitudes, u, sub, full)))
+    return tuple(states[1:])
 
 
-def write_chain_csv(path, rows) -> None:
+def chain_csv_text(rows) -> str:
     """CSV of (step, off_diagonal, system_linear_entropy, global_purity)."""
-    text = serialize.csv_text(
+    return serialize.csv_text(
         ["step", "off_diagonal", "system_linear_entropy", "global_purity"],
         [
             [str(int(step)), serialize.fmt(off), serialize.fmt(slin), serialize.fmt(pur)]
             for step, off, slin, pur in rows
         ],
     )
+
+
+def write_chain_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(chain_csv_text(rows))

@@ -383,8 +383,8 @@ def test_non_utf8_file_is_a_schema_violation(tmp_path, capsys):
 
 
 def test_memory_cap_rejects_before_allocating(tmp_path, capsys):
-    # chain n=2 with 7 links needs one dense 13122 x 13122 unitary (2.75 GB)
-    doc = _scenario("chain", {"amplitudes": [R2, R2], "links": 7})
+    # chain n=2 with 14 links keeps 16 joint states of 2 * 3^15 amplitudes (7.3 GB)
+    doc = _scenario("chain", {"amplitudes": [R2, R2], "links": 14})
     path = _write(tmp_path, "c.json", doc)
     start = time.perf_counter()
     _both_reject(path, tmp_path / "out", capsys, "params.links")
@@ -394,6 +394,26 @@ def test_memory_cap_rejects_before_allocating(tmp_path, capsys):
     # the largest benchmark rung (n=3 with 4 links, D=3072) stays accepted
     largest = _scenario("chain", {"amplitudes": [R3, R3, R3], "links": 4})
     assert cli.validate_document(largest) == []
+
+
+def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):
+    # n=2 with 7 links: D = 13122, whose dense unitary alone would be 2.75 GB
+    doc = _scenario("chain", {"amplitudes": [R2, R2], "links": 7})
+    assert cli.validate_document(doc) == []
+    path = _write(tmp_path, "c.json", doc)
+    assert cli.run(path, out_dir=str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_deeply_nested_json_is_a_schema_violation(tmp_path, capsys):
+    depth = 100_000
+    text = (
+        '{"schema": "decolab/scenario/v1", "kind": "chain", "params": '
+        + "[" * depth + "]" * depth + "}"
+    )
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    _both_reject(str(path), tmp_path / "out", capsys, "schema: JSON nested too deeply")
 
 
 def test_unexpected_failure_is_one_line_exit_3(tmp_path, capsys, monkeypatch):

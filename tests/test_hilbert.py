@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from decolab.errors import SpaceMismatchError, ValidationError
+from decolab.errors import CROSS_ATOL, SpaceMismatchError, ValidationError
 from decolab.hilbert import (
     DensityOperator,
     Observable,
     StateVector,
     TensorSpace,
+    apply_local,
     basis_state,
     born_probability,
     build_observable,
@@ -211,6 +212,35 @@ def test_embed_matrix_middle_subsystem():
     full = embed_matrix(x, sp.subspace(["b"]), sp)
     expected = np.kron(np.kron(np.eye(2), x), np.eye(2))
     assert np.abs(full - expected).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ("env_reset", "apparatus"),
+        ("system", "env_record"),
+        ("env_record",),
+        ("env_reset", "system", "apparatus"),
+    ],
+)
+def test_apply_local_matches_embedded_matrix(labels):
+    sp = TensorSpace((("system", 2), ("apparatus", 3), ("env_record", 4), ("env_reset", 5)))
+    sub = TensorSpace(tuple((label, sp.dim_of(label)) for label in labels))
+    d = sub.total_dim
+    op = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    amps = random_state(sp, RNG).amplitudes
+    out = apply_local(amps, op, sub, sp)
+    assert out.shape == (sp.total_dim,)
+    assert np.abs(out - embed_matrix(op, sub, sp) @ amps).max() < CROSS_ATOL
+
+
+def test_apply_local_rejects_mismatched_operand():
+    sp = TensorSpace((("a", 2), ("b", 3)))
+    amps = random_state(sp, RNG).amplitudes
+    with pytest.raises(SpaceMismatchError):
+        apply_local(amps, np.eye(2), TensorSpace((("b", 2),)), sp)
+    with pytest.raises(SpaceMismatchError):
+        apply_local(amps, np.eye(2), sp.subspace(["b"]), sp)
 
 
 def test_embed_observable():

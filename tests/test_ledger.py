@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from decolab.entanglement import shannon_entropy
+from decolab import ledger
 from decolab.errors import ValidationError
+from decolab.hilbert import StateVector
 from decolab.ledger import (
     ClassicalJoint,
     LedgerRow,
@@ -169,6 +171,23 @@ def test_branching_ledger_stays_pure():
     for r in rows:
         assert abs(r.s_ensemble) < 1e-10
         assert r.s_physical >= r.s_ensemble - 1e-12
+
+
+def test_branching_ledger_ensemble_entropy_is_exactly_zero():
+    rows = branching_ledger(np.array([0.6, 0.0, 0.8j]), env_dim=5)
+    assert [r.s_ensemble for r in rows] == [0.0] * 4
+
+
+def test_branching_ledger_refuses_an_unnormalized_state(monkeypatch):
+    real = ledger.branch_and_recohere
+
+    def leaky(initial, model):
+        s1, s2, s3 = real(initial, model)
+        return s1, StateVector(s2.space, 1.01 * s2.amplitudes), s3
+
+    monkeypatch.setattr(ledger, "branch_and_recohere", leaky)
+    with pytest.raises(ValidationError, match="normalization"):
+        branching_ledger(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
 def test_branching_ledger_physical_entropy_grows_then_plateaus():

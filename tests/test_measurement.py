@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from decolab.entanglement import decoherence_factor, linear_entropy
-from decolab.errors import ValidationError
+from decolab.errors import CROSS_ATOL, ValidationError
 from decolab.hilbert import (
     StateVector,
     TensorSpace,
     basis_state,
     computational_basis,
+    embed_matrix,
     partial_trace,
     random_state,
     tensor,
@@ -252,6 +253,53 @@ def test_step_unitaries_are_unitary():
     for u in model.step_unitaries():
         d = u.shape[0]
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-10
+
+
+def test_chain_propagate_matches_dense_unitaries():
+    spec = ChainSpec.from_scenario(
+        {
+            "system_dim": 3,
+            "links": [{"overlap": 0.4}, {"overlap": 0.7, "dim": 5}, {"overlap": -0.2}],
+            "observer": {"dim": 5},
+            "order": [2, 0, 1],
+        }
+    )
+    psi = random_state(spec.system_space, RNG)
+    states = chain_propagate(spec, psi)
+    full = spec.joint_space()
+    amps = states[0].amplitudes
+    registers = [spec.links[i] for i in spec.activation_order] + [spec.observer]
+    for app, state in zip(registers, states[1:]):
+        amps = measurement_unitary(spec.system_basis, app, full) @ amps
+        assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
+
+
+def test_branch_and_recohere_matches_step_unitaries():
+    model = BranchingModel.ideal(3, env_dim=6)
+    initial = model.ready_joint(random_state(model.system_basis[0].space, RNG))
+    amps = initial.amplitudes
+    for u, state in zip(model.step_unitaries(), branch_and_recohere(initial, model)):
+        amps = u @ amps
+        assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
+
+
+def test_premeasure_with_post_maps_on_prepared_joint_matches_dense_route():
+    sys_space = TensorSpace((("system", 2),))
+    app = ApparatusModel.ideal("pointer", 2)
+    other = ApparatusModel.ideal("other", 2, dim=4)
+    psi = random_state(sys_space, RNG)
+    # the device sits after a busy register, away from the system
+    joint = tensor(tensor(psi, random_state(other.space, RNG)), app.pointer_ready)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    out = premeasure(joint, app, computational_basis(sys_space), post_maps=[np.eye(2), flip])
+    basis = computational_basis(sys_space)
+    amps = measurement_unitary(basis, app, joint.space) @ joint.amplitudes
+    # dense disturbance: W_n on the system for pointer n, identity off the pointers
+    local = np.kron(np.eye(2), np.diag([1, 0, 0])).astype(complex)
+    for w, pointer in zip([np.eye(2), flip], app.pointer_states):
+        local += np.kron(w, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
+    amps = embed_matrix(local, sys_space.concat(app.space), joint.space) @ amps
+    assert np.abs(out.amplitudes - amps).max() < CROSS_ATOL
 
 
 def test_chain_csv_emitter(tmp_path):

@@ -33,6 +33,10 @@ on the state tensor locally, so no kind builds a D x D unitary; charged are:
   the three steps;
 * premeasurement and ledger_quantum: a D x D matrix (D above 8192 is
   refused), since the quantum ledger builds D x D sector projectors;
+* histories: the H class operators and their products with rho
+  (2 H dim^2 values, H the product of the outcome counts) plus the H x H
+  decoherence functional, filed under params.times, and the 2^n x n subset
+  masks of the largest outcome count n, filed under params.projectors;
 * a Wigner grid above 8192 points, a histories dim above 406 (its
   projector family holds dim^3 values), a Schmidt state above 2^26
   amplitudes, or a graham n of 2^26 or more.
@@ -86,13 +90,13 @@ from .measurement import (
     premeasure,
 )
 from .wigner import (
+    marginals_csv_text,
     oscillator_state,
     two_packet_mixture,
     two_packet_superposition,
+    wigner_binary,
+    wigner_csv_text,
     wigner_transform,
-    write_marginals_csv,
-    write_wigner_binary,
-    write_wigner_csv,
 )
 
 SCENARIO_SCHEMA = "decolab/scenario/v1"
@@ -525,6 +529,18 @@ def _parse_histories(params, seed, diags):
         diags.append("params.initial: expected amplitudes or diagonal")
     if diags:
         return None
+    # The run holds H class operators and their products with rho, dim x dim
+    # each, and the H x H decoherence functional; the count saturates, since
+    # any H past the cap is refused alike.
+    histories = 1
+    for pset in psets:
+        histories = min(histories * len(pset), MAX_DENSE_BYTES)
+    if not _fits(2 * histories * dim * dim + histories**2, "params.times", diags):
+        return None
+    # The defect sums over all subsets of one slice's n outcomes: 2^n x n masks.
+    n = max(map(len, psets), default=0)
+    if not _fits(n << n, "params.projectors", diags):
+        return None
     spec = _build(
         diags, "params.times", HistorySpec,
         hamiltonian=hamiltonian, initial_state=rho, times=tuple(times),
@@ -605,26 +621,15 @@ class _Emitter:
         self.out_dir = out_dir
         self.entries: list[dict] = []
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
     def write_bytes(self, name: str, data: bytes) -> None:
-        with open(self.path(name), "wb") as fh:
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write(data)
-        self._record(name, data)
-
-    def write_text(self, name: str, text: str) -> None:
-        self.write_bytes(name, text.encode("utf-8"))
-
-    def add_existing(self, name: str) -> None:
-        with open(self.path(name), "rb") as fh:
-            data = fh.read()
-        self._record(name, data)
-
-    def _record(self, name: str, data: bytes) -> None:
         self.entries.append(
             {"name": name, "sha256": serialize.sha256_hex(data), "bytes": len(data)}
         )
+
+    def write_text(self, name: str, text: str) -> None:
+        self.write_bytes(name, text.encode("utf-8"))
 
     def manifest(self, kind: str, seed: int, raw_bytes: bytes) -> None:
         doc = {
@@ -634,7 +639,7 @@ class _Emitter:
             "scenario_sha256": serialize.sha256_hex(raw_bytes),
             "files": sorted(self.entries, key=lambda e: e["name"]),
         }
-        with open(self.path("manifest.json"), "w", newline="") as fh:
+        with open(os.path.join(self.out_dir, "manifest.json"), "w", newline="") as fh:
             fh.write(serialize.dumps(doc))
 
 
@@ -766,13 +771,11 @@ def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, 
 
 def _run_wigner(emit: _Emitter, state) -> None:
     w = wigner_transform(state)
-    write_wigner_csv(emit.path("wigner.csv"), w)
-    emit.add_existing("wigner.csv")
-    write_wigner_binary(emit.path("wigner"), w)
-    emit.add_existing("wigner.bin")
-    emit.add_existing("wigner.meta.json")
-    write_marginals_csv(emit.path("marginals.csv"), w)
-    emit.add_existing("marginals.csv")
+    emit.write_text("wigner.csv", wigner_csv_text(w))
+    data, meta = wigner_binary(w)
+    emit.write_bytes("wigner.bin", data)
+    emit.write_text("wigner.meta.json", meta)
+    emit.write_text("marginals.csv", marginals_csv_text(w))
 
 
 def _run_schmidt(emit: _Emitter, psi: StateVector, system: list[str]) -> None:

@@ -146,7 +146,7 @@ def decoherence_factor(rho: DensityOperator, basis) -> tuple[np.ndarray, np.ndar
     return off, np.real(np.diag(mat)).copy()
 
 
-def write_entropy_series(path, times, rhos) -> None:
+def entropy_series_text(times, rhos) -> str:
     """CSV of (t, linear_entropy, ensemble_entropy_nats, ensemble_entropy_bits)."""
     rows = []
     for t, rho in zip(times, rhos):
@@ -155,8 +155,6 @@ def write_entropy_series(path, times, rhos) -> None:
             [serialize.fmt(t), serialize.fmt(linear_entropy(rho)),
              serialize.fmt(s), serialize.fmt(entropy_bits(s))]
         )
-    text = serialize.csv_text(
+    return serialize.csv_text(
         ["t", "linear_entropy", "ensemble_entropy_nats", "ensemble_entropy_bits"], rows
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(text)

@@ -1,14 +1,17 @@
 """Coarse-grained descriptions: sector decoherence, rate equations,
 time-ordered history probabilities, and deviant-branch weights.
 
-History probabilities use the two-sided projected form
-trace(P_k ... P_1 rho P_1 ... P_k) with Heisenberg-picture projectors; the
-single-sided trace that this form reduces to for exactly consistent sets is
-exposed separately for comparison.
+Every history output is read off the class operators
+C = P_k(t_k) ... P_1(t_1), built from Heisenberg-picture projectors: the
+two-sided probability trace(C rho C^dagger), the single-sided trace
+trace(C rho) that it reduces to for exactly consistent sets, and the
+decoherence functional D(a, b) = trace(C_a rho C_b^dagger) whose off-diagonal
+real parts give the consistency defect.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,12 +60,6 @@ class ProjectorSet:
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.projectors[i]
-
-    def union(self, indices: Sequence[int]) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for i in indices:
-            out = out + self.projectors[i]
-        return out
 
     @classmethod
     def from_basis(cls, basis: Sequence[StateVector], labels=None) -> ProjectorSet:
@@ -175,45 +172,40 @@ class HistorySpec:
     def outcome_counts(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.projector_sets)
 
-    def heisenberg_projectors(self, slice_index: int, matrix: np.ndarray) -> np.ndarray:
-        u = propagator(self.hamiltonian, self.times[slice_index] - self.t0)
-        return u.conj().T @ matrix @ u
+    @functools.cached_property
+    def heisenberg_families(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per slice, each projector P in the Heisenberg picture, u^dagger P u."""
+        out = []
+        for t, pset in zip(self.times, self.projector_sets):
+            u = propagator(self.hamiltonian, t - self.t0)
+            out.append(tuple(u.conj().T @ p @ u for p in pset.projectors))
+        return tuple(out)
 
 
-def _chain_probability(spec: HistorySpec, mats: Sequence[np.ndarray]) -> float:
-    chain = None
-    for i, m in enumerate(mats):
-        ph = spec.heisenberg_projectors(i, m)
-        chain = ph if chain is None else ph @ chain
-    rho = spec.initial_state.matrix
-    val = np.trace(chain @ rho @ chain.conj().T)
-    return float(val.real)
-
-
-def history_probability(spec: HistorySpec, history: Sequence[int]) -> float:
-    """Two-sided projected probability of one outcome sequence."""
+def _class_operator(spec: HistorySpec, history: Sequence[int]) -> np.ndarray:
+    """C = P_k(t_k) ... P_1(t_1) for one outcome sequence."""
     counts = spec.outcome_counts()
     if len(history) != len(counts):
         raise ValidationError(f"history length {len(history)} for {len(counts)} slices")
-    mats = []
+    chain = None
     for i, n in enumerate(history):
         n = int(n)
         if not 0 <= n < counts[i]:
             raise ValidationError(f"outcome {n} out of range at slice {i}")
-        mats.append(spec.projector_sets[i][n])
-    return _chain_probability(spec, mats)
+        ph = spec.heisenberg_families[i][n]
+        chain = ph if chain is None else ph @ chain
+    return chain
+
+
+def history_probability(spec: HistorySpec, history: Sequence[int]) -> float:
+    """Two-sided projected probability of one outcome sequence."""
+    chain = _class_operator(spec, history)
+    return float(np.trace(chain @ spec.initial_state.matrix @ chain.conj().T).real)
 
 
 def history_trace_single_sided(spec: HistorySpec, history: Sequence[int]) -> complex:
     """Raw trace(P_k ... P_1 rho); complex unless the family decoheres."""
-    counts = spec.outcome_counts()
-    if len(history) != len(counts):
-        raise ValidationError(f"history length {len(history)} for {len(counts)} slices")
-    chain = None
-    for i, n in enumerate(history):
-        ph = spec.heisenberg_projectors(i, spec.projector_sets[i][int(n)])
-        chain = ph if chain is None else ph @ chain
-    return complex(np.trace(chain @ spec.initial_state.matrix))
+    return complex(np.trace(_class_operator(spec, history) @ spec.initial_state.matrix))
 
 
 def enumerate_histories(spec: HistorySpec):
@@ -221,39 +213,44 @@ def enumerate_histories(spec: HistorySpec):
     return itertools.product(*(range(n) for n in spec.outcome_counts()))
 
 
+def decoherence_functional(spec: HistorySpec) -> np.ndarray:
+    """D(a, b) = trace(C_a rho C_b^dagger) over histories in enumeration order.
+
+    The diagonal holds the history probabilities and row a sums to the
+    single-sided trace of history a; D is Hermitian.
+    """
+    c = np.array([_class_operator(spec, h) for h in enumerate_histories(spec)])
+    return np.einsum("aij,bij->ab", c @ spec.initial_state.matrix, c.conj())
+
+
+# Subset sums are formed for this many (context, subset, outcome) entries at
+# a time, so memory stays near one slice's subset masks.
+_SUBSET_BATCH = 1 << 20
+
+
 def consistency_defect(spec: HistorySpec) -> float:
     """Worst additivity failure over coarse-grainings.
 
-    For every slice, every union of two or more outcomes there, and every
-    assignment of outcomes to the other slices, compares the probability of
-    the union against the sum over its members.  Zero certifies that the
+    For every slice, every union S of two or more outcomes there, and every
+    assignment of outcomes to the other slices, the probability of the
+    union differs from the sum over its members by exactly the sum of
+    Re D(a, b) over ordered pairs a != b in S.  Zero certifies that the
     family's probabilities obey the classical sum rule.
     """
     counts = spec.outcome_counts()
-    k = len(counts)
+    re_d = decoherence_functional(spec).real
+    index = np.arange(re_d.shape[0]).reshape(counts)
     worst = 0.0
-    for i in range(k):
-        others = [range(counts[j]) for j in range(k) if j != i]
-        subsets = []
-        for r in range(2, counts[i] + 1):
-            subsets.extend(itertools.combinations(range(counts[i]), r))
-        for subset in subsets:
-            union = spec.projector_sets[i].union(subset)
-            for ctx in itertools.product(*others):
-                mats_union = []
-                ctx_iter = iter(ctx)
-                for j in range(k):
-                    if j == i:
-                        mats_union.append(union)
-                    else:
-                        mats_union.append(spec.projector_sets[j][next(ctx_iter)])
-                p_union = _chain_probability(spec, mats_union)
-                p_sum = 0.0
-                for member in subset:
-                    mats = list(mats_union)
-                    mats[i] = spec.projector_sets[i][member]
-                    p_sum += _chain_probability(spec, mats)
-                worst = max(worst, abs(p_union - p_sum))
+    for i, n in enumerate(counts):
+        # rows[c] lists the histories that agree off slice i in context c.
+        rows = np.moveaxis(index, i, -1).reshape(-1, n)
+        blocks = re_d[rows[:, :, None], rows[:, None, :]]
+        blocks[:, np.arange(n), np.arange(n)] = 0.0
+        masks = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        step = max(1, _SUBSET_BATCH // masks.size)
+        for lo in range(0, len(blocks), step):
+            excess = np.einsum("csa,sa->cs", masks @ blocks[lo : lo + step], masks)
+            worst = max(worst, float(np.abs(excess).max()))
     return worst
 
 

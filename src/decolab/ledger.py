@@ -28,7 +28,7 @@ import numpy as np
 
 from . import serialize
 from .dynamics import luders_project
-from .entanglement import ensemble_entropy, entropy_bits, shannon_entropy
+from .entanglement import ensemble_entropy, entropy_bits, schmidt_decompose, shannon_entropy
 from .errors import MIN_BRANCH_PROBABILITY, ValidationError
 from .hilbert import (
     DensityOperator,
@@ -89,11 +89,6 @@ LEDGER_CSV_HEADER = [
 
 def ledger_csv_text(rows) -> str:
     return serialize.csv_text(LEDGER_CSV_HEADER, [r.as_csv_row() for r in rows])
-
-
-def write_ledger_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(ledger_csv_text(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +254,15 @@ def classical_ledger(p_system) -> list[LedgerRow]:
 
 
 def _marginal_entropy_sum(state, labels) -> float:
+    """Sum of the marginal entropies of the labelled registers.
+
+    A pure global state's marginal spectrum is its squared Schmidt
+    coefficients, so a product state gives exactly 0 instead of eigenvalue
+    round-off.
+    """
+    if isinstance(state, StateVector):
+        spectra = (schmidt_decompose(state, [l]).probabilities for l in labels)
+        return float(sum(shannon_entropy(p / p.sum()) for p in spectra))
     return float(sum(ensemble_entropy(partial_trace(state, [l])) for l in labels))
 
 

@@ -463,8 +463,3 @@ def chain_csv_text(rows) -> str:
             for step, off, slin, pur in rows
         ],
     )
-
-
-def write_chain_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(chain_csv_text(rows))

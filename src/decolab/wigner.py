@@ -296,19 +296,18 @@ def two_packet_mixture(
     return GridState(q_min, q_max, n_points, rho)
 
 
-def write_wigner_csv(path, w: WignerGrid) -> None:
+def wigner_csv_text(w: WignerGrid) -> str:
     """Long-format (q, p, w) table, q outer loop."""
+    ps = [serialize.fmt(pv) for pv in w.p_grid]
     rows = []
-    qs = w.q_grid
-    ps = w.p_grid
-    for j, qv in enumerate(qs):
-        for m, pv in enumerate(ps):
-            rows.append([serialize.fmt(qv), serialize.fmt(pv), serialize.fmt(w.values[m, j])])
-    with open(path, "w", newline="") as fh:
-        fh.write(serialize.csv_text(["q", "p", "w"], rows))
+    for qv, column in zip(w.q_grid, w.values.T):
+        q_text = serialize.fmt(qv)
+        for p_text, value in zip(ps, column):
+            rows.append([q_text, p_text, serialize.fmt(value)])
+    return serialize.csv_text(["q", "p", "w"], rows)
 
 
-def write_marginals_csv(path, w: WignerGrid) -> None:
+def marginals_csv_text(w: WignerGrid) -> str:
     pos, mom = marginals(w)
     rows = []
     qs = w.q_grid
@@ -322,17 +321,12 @@ def write_marginals_csv(path, w: WignerGrid) -> None:
                 serialize.fmt(mom[i]),
             ]
         )
-    with open(path, "w", newline="") as fh:
-        fh.write(serialize.csv_text(["q", "position_density", "p", "momentum_density"], rows))
+    return serialize.csv_text(["q", "position_density", "p", "momentum_density"], rows)
 
 
-def write_wigner_binary(path_prefix, w: WignerGrid) -> tuple[str, str]:
-    """Row-major little-endian float64 dump plus a JSON metadata sidecar."""
-    bin_path = f"{path_prefix}.bin"
-    meta_path = f"{path_prefix}.meta.json"
+def wigner_binary(w: WignerGrid) -> tuple[bytes, str]:
+    """Row-major little-endian float64 dump plus the text of its JSON metadata."""
     data = np.ascontiguousarray(w.values, dtype="<f8").tobytes()
-    with open(bin_path, "wb") as fh:
-        fh.write(data)
     meta = {
         "dtype": "<f8",
         "order": "C",
@@ -345,6 +339,4 @@ def write_wigner_binary(path_prefix, w: WignerGrid) -> tuple[str, str]:
         "dp": w.dp,
         "p_min": float(w.p_grid[0]),
     }
-    with open(meta_path, "w", newline="") as fh:
-        fh.write(serialize.dumps(meta))
-    return bin_path, meta_path
+    return data, serialize.dumps(meta)

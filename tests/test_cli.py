@@ -396,6 +396,31 @@ def test_memory_cap_rejects_before_allocating(tmp_path, capsys):
     assert cli.validate_document(largest) == []
 
 
+def _histories(dim, slices, **extra):
+    return _scenario("histories", {
+        "dim": dim,
+        "hamiltonian": {"name": "diagonal", "entries": list(range(dim))},
+        "times": [0.5 * (k + 1) for k in range(slices)],
+        "initial": {"diagonal": [1.0 / dim] * dim},
+        **extra,
+    })
+
+
+def test_histories_cap_charges_class_operators_and_subset_masks(tmp_path, capsys):
+    # dim 8 with 6 slices: H = 8^6 = 262144 histories, D alone holds H^2 entries
+    # dim 24 in one slice: the subset masks hold 2^24 x 24 entries
+    for doc, field in ((_histories(8, 6), "params.times"), (_histories(24, 1), "params.projectors")):
+        path = _write(tmp_path, "h.json", doc)
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, field)
+        assert time.perf_counter() - start < 1.0
+    # a long times list is charged without forming dim^slices
+    assert any("params.times" in d for d in cli.validate_document(_histories(2, 100_000)))
+    # the histories benchmark rungs stay accepted
+    for dim, slices in ((2, 6), (3, 4), (5, 3), (6, 2)):
+        assert cli.validate_document(_histories(dim, slices)) == []
+
+
 def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):
     # n=2 with 7 links: D = 13122, whose dense unitary alone would be 2.75 GB
     doc = _scenario("chain", {"amplitudes": [R2, R2], "links": 7})

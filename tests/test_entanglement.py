@@ -7,10 +7,10 @@ from decolab.entanglement import (
     decoherence_factor,
     ensemble_entropy,
     entropy_bits,
+    entropy_series_text,
     linear_entropy,
     schmidt_decompose,
     shannon_entropy,
-    write_entropy_series,
 )
 from decolab.errors import ValidationError
 from decolab.hilbert import (
@@ -121,15 +121,13 @@ def test_decoherence_factor_reports_offdiagonals():
     assert np.abs(pops - 0.5).max() < 1e-12
 
 
-def test_entropy_series_csv(tmp_path):
+def test_entropy_series_csv():
     sp = TensorSpace((("a", 2),))
     rhos = [
         DensityOperator.maximally_mixed(sp),
         StateVector(sp, np.array([1.0, 0.0], dtype=complex)).density(),
     ]
-    path = tmp_path / "series.csv"
-    write_entropy_series(path, [0.0, 1.0], rhos)
-    lines = path.read_text().strip().split("\n")
+    lines = entropy_series_text([0.0, 1.0], rhos).strip().split("\n")
     assert lines[0] == "t,linear_entropy,ensemble_entropy_nats,ensemble_entropy_bits"
     assert len(lines) == 3
     first = lines[1].split(",")

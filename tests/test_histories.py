@@ -1,11 +1,13 @@
 """Projector families, master equation, history chains, deviant-branch norms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import decolab.histories
 from decolab.dynamics import Hamiltonian, luders_project, propagator
 from decolab.errors import ValidationError
 from decolab.hilbert import (
@@ -21,6 +23,7 @@ from decolab.histories import (
     ProjectorSet,
     RateMatrix,
     consistency_defect,
+    decoherence_functional,
     decohere_projectors,
     enumerate_histories,
     graham_deviant_norm,
@@ -53,8 +56,6 @@ def test_projector_set_blocks_and_union():
     sp = TensorSpace((("s", 4),))
     pset = ProjectorSet.from_index_blocks(sp, [[0, 1], [2], [3]])
     assert pset.projectors[0][0, 0] == 1.0
-    u = pset.union([1, 2])
-    assert np.trace(u).real == pytest.approx(2.0)
 
 
 def test_projector_set_rejects_incomplete_family():
@@ -245,6 +246,119 @@ def test_history_probability_matches_luders_module():
         weight *= prob
         t_prev = t
     assert abs(history_probability(spec, hist) - weight) < 1e-12
+
+
+def _reference_defect(spec):
+    """Nested-loop defect: rebuild the chain of every union and every member."""
+    us = [propagator(spec.hamiltonian, t - spec.t0) for t in spec.times]
+
+    def chain_probability(mats):
+        chain = np.eye(spec.initial_state.space.total_dim)
+        for u, m in zip(us, mats):
+            chain = (u.conj().T @ m @ u) @ chain
+        return np.trace(chain @ spec.initial_state.matrix @ chain.conj().T).real
+
+    counts = spec.outcome_counts()
+    worst = 0.0
+    for i, n in enumerate(counts):
+        others = [j for j in range(len(counts)) if j != i]
+        for r in range(2, n + 1):
+            for subset in itertools.combinations(range(n), r):
+                union = sum(spec.projector_sets[i][m] for m in subset)
+                for ctx in itertools.product(*(range(counts[j]) for j in others)):
+                    mats = [spec.projector_sets[j][c] for j, c in zip(others, ctx)]
+                    mats.insert(i, union)
+                    p_sum = 0.0
+                    for m in subset:
+                        mats[i] = spec.projector_sets[i][m]
+                        p_sum += chain_probability(mats)
+                    mats[i] = union
+                    worst = max(worst, abs(chain_probability(mats) - p_sum))
+    return worst
+
+
+def _random_family(sp, rng):
+    """Computational basis, a random block partition, or a rotated basis."""
+    d = sp.total_dim
+    choice = rng.integers(3)
+    if choice == 0:
+        return ProjectorSet.from_basis(computational_basis(sp))
+    if choice == 1:
+        cuts = sorted(rng.choice(np.arange(1, d), size=rng.integers(1, d), replace=False))
+        order = rng.permutation(d)
+        return ProjectorSet.from_index_blocks(sp, np.split(order, cuts))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return ProjectorSet.from_basis([StateVector(sp, q[:, k]) for k in range(d)])
+
+
+def _random_spec(rng, dim, slices, consistent):
+    sp = TensorSpace((("s", dim),))
+    if consistent:
+        # Diagonal dynamics, a diagonal state and diagonal families commute.
+        h = Hamiltonian(sp, np.diag(rng.normal(size=dim)).astype(complex))
+        p = rng.dirichlet(np.ones(dim))
+        rho = DensityOperator(sp, np.diag(p).astype(complex))
+        psets = [ProjectorSet.from_basis(computational_basis(sp))]
+        for _ in range(slices - 1):
+            cuts = sorted(rng.choice(np.arange(1, dim), size=rng.integers(1, dim), replace=False))
+            psets.append(ProjectorSet.from_index_blocks(sp, np.split(np.arange(dim), cuts)))
+    else:
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = Hamiltonian(sp, (a + a.conj().T) / 2)
+        rho = random_state(sp, rng).density()
+        psets = [_random_family(sp, rng) for _ in range(slices)]
+    times = tuple(np.cumsum(rng.uniform(0.2, 1.0, size=slices)))
+    return HistorySpec(
+        hamiltonian=h, initial_state=rho, times=times, projector_sets=tuple(psets)
+    )
+
+
+def test_defect_matches_nested_loop_reference(monkeypatch):
+    rng = np.random.default_rng(4242)
+    cases = [(dim, slices, consistent)
+             for slices, dims in ((1, (3, 4)), (2, (2, 4)), (3, (2, 3)), (4, (2, 3)))
+             for dim in dims for consistent in (False, True)]
+    interfering = 0
+    for dim, slices, consistent in cases:
+        spec = _random_spec(rng, dim, slices, consistent)
+        ref = _reference_defect(spec)
+        assert abs(consistency_defect(spec) - ref) < 1e-12
+        with monkeypatch.context() as m:
+            m.setattr(decolab.histories, "_SUBSET_BATCH", 1)  # one context per batch
+            assert abs(consistency_defect(spec) - ref) < 1e-12
+        if consistent:
+            assert ref < 1e-12
+        else:
+            interfering += ref > 1e-3
+    assert interfering >= 6
+
+
+def test_decoherence_functional_reductions():
+    rng = np.random.default_rng(7)
+    for dim, slices in ((2, 3), (3, 2), (4, 1)):
+        spec = _random_spec(rng, dim, slices, consistent=False)
+        d = decoherence_functional(spec)
+        hists = list(enumerate_histories(spec))
+        assert d.shape == (len(hists), len(hists))
+        assert np.abs(d - d.conj().T).max() < 1e-12
+        for a, hist in enumerate(hists):
+            assert abs(d[a, a].real - history_probability(spec, hist)) < 1e-12
+            assert abs(d[a].sum() - history_trace_single_sided(spec, hist)) < 1e-12
+
+
+def test_propagator_runs_once_per_slice(monkeypatch):
+    calls = []
+
+    def counting(hamiltonian, t):
+        calls.append(t)
+        return propagator(hamiltonian, t)
+
+    monkeypatch.setattr(decolab.histories, "propagator", counting)
+    spec = _random_spec(np.random.default_rng(11), 3, 3, consistent=False)
+    consistency_defect(spec)
+    for hist in enumerate_histories(spec):
+        history_probability(spec, hist)
+    assert len(calls) == len(spec.times)
 
 
 # ---- deviant-branch norms ----

@@ -16,9 +16,9 @@ from decolab.ledger import (
     classical_ledger,
     copy_to_memory,
     initial_classical_joint,
+    ledger_csv_text,
     quantum_collapse_ledger,
     reset_memory,
-    write_ledger_csv,
 )
 
 LN2 = math.log(2.0)
@@ -178,6 +178,14 @@ def test_branching_ledger_ensemble_entropy_is_exactly_zero():
     assert [r.s_ensemble for r in rows] == [0.0] * 4
 
 
+def test_pure_product_rows_have_exactly_zero_marginal_entropy():
+    # system (x) ready apparatus (x) blank environment: every marginal is pure
+    initial = branching_ledger(np.array([0.6, 0.8j]), env_dim=7)[0]
+    assert (initial.s_physical, initial.s_physical_record_only) == (0.0, 0.0)
+    initial = quantum_collapse_ledger(np.array([0.6, 0.8j]))[0]
+    assert (initial.s_physical, initial.s_physical_record_only) == (0.0, 0.0)
+
+
 def test_branching_ledger_refuses_an_unnormalized_state(monkeypatch):
     real = ledger.branch_and_recohere
 
@@ -206,11 +214,9 @@ def test_branching_ledger_rejects_small_environment():
 # ---- CSV emitter ----
 
 
-def test_ledger_csv(tmp_path):
+def test_ledger_csv():
     rows = classical_ledger(np.array([0.5, 0.5]))
-    path = tmp_path / "ledger.csv"
-    write_ledger_csv(path, rows)
-    lines = path.read_text().strip().split("\n")
+    lines = ledger_csv_text(rows).strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "step"
     assert "s_ensemble_nats" in header and "s_ensemble_bits" in header

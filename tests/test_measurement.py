@@ -20,11 +20,11 @@ from decolab.measurement import (
     BranchingModel,
     ChainSpec,
     branch_and_recohere,
+    chain_csv_text,
     chain_propagate,
     measurement_unitary,
     premeasure,
     record_states_with_overlap,
-    write_chain_csv,
 )
 
 RNG = np.random.default_rng(1003)
@@ -302,9 +302,8 @@ def test_premeasure_with_post_maps_on_prepared_joint_matches_dense_route():
     assert np.abs(out.amplitudes - amps).max() < CROSS_ATOL
 
 
-def test_chain_csv_emitter(tmp_path):
-    path = tmp_path / "chain.csv"
-    write_chain_csv(path, [(1, 0.25, 0.375, 1.0), (2, 0.125, 0.46875, 1.0)])
-    lines = path.read_text().strip().split("\n")
+def test_chain_csv_emitter():
+    text = chain_csv_text([(1, 0.25, 0.375, 1.0), (2, 0.125, 0.46875, 1.0)])
+    lines = text.strip().split("\n")
     assert lines[0] == "step,off_diagonal,system_linear_entropy,global_purity"
     assert lines[1].startswith("1,0.25")

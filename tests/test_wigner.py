@@ -12,15 +12,15 @@ from decolab.wigner import (
     gaussian_packet_samples,
     grid_points,
     marginals,
+    marginals_csv_text,
     oscillator_state,
     pauli_kernel_value,
     two_packet_mixture,
     two_packet_superposition,
+    wigner_binary,
+    wigner_csv_text,
     wigner_transform,
     wigner_via_kernel,
-    write_marginals_csv,
-    write_wigner_binary,
-    write_wigner_csv,
 )
 
 
@@ -157,21 +157,18 @@ def test_wigner_grid_validates_normalization():
         WignerGrid(w.q_min, w.q_max, w.n_points, 2.0 * w.values)
 
 
-def test_csv_and_binary_emitters(tmp_path):
+def test_csv_and_binary_emitters():
     w = wigner_transform(oscillator_state(0, n_points=64))
-    csv_path = tmp_path / "w.csv"
-    write_wigner_csv(csv_path, w)
-    lines = csv_path.read_text().strip().split("\n")
+    lines = wigner_csv_text(w).strip().split("\n")
     assert lines[0] == "q,p,w"
     assert len(lines) == 1 + 64 * 64
 
-    write_marginals_csv(tmp_path / "m.csv", w)
-    header = (tmp_path / "m.csv").read_text().split("\n")[0]
+    header = marginals_csv_text(w).split("\n")[0]
     assert header.startswith("q,position_density")
 
-    bin_path, meta_path = write_wigner_binary(tmp_path / "w", w)
-    meta = json.loads((tmp_path / "w.meta.json").read_text())
-    data = np.fromfile(bin_path, dtype=np.float64).reshape(meta["shape"])
+    raw, meta_text = wigner_binary(w)
+    meta = json.loads(meta_text)
+    data = np.frombuffer(raw, dtype=np.float64).reshape(meta["shape"])
     assert np.array_equal(data, w.values)
     assert meta["dtype"] == "<f8"
     assert meta["q_min"] == -8.0

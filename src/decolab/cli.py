@@ -37,6 +37,10 @@ on the state tensor locally, so no kind builds a D x D unitary; charged are:
   (2 H dim^2 values, H the product of the outcome counts) plus the H x H
   decoherence functional, filed under params.times, and the 2^n x n subset
   masks of the largest outcome count n, filed under params.projectors;
+* graham with m >= 3 outcomes: the C(n + m - 1, m - 1) compositions of
+  the largest n, refused above 2 000 000 terms, and the integer and float
+  arrays over them (2 x terms x m values), both filed under params.n_values
+  or params.n;
 * a Wigner grid above 8192 points, a histories dim above 406 (its
   projector family holds dim^3 values), a Schmidt state above 2^26
   amplitudes, or a graham n of 2^26 or more.
@@ -72,6 +76,7 @@ from .histories import (
     HistorySpec,
     ProjectorSet,
     RateMatrix,
+    _multinomial_terms,
     consistency_defect,
     enumerate_histories,
     graham_deviant_norm,
@@ -570,9 +575,22 @@ def _parse_graham(params, seed, diags):
     elif not isinstance(n_values, list) or not all(_is_int(n, 1) for n in n_values):
         diags.append(f"{field}: expected a list of integers >= 1")
         n_values = []
+    if not n_values:
+        return born, eps, n_values
     # The binomial route holds arrays over all n + 1 success counts.
-    if n_values and not _fits(max(n_values) + 1, field, diags):
+    n = max(n_values)
+    if not _fits(n + 1, field, diags):
         return None
+    # Three or more outcomes enumerate every composition of n into m parts,
+    # unless epsilon > 1 leaves no deviant branch.  They are weighed in blocks
+    # of first parts; a block's integer and float arrays take about 24 bytes
+    # per entry, and with many outcomes one block holds most of the
+    # enumeration: charge two complex values per entry of all of it.
+    m = len(born or ())
+    if m >= 3 and (eps is None or eps <= 1.0):
+        terms = _build(diags, field, _multinomial_terms, n, m)
+        if terms is None or not _fits(2 * terms * m, field, diags):
+            return None
     return born, eps, n_values
 
 

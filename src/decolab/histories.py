@@ -181,31 +181,50 @@ class HistorySpec:
             out.append(tuple(u.conj().T @ p @ u for p in pset.projectors))
         return tuple(out)
 
+    @functools.cached_property
+    def class_operators(self) -> np.ndarray:
+        """The class operator of every history, stacked in enumeration order."""
+        d = self.initial_state.space.total_dim
+        out = np.empty((math.prod(self.outcome_counts()), d, d), dtype=np.complex128)
+        for a, history in enumerate(enumerate_histories(self)):
+            out[a] = _class_operator(self, history)
+        out.setflags(write=False)
+        return out
+
 
 def _class_operator(spec: HistorySpec, history: Sequence[int]) -> np.ndarray:
     """C = P_k(t_k) ... P_1(t_1) for one outcome sequence."""
-    counts = spec.outcome_counts()
-    if len(history) != len(counts):
-        raise ValidationError(f"history length {len(history)} for {len(counts)} slices")
     chain = None
-    for i, n in enumerate(history):
-        n = int(n)
-        if not 0 <= n < counts[i]:
-            raise ValidationError(f"outcome {n} out of range at slice {i}")
-        ph = spec.heisenberg_families[i][n]
+    for family, n in zip(spec.heisenberg_families, history):
+        ph = family[n]
         chain = ph if chain is None else ph @ chain
     return chain
 
 
+def _history_index(spec: HistorySpec, history: Sequence[int]) -> int:
+    """Position of one outcome sequence in enumeration order."""
+    counts = spec.outcome_counts()
+    if len(history) != len(counts):
+        raise ValidationError(f"history length {len(history)} for {len(counts)} slices")
+    index = 0
+    for i, n in enumerate(history):
+        n = int(n)
+        if not 0 <= n < counts[i]:
+            raise ValidationError(f"outcome {n} out of range at slice {i}")
+        index = index * counts[i] + n
+    return index
+
+
 def history_probability(spec: HistorySpec, history: Sequence[int]) -> float:
     """Two-sided projected probability of one outcome sequence."""
-    chain = _class_operator(spec, history)
+    chain = spec.class_operators[_history_index(spec, history)]
     return float(np.trace(chain @ spec.initial_state.matrix @ chain.conj().T).real)
 
 
 def history_trace_single_sided(spec: HistorySpec, history: Sequence[int]) -> complex:
     """Raw trace(P_k ... P_1 rho); complex unless the family decoheres."""
-    return complex(np.trace(_class_operator(spec, history) @ spec.initial_state.matrix))
+    chain = spec.class_operators[_history_index(spec, history)]
+    return complex(np.trace(chain @ spec.initial_state.matrix))
 
 
 def enumerate_histories(spec: HistorySpec):
@@ -219,7 +238,7 @@ def decoherence_functional(spec: HistorySpec) -> np.ndarray:
     The diagonal holds the history probabilities and row a sums to the
     single-sided trace of history a; D is Hermitian.
     """
-    c = np.array([_class_operator(spec, h) for h in enumerate_histories(spec)])
+    c = spec.class_operators
     return np.einsum("aij,bij->ab", c @ spec.initial_state.matrix, c.conj())
 
 
@@ -256,6 +275,18 @@ def consistency_defect(spec: HistorySpec) -> float:
 
 _MULTINOMIAL_TERM_CAP = 2_000_000
 _EXACT_N_CAP = 1000
+
+
+def _multinomial_terms(n: int, m: int) -> int:
+    """C(n + m - 1, m - 1), the compositions of n trials into m outcome
+    counts; refused above the enumeration cap."""
+    terms = math.comb(n + m - 1, m - 1)
+    if terms > _MULTINOMIAL_TERM_CAP:
+        raise ValidationError(
+            f"{m} outcomes over {n} trials give {terms} multinomial terms, "
+            f"over the cap of {_MULTINOMIAL_TERM_CAP}"
+        )
+    return terms
 
 
 def _binomial_deviant_weight(p1: float, n: int, epsilon: float) -> float:
@@ -309,28 +340,61 @@ def graham_deviant_norm(born_p, n_trials: int, epsilon: float) -> float:
     if p.size == 2:
         return _binomial_deviant_weight(float(p[0]), n, eps)
     m = p.size
-    if math.comb(n + m - 1, m - 1) > _MULTINOMIAL_TERM_CAP:
-        raise ValidationError(
-            "multinomial enumeration too large; reduce n_trials or outcome count"
-        )
+    _multinomial_terms(n, m)
     log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    # Each term keeps the rounding of a sum over one composition at a time:
+    # log n!/prod c! adds the lgamma values left to right from 0, each row
+    # product sums on its own, and the terms accumulate in lexicographic
+    # order.  graham.csv stays reproducible to the last bit.
     total = 0.0
-    lg_n = math.lgamma(n + 1)
-    for counts in _compositions(n, m):
-        counts_arr = np.array(counts, dtype=np.float64)
-        if np.abs(counts_arr / n - p).max() < eps:
-            continue
-        if any(c > 0 and p[i] == 0.0 for i, c in enumerate(counts)):
-            continue
-        log_w = lg_n - sum(math.lgamma(c + 1) for c in counts) + float((counts_arr * log_p).sum())
-        total += math.exp(log_w)
-    return float(total)
+    for first in _first_part_blocks(n, m):
+        counts = _compositions(n, m, first)
+        deviant = np.abs(counts / n - p).max(axis=1) >= eps
+        possible = ~((counts > 0) & (p == 0.0)).any(axis=1)
+        counts = counts[deviant & possible]
+        log_multinomial = np.zeros(len(counts))
+        for j in range(m):
+            log_multinomial += lgamma[counts[:, j]]
+        log_w = lgamma[n] - log_multinomial + (counts * log_p).sum(axis=1)
+        for x in log_w.tolist():
+            total += math.exp(x)
+    return total
 
 
-def _compositions(n: int, m: int):
-    if m == 1:
-        yield (n,)
-        return
+# Compositions are enumerated and weighed in blocks of consecutive first
+# parts holding about this many entries.  A block's arrays take a few hundred
+# KiB; the whole enumeration at m = 3, n = 300 would take about 3.5 MB at
+# once and raise the peak RSS of a run by as much.
+_COMPOSITION_BLOCK = 1 << 13
+
+
+def _first_part_blocks(n: int, m: int):
+    """Ranges of first parts whose compositions of n into m parts hold about
+    _COMPOSITION_BLOCK entries together; one first part may hold more."""
+    start, entries = 0, 0
     for first in range(n + 1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first,) + rest
+        size = m * math.comb(n - first + m - 2, m - 2)
+        if entries and entries + size > _COMPOSITION_BLOCK:
+            yield range(start, first)
+            start, entries = first, 0
+        entries += size
+    yield range(start, n + 1)
+
+
+def _compositions(n: int, m: int, first: range) -> np.ndarray:
+    """Every composition of n into m >= 2 nonnegative parts whose first part
+    is in ``first``, one per row, in lexicographic order.
+
+    The parts are placed one at a time: a row that leaves r to place splits
+    into r + 1 rows whose next part is 0, 1, ..., r.
+    """
+    head = np.asarray(first, dtype=np.int64)
+    comp = head[:, None]
+    rest = n - head
+    for _ in range(m - 2):
+        width = rest + 1
+        part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        comp = np.column_stack((np.repeat(comp, width, axis=0), part))
+        rest = np.repeat(rest, width) - part
+    return np.column_stack((comp, rest))

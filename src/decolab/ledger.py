@@ -296,25 +296,8 @@ def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     labels = ("system", "pointer")
 
     psi0 = tensor(system, app.pointer_ready)
-    rows = [
-        LedgerRow(
-            "initial",
-            ensemble_entropy(psi0.density()),
-            _marginal_entropy_sum(psi0, labels),
-            0.0,
-            _marginal_entropy_sum(psi0, labels[1:]),
-        )
-    ]
     psi1 = premeasure(system, app, computational_basis(sys_space))
-    rows.append(
-        LedgerRow(
-            "entangled",
-            ensemble_entropy(psi1.density()),
-            _marginal_entropy_sum(psi1, labels),
-            0.0,
-            _marginal_entropy_sum(psi1, labels[1:]),
-        )
-    )
+    rows = [_pure_row("initial", psi0, labels), _pure_row("entangled", psi1, labels)]
     joint_space = psi1.space
     sector_mats = []
     for j in range(app.space.total_dim):
@@ -364,17 +347,18 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
     labels = initial.space.labels
     step_states = (initial,) + branch_and_recohere(initial, model)
     names = ("initial", "apparatus_entangled", "environment_recorded", "apparatus_reset")
-    rows = []
-    for name, state in zip(names, step_states):
-        if not state.is_normalized():
-            raise ValidationError(f"step {name!r}: global state lost its normalization")
-        rows.append(
-            LedgerRow(
-                name,
-                0.0,
-                _marginal_entropy_sum(state, labels),
-                0.0,
-                _marginal_entropy_sum(state, labels[1:]),
-            )
-        )
-    return rows
+    return [_pure_row(name, state, labels) for name, state in zip(names, step_states)]
+
+
+def _pure_row(name: str, state: StateVector, labels) -> LedgerRow:
+    """Row of a global state vector, checked to be normalized: its density
+    is pure, so the ensemble entropy is exactly 0 and no information fires."""
+    if not state.is_normalized():
+        raise ValidationError(f"step {name!r}: global state lost its normalization")
+    return LedgerRow(
+        name,
+        0.0,
+        _marginal_entropy_sum(state, labels),
+        0.0,
+        _marginal_entropy_sum(state, labels[1:]),
+    )

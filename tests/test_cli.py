@@ -322,6 +322,16 @@ def test_console_script_installed(tmp_path):
     assert (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_python_dash_m_decolab(tmp_path):
+    ok = _write(tmp_path, "g.json", _scenario("graham", {"p": 0.5, "epsilon": 0.3, "n": 4}))
+    bad = _write(tmp_path, "b.json", _scenario("graham", {"p": 0.5, "epsilon": 0.3, "n": 0}))
+    for path, code in ((ok, 0), (bad, 2)):
+        res = subprocess.run(
+            [sys.executable, "-m", "decolab", "validate", path], capture_output=True, text=True
+        )
+        assert res.returncode == code
+
+
 # ---- one parse for validate and run ----
 
 R3 = 1.0 / math.sqrt(3.0)
@@ -419,6 +429,27 @@ def test_histories_cap_charges_class_operators_and_subset_masks(tmp_path, capsys
     # the histories benchmark rungs stay accepted
     for dim, slices in ((2, 6), (3, 4), (5, 3), (6, 2)):
         assert cli.validate_document(_histories(dim, slices)) == []
+
+
+def test_graham_cap_charges_multinomial_terms_and_arrays(tmp_path, capsys):
+    # 3 outcomes at n=3000: C(3002, 2) = 4504501 terms, over the term cap
+    # 1000 outcomes at n=2: 500500 terms, but 5e8 entries in the arrays
+    uniform = [1.0 / 1000] * 1000
+    for params, field in (
+        ({"p": [0.2, 0.3, 0.5], "epsilon": 0.1, "n": 3000}, "params.n"),
+        ({"p": uniform, "epsilon": 0.1, "n_values": [1, 2]}, "params.n_values"),
+    ):
+        path = _write(tmp_path, "g.json", _scenario("graham", params))
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, field)
+        assert time.perf_counter() - start < 1.0
+    # epsilon > 1 enumerates nothing; two outcomes take the binomial route
+    for params in (
+        {"p": [0.2, 0.3, 0.5], "epsilon": 1.5, "n": 3000},
+        {"p": 0.3, "epsilon": 0.1, "n": 3000},
+        {"p": [0.2, 0.3, 0.5], "epsilon": 0.1, "n_values": [100, 200, 300]},
+    ):
+        assert cli.validate_document(_scenario("graham", params)) == []
 
 
 def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Projector families, master equation, history chains, deviant-branch norms."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.stats
 
 import decolab.histories
+from decolab import cli
 from decolab.dynamics import Hamiltonian, luders_project, propagator
 from decolab.errors import ValidationError
 from decolab.hilbert import (
@@ -22,6 +24,7 @@ from decolab.histories import (
     HistorySpec,
     ProjectorSet,
     RateMatrix,
+    _compositions,
     consistency_defect,
     decoherence_functional,
     decohere_projectors,
@@ -159,6 +162,16 @@ def test_histories_sum_to_one():
     spec = _three_slice_spec()
     total = sum(history_probability(spec, h) for h in enumerate_histories(spec))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_history_outside_the_family_is_rejected():
+    # each would index some other history of the stacked class operators
+    spec = _three_slice_spec()
+    for bad in ((0, 1), (0, 1, 2), (0, -1, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValidationError):
+            history_probability(spec, bad)
+        with pytest.raises(ValidationError):
+            history_trace_single_sided(spec, bad)
 
 
 def test_history_against_sequential_oracle():
@@ -361,6 +374,26 @@ def test_propagator_runs_once_per_slice(monkeypatch):
     assert len(calls) == len(spec.times)
 
 
+def test_class_operators_are_built_once_per_run(monkeypatch, tmp_path):
+    calls = []
+    build = decolab.histories._class_operator
+
+    def counting(spec, history):
+        calls.append(history)
+        return build(spec, history)
+
+    monkeypatch.setattr(decolab.histories, "_class_operator", counting)
+    doc = {"schema": "decolab/scenario/v1", "kind": "histories", "seed": 0, "params": {
+        "dim": 3, "hamiltonian": {"name": "diagonal", "entries": [0.0, 1.0, 2.5]},
+        "times": [0.5, 1.0], "projectors": {"type": "computational"},
+        "initial": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], 0.0]},
+    }}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 0
+    assert len(calls) == 9
+
+
 # ---- deviant-branch norms ----
 
 
@@ -412,6 +445,75 @@ def test_graham_three_outcome_oracle():
                 coeff = math.comb(n, k1) * math.comb(n - k1, k2)
                 total += coeff * float(np.prod(p**kvec))
     assert abs(graham_deviant_norm(p, n, eps) - total) < 1e-12
+
+
+def _reference_compositions(n, m):
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _reference_compositions(n - first, m - 1):
+            yield (first,) + rest
+
+
+def _reference_graham(born_p, n, eps):
+    """Multinomial deviant weight, one composition at a time."""
+    if eps > 1.0:
+        return 0.0
+    p = np.clip(np.asarray(born_p, dtype=np.float64), 0.0, 1.0)
+    log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    total = 0.0
+    lg_n = math.lgamma(n + 1)
+    for counts in _reference_compositions(n, p.size):
+        counts_arr = np.array(counts, dtype=np.float64)
+        if np.abs(counts_arr / n - p).max() < eps:
+            continue
+        if any(c > 0 and p[i] == 0.0 for i, c in enumerate(counts)):
+            continue
+        # left to right from 0, as `sum` adds floats before Python 3.12
+        log_multinomial = 0
+        for c in counts:
+            log_multinomial += math.lgamma(c + 1)
+        total += math.exp(lg_n - log_multinomial + float((counts_arr * log_p).sum()))
+    return total
+
+
+def test_compositions_are_all_of_them_in_lexicographic_order(monkeypatch):
+    for n, m in ((0, 3), (1, 3), (6, 3), (5, 4), (3, 7), (2, 12), (40, 3)):
+        comp = _compositions(n, m, range(n + 1))
+        assert comp.shape == (math.comb(n + m - 1, m - 1), m)
+        every = [c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n]
+        assert [tuple(row) for row in comp.tolist()] == every
+        for block in (1, 64, 1 << 13):
+            monkeypatch.setattr(decolab.histories, "_COMPOSITION_BLOCK", block)
+            firsts = list(decolab.histories._first_part_blocks(n, m))
+            assert [f for r in firsts for f in r] == list(range(n + 1))
+            blocks = [_compositions(n, m, first) for first in firsts]
+            assert np.array_equal(np.concatenate(blocks), comp)
+
+
+def test_graham_multinomial_matches_composition_loop_bitwise(monkeypatch):
+    rng = np.random.default_rng(31337)
+    largest_n = {3: 250, 4: 30, 5: 15, 6: 10, 7: 8, 8: 7, 9: 6, 10: 5, 11: 5, 12: 4}
+    cases = [(3, n) for n in (1, 2, 3, 7, 20, 64, 150, 250)]
+    cases += [(m, int(rng.integers(1, largest_n[m] + 1))) for m in range(4, 13) for _ in range(2)]
+    cases += [(m, largest_n[m]) for m in range(4, 13)]
+    for m, n in cases:
+        p = rng.dirichlet(np.ones(m))
+        if rng.random() < 0.4:
+            p[rng.choice(m, size=int(rng.integers(1, m - 1)), replace=False)] = 0.0
+            p /= p.sum()
+        for eps in (float(rng.uniform(0.02, 0.4)), 0.9, 1.5):
+            ref = _reference_graham(p, n, eps)
+            assert graham_deviant_norm(p, n, eps) == ref
+            with monkeypatch.context() as mp:
+                mp.setattr(decolab.histories, "_COMPOSITION_BLOCK", 1)  # one first part per block
+                assert graham_deviant_norm(p, n, eps) == ref
+    # epsilon hit exactly by a relative frequency: 6/8 - 1/2 == 1/4
+    p, n, eps = [0.5, 0.25, 0.25], 8, 0.25
+    assert np.abs(_compositions(n, 3, range(n + 1)) / n - p).max(axis=1).tolist().count(eps) > 0
+    assert graham_deviant_norm(p, n, eps) == _reference_graham(p, n, eps)
+    assert graham_deviant_norm(p, n, eps) > graham_deviant_norm(p, n, np.nextafter(eps, 1.0))
 
 
 def test_graham_decreases_with_n():

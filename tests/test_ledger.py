@@ -186,6 +186,14 @@ def test_pure_product_rows_have_exactly_zero_marginal_entropy():
     assert (initial.s_physical, initial.s_physical_record_only) == (0.0, 0.0)
 
 
+def test_quantum_ledger_pure_rows_have_exactly_zero_ensemble_entropy():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        initial, entangled = quantum_collapse_ledger(amps / np.linalg.norm(amps))[:2]
+        assert (initial.s_ensemble, entangled.s_ensemble) == (0.0, 0.0)
+
+
 def test_branching_ledger_refuses_an_unnormalized_state(monkeypatch):
     real = ledger.branch_and_recohere
 

@@ -22,21 +22,23 @@ numbers or integers, values the library constructors refuse (such as a
 pointer overlap outside (-1/(n-1), 1) for n outcomes, duplicate subsystem
 labels or a Hamiltonian that is not Hermitian), and any scenario whose
 memory would exceed MAX_DENSE_BYTES (1 GiB of complex128 values), estimated
-from the parsed sizes before anything is allocated.  Register unitaries act
-on the state tensor locally, so no kind builds a D x D unitary; charged are:
+from the parsed sizes before anything is allocated.  A controlled shift
+acts on the state tensor one outcome slice at a time, so no kind builds an
+operator on the joint space; charged are:
 
-* chain: the links + 2 joint states of D amplitudes it keeps, plus
-  JOINT_TEMPORARIES more, plus LOCAL_TEMPORARIES matrices the size of the
-  local system x register shift;
-* branch_recohere and ledger_branching: 4 joint states plus
-  JOINT_TEMPORARIES, plus LOCAL_TEMPORARIES times the local operators of
-  the three steps;
-* premeasurement and ledger_quantum: a D x D matrix (D above 8192 is
-  refused), since the quantum ledger builds D x D sector projectors;
-* histories: the H class operators and their products with rho
-  (2 H dim^2 values, H the product of the outcome counts) plus the H x H
-  decoherence functional, filed under params.times, and the 2^n x n subset
-  masks of the largest outcome count n, filed under params.projectors;
+* every register kind: the joint states of D amplitudes it keeps (links + 2
+  for chain, 4 for branch_recohere and ledger_branching, 2 for
+  premeasurement and ledger_quantum), JOINT_TEMPORARIES more, and
+  LOCAL_TEMPORARIES times its local operators.  A shift on n outcomes with
+  a register of dimension d holds n shifts of d^2 values and the n x n
+  measured basis; the branch reset is one ((n + 1) env_dim)^2 unitary.
+  The field at fault is params.links, params.env_dim or params.amplitudes;
+* histories: the Heisenberg projector families, the H class operators,
+  their products with rho and a conjugate copy (3 H dim^2 values, H the
+  product of the outcome counts) plus the H x H decoherence functional,
+  filed under params.times, and the 2^n x n subset masks of the largest
+  outcome count n with their product over a batch of contexts, filed under
+  params.projectors;
 * graham with m >= 3 outcomes: the C(n + m - 1, m - 1) compositions of
   the largest n, refused above 2 000 000 terms, and the integer and float
   arrays over them (2 x terms x m values), both filed under params.n_values
@@ -76,6 +78,7 @@ from .histories import (
     HistorySpec,
     ProjectorSet,
     RateMatrix,
+    _SUBSET_BATCH,
     _multinomial_terms,
     consistency_defect,
     enumerate_histories,
@@ -132,16 +135,16 @@ KINDS = (
 MAX_DENSE_BYTES = 1 << 30
 
 # Joint-state-sized arrays alive at once besides the states a run keeps,
-# rounded up: a register step holds the permuted amplitude tensor, the
-# contraction result and its copy back in the space's order, then the copy
-# a StateVector takes; a partial trace holds a permuted copy and its
-# conjugate.
+# rounded up: a shift step holds two of the permuted tensor, the slices in
+# the measured basis, their shifts, the rotation back and its copy in the
+# space's order, then that copy and the one a StateVector takes; a partial
+# trace holds a permuted copy and its conjugate.
 JOINT_TEMPORARIES = 4
 
-# Arrays the size of one local register operator alive while it is built
-# and checked, rounded up: the operator, its completed bases or the product
-# and difference of its unitarity check, and the finished operators of the
-# other steps.
+# Arrays the size of one step's local operators alive while they are built
+# and checked, rounded up: the shifts and the list they are stacked from, or
+# the conjugate copy, product and difference of their unitarity check; the
+# reset unitary's two completed bases, a conjugate copy and their product.
 LOCAL_TEMPORARIES = 5
 
 
@@ -234,11 +237,16 @@ def _fits(entries: int, field: str, diags: list[str]) -> bool:
     return False
 
 
-def _fits_registers(kept: int, joint_dim: int, local_dims, field: str, diags: list[str]) -> bool:
+def _fits_registers(kept: int, joint_dim: int, local: int, field: str, diags: list[str]) -> bool:
     """Whether a register run fits: ``kept`` joint states, their temporaries,
-    and the local operators of side ``local_dims`` with their checks."""
-    local = LOCAL_TEMPORARIES * sum(d * d for d in local_dims)
-    return _fits((kept + JOINT_TEMPORARIES) * joint_dim + local, field, diags)
+    and local operators of ``local`` values in all with their checks."""
+    return _fits((kept + JOINT_TEMPORARIES) * joint_dim + LOCAL_TEMPORARIES * local, field, diags)
+
+
+def _shift_values(n: int, d: int) -> int:
+    """Values of a controlled shift applied slice by slice: n shifts of side
+    d and the n x n measured basis."""
+    return n * d * d + n * n
 
 
 def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
@@ -282,9 +290,9 @@ def _system_state(params: dict, diags: list[str]) -> StateVector | None:
 
 def _parse_ledger_quantum(params, seed, diags):
     system = _system_state(params, diags)
-    if system is not None:  # ledger_quantum builds D x D sector projectors
+    if system is not None:  # the ready and the entangled joint state
         n = system.space.total_dim
-        _fits((n * (n + 1)) ** 2, "params.amplitudes", diags)
+        _fits_registers(2, n * (n + 1), _shift_values(n, n + 1), "params.amplitudes", diags)
     return (system,)
 
 
@@ -307,7 +315,7 @@ def _parse_chain(params, seed, diags):
     # Registers have dimension n + 1; capping the exponent keeps the product
     # small when links is huge, and any capped value is far over the cap.
     joint_dim = n * (n + 1) ** min(k + 1, 64)
-    if not _fits_registers(k + 2, joint_dim, [n * (n + 1)], "params.links", diags):
+    if not _fits_registers(k + 2, joint_dim, _shift_values(n, n + 1), "params.links", diags):
         return None
     if params.get("overlaps") is None:
         field = "params.overlap"
@@ -336,10 +344,10 @@ def _parse_branch(params, seed, diags):
     env_dim = _integer(params, "env_dim", "params", diags, minimum=1, default=n + 1)
     if env_dim is None:
         return None
-    # The initial state and three step states; the steps act on system x
-    # apparatus, system x env_record and apparatus x env_reset.
-    local_dims = [n * (n + 1), n * env_dim, (n + 1) * env_dim]
-    if not _fits_registers(4, n * (n + 1) * env_dim**2, local_dims, "params.env_dim", diags):
+    # The initial state and three step states; the steps shift the apparatus
+    # and env_record, then reset with a unitary on apparatus x env_reset.
+    local = _shift_values(n, n + 1) + _shift_values(n, env_dim) + ((n + 1) * env_dim) ** 2
+    if not _fits_registers(4, n * (n + 1) * env_dim**2, local, "params.env_dim", diags):
         return None
     return system, _build(diags, "params.env_dim", BranchingModel.ideal, n, env_dim=env_dim)
 
@@ -534,17 +542,21 @@ def _parse_histories(params, seed, diags):
         diags.append("params.initial: expected amplitudes or diagonal")
     if diags:
         return None
-    # The run holds H class operators and their products with rho, dim x dim
-    # each, and the H x H decoherence functional; the count saturates, since
-    # any H past the cap is refused alike.
+    # The run holds the Heisenberg projector families, the H class operators,
+    # their products with rho and a conjugate copy, dim x dim each, and the
+    # H x H decoherence functional; the count saturates, since any H past the
+    # cap is refused alike.
     histories = 1
     for pset in psets:
         histories = min(histories * len(pset), MAX_DENSE_BYTES)
-    if not _fits(2 * histories * dim * dim + histories**2, "params.times", diags):
+    projectors = sum(map(len, psets))
+    if not _fits((3 * histories + projectors) * dim * dim + histories**2, "params.times", diags):
         return None
-    # The defect sums over all subsets of one slice's n outcomes: 2^n x n masks.
+    # The defect sums over all subsets of one slice's n outcomes: 2^n x n
+    # masks, and their product with a batch of at most H / n contexts.
     n = max(map(len, psets), default=0)
-    if not _fits(n << n, "params.projectors", diags):
+    product = min(histories << n, max(_SUBSET_BATCH, n << n))
+    if not _fits((n << n) + product, "params.projectors", diags):
         return None
     spec = _build(
         diags, "params.times", HistorySpec,

@@ -358,14 +358,23 @@ def partial_trace(state, keep) -> DensityOperator:
     return DensityOperator(sub, np.trace(t, axis1=1, axis2=3))
 
 
-def _local_operand(mat, sub: TensorSpace, full: TensorSpace) -> np.ndarray:
-    """``mat`` as a complex128 (d_sub, d_sub) array whose labels sit in ``full``."""
+def _front_axes(sub: TensorSpace, full: TensorSpace) -> list[int]:
+    """Axis order of ``full`` with ``sub``'s labels first, in ``sub``'s order.
+
+    Each of ``sub``'s labels must carry the same dimension in ``full``.
+    """
     for label, dim in sub.subsystems:
         if full.dim_of(label) != dim:
             raise SpaceMismatchError(
                 f"label {label!r} has dimension {dim} in the operand "
                 f"but {full.dim_of(label)} in the target space"
             )
+    front = [full.axis(label) for label in sub.labels]
+    return front + [i for i in range(len(full.dims)) if i not in front]
+
+
+def _local_operand(mat, sub: TensorSpace) -> np.ndarray:
+    """``mat`` as a complex128 (d_sub, d_sub) array."""
     mat = np.asarray(mat, dtype=np.complex128)
     d_sub = sub.total_dim
     if mat.shape != (d_sub, d_sub):
@@ -382,9 +391,8 @@ def apply_local(
     ``sub``'s order), contracted with ``op`` and moved back: O(D * d_sub)
     work and O(D) memory instead of O(D^2).
     """
-    op = _local_operand(op, sub, full)
-    front = [full.axis(label) for label in sub.labels]
-    perm = front + [i for i in range(len(full.dims)) if i not in front]
+    perm = _front_axes(sub, full)
+    op = _local_operand(op, sub)
     t = np.asarray(amplitudes, dtype=np.complex128).reshape(full.dims).transpose(perm)
     out = (op @ t.reshape(sub.total_dim, -1)).reshape(t.shape)
     return out.transpose(np.argsort(perm)).reshape(-1)
@@ -397,15 +405,13 @@ def embed_matrix(mat: np.ndarray, sub: TensorSpace, full: TensorSpace) -> np.nda
     in ``full`` but must carry the same dimensions.  To act on a state,
     :func:`apply_local` gives the same result without the D x D matrix.
     """
-    mat = _local_operand(mat, sub, full)
-    missing = [s for s in full.subsystems if s[0] not in sub.labels]
-    big = mat
-    for _, dim in missing:
-        big = np.kron(big, np.eye(dim, dtype=np.complex128))
-    order = list(sub.labels) + [label for label, _ in missing]
-    dims = [full.dim_of(label) for label in order]
-    perm = [order.index(label) for label in full.labels]
-    n = len(order)
+    front = _front_axes(sub, full)
+    big = _local_operand(mat, sub)
+    for axis in front[len(sub.dims) :]:
+        big = np.kron(big, np.eye(full.dims[axis], dtype=np.complex128))
+    dims = [full.dims[axis] for axis in front]
+    perm = list(np.argsort(front))
+    n = len(front)
     t = big.reshape(dims + dims).transpose(perm + [n + p for p in perm])
     d = full.total_dim
     return np.ascontiguousarray(t.reshape(d, d))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dynamics import Hamiltonian, _check_projector, propagator
 from .errors import SpaceMismatchError, ValidationError, VALIDITY_ATOL
@@ -137,6 +136,10 @@ def pauli_master_evolve(p0, rates: RateMatrix, t: float) -> np.ndarray:
             "rate matrix row and column sums differ; the gain/loss form "
             f"would not conserve probability (imbalance {imbalance:.3e})"
         )
+    # Imported here: scipy.linalg is about half the import time of the
+    # package, and only the master kind needs it.
+    from scipy.linalg import expm
+
     return expm(rates.generator() * float(t)) @ p
 
 

@@ -27,20 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .dynamics import luders_project
 from .entanglement import ensemble_entropy, entropy_bits, schmidt_decompose, shannon_entropy
 from .errors import MIN_BRANCH_PROBABILITY, ValidationError
-from .hilbert import (
-    DensityOperator,
-    StateVector,
-    TensorSpace,
-    computational_basis,
-    embed_matrix,
-    partial_trace,
-    tensor,
-)
+from .hilbert import StateVector, TensorSpace, computational_basis, partial_trace, tensor
 from .measurement import ApparatusModel, BranchingModel, branch_and_recohere, premeasure
-from .histories import ProjectorSet, decohere_projectors
 
 _AXES = ("system", "memory", "environment")
 
@@ -253,17 +243,15 @@ def classical_ledger(p_system) -> list[LedgerRow]:
     return rows
 
 
-def _marginal_entropy_sum(state, labels) -> float:
+def _marginal_entropy_sum(state: StateVector, labels) -> float:
     """Sum of the marginal entropies of the labelled registers.
 
     A pure global state's marginal spectrum is its squared Schmidt
     coefficients, so a product state gives exactly 0 instead of eigenvalue
     round-off.
     """
-    if isinstance(state, StateVector):
-        spectra = (schmidt_decompose(state, [l]).probabilities for l in labels)
-        return float(sum(shannon_entropy(p / p.sum()) for p in spectra))
-    return float(sum(ensemble_entropy(partial_trace(state, [l])) for l in labels))
+    spectra = (schmidt_decompose(state, [l]).probabilities for l in labels)
+    return float(sum(shannon_entropy(p / p.sum()) for p in spectra))
 
 
 def _validated_amplitudes(c) -> np.ndarray:
@@ -287,6 +275,13 @@ def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     entangled superposition into the matching mixture (ensemble entropy
     rises to the classical starting value), then reading one outcome
     removes what it delivered.
+
+    Pointer sector j holds the branch phi_j (x) |j>, with phi_j column j of
+    the entangled amplitudes as an n x (n + 1) array.  The sectors are
+    orthogonal, so the mixture's ensemble entropy is the Shannon entropy of
+    p_j = |phi_j|^2, its marginals are the entangled system marginal and
+    diag(p), and every Luders branch is a pure product state whose
+    entropies are exactly 0.
     """
     c = _validated_amplitudes(amplitudes)
     n = c.size
@@ -298,36 +293,11 @@ def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     psi0 = tensor(system, app.pointer_ready)
     psi1 = premeasure(system, app, computational_basis(sys_space))
     rows = [_pure_row("initial", psi0, labels), _pure_row("entangled", psi1, labels)]
-    joint_space = psi1.space
-    sector_mats = []
-    for j in range(app.space.total_dim):
-        local = np.zeros((app.space.total_dim,) * 2, dtype=np.complex128)
-        local[j, j] = 1.0
-        sector_mats.append(embed_matrix(local, app.space, joint_space))
-    pset = ProjectorSet(joint_space, tuple(sector_mats))
-    rho_mix = decohere_projectors(psi1.density(), pset)
-    s_mix = ensemble_entropy(rho_mix)
-    rows.append(
-        LedgerRow(
-            "mixture",
-            s_mix,
-            _marginal_entropy_sum(rho_mix, labels),
-            0.0,
-            _marginal_entropy_sum(rho_mix, labels[1:]),
-        )
-    )
-    s_red = 0.0
-    s_phys_red = 0.0
-    s_rec_red = 0.0
-    for j in range(app.space.total_dim):
-        weight = float(np.trace(sector_mats[j] @ rho_mix.matrix).real)
-        if weight <= MIN_BRANCH_PROBABILITY:
-            continue
-        branch, prob = luders_project(rho_mix, sector_mats[j])
-        s_red += prob * ensemble_entropy(branch)
-        s_phys_red += prob * _marginal_entropy_sum(branch, labels)
-        s_rec_red += prob * _marginal_entropy_sum(branch, labels[1:])
-    rows.append(LedgerRow("reduction", s_red, s_phys_red, s_mix - s_red, s_rec_red))
+    p = (np.abs(psi1.amplitudes.reshape(n, n + 1)) ** 2).sum(axis=0)
+    s_mix = shannon_entropy(p)
+    s_sys = ensemble_entropy(partial_trace(psi1, "system"))
+    rows.append(LedgerRow("mixture", s_mix, s_sys + s_mix, 0.0, s_mix))
+    rows.append(LedgerRow("reduction", 0.0, 0.0, s_mix, 0.0))
     return rows
 
 

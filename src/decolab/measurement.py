@@ -21,50 +21,38 @@ from .hilbert import (
     StateVector,
     TensorSpace,
     _check_orthonormal_complete,
+    _front_axes,
     apply_local,
     basis_state,
     computational_basis,
-    embed_matrix,
     partial_trace,
     tensor,
     tensor_many,
 )
 
-_GS_RESIDUAL_FLOOR = 1e-7
 
-
-def _complete_orthonormal(seeds: list[np.ndarray], dim: int) -> np.ndarray:
+def _complete_orthonormal(seeds: list[np.ndarray]) -> np.ndarray:
     """Extend orthonormal ``seeds`` to a full basis, columns of the result.
 
-    Completion sweeps the canonical basis in index order and keeps residuals
-    above a fixed floor, so the result is deterministic.
+    The seeds stay the first columns exactly.  The complement is the tail of
+    the complete Householder QR of the seeds, so the result is deterministic.
     """
-    cols = [np.asarray(v, dtype=np.complex128) for v in seeds]
-    for k in range(dim):
-        if len(cols) == dim:
-            break
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[k] = 1.0
-        for _ in range(2):
-            for c in cols:
-                cand = cand - np.vdot(c, cand) * c
-        nrm = np.linalg.norm(cand)
-        if nrm > _GS_RESIDUAL_FLOOR:
-            cols.append(cand / nrm)
-    if len(cols) != dim:
-        raise ValidationError("could not complete an orthonormal basis")
-    return np.column_stack(cols)
+    cols = np.column_stack(seeds).astype(np.complex128, copy=False)
+    dev = np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max()
+    if dev > VALIDITY_ATOL:
+        raise ValidationError(f"seed vectors are not orthonormal (deviation {dev:.3e})")
+    q, _ = np.linalg.qr(cols, mode="complete")
+    q[:, : cols.shape[1]] = cols
+    return q
 
 
-def _transport_unitary(src: list[np.ndarray], dst: list[np.ndarray], dim: int) -> np.ndarray:
+def _transport_unitary(src: list[np.ndarray], dst: list[np.ndarray]) -> np.ndarray:
     """Unitary taking each src vector to the matching dst vector.
 
-    Both families must be orthonormal; the complement is fixed by canonical
+    Both families must be orthonormal; the complement is fixed by the
     completion on each side.
     """
-    b_src = _complete_orthonormal(src, dim)
-    b_dst = _complete_orthonormal(dst, dim)
-    return b_dst @ b_src.conj().T
+    return _complete_orthonormal(dst) @ _complete_orthonormal(src).conj().T
 
 
 def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> list[np.ndarray]:
@@ -154,42 +142,71 @@ class ApparatusModel:
 
     def shift_unitaries(self) -> list[np.ndarray]:
         """One unitary per outcome, carrying the ready state to that pointer."""
-        d = self.space.total_dim
         return [
-            _transport_unitary([self.pointer_ready.amplitudes], [p.amplitudes], d)
+            _transport_unitary([self.pointer_ready.amplitudes], [p.amplitudes])
             for p in self.pointer_states
         ]
 
 
-def measurement_unitary(
-    basis: Sequence[StateVector], app: ApparatusModel, full_space: TensorSpace | None = None
-) -> np.ndarray:
-    """Controlled shift sum(|n><n| x V_n) on system x device.
+def _checked_shifts(
+    basis: Sequence[StateVector], app: ApparatusModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, V): the basis vectors as the columns of B and the shifts V_n stacked.
 
-    With ``full_space`` the shift comes back as the D x D matrix on that
-    space; to act on a state, apply the local one with ``apply_local``.
+    B must be orthonormal and complete, with one vector per pointer state,
+    and every V_n unitary (n d^3 work for n shifts of side d); together they
+    make the controlled shift unitary.
     """
     basis = tuple(basis)
-    sys_space = basis[0].space
-    _check_orthonormal_complete(basis, sys_space)
+    _check_orthonormal_complete(basis, basis[0].space)
     if len(basis) != app.n_outcomes:
         raise ValidationError(
             f"{len(basis)} outcomes but {app.n_outcomes} pointer states"
         )
-    shifts = app.shift_unitaries()
-    da = app.space.total_dim
-    ds = sys_space.total_dim
-    u = np.zeros((ds * da, ds * da), dtype=np.complex128)
-    for vec, v_n in zip(basis, shifts):
-        proj = np.outer(vec.amplitudes, vec.amplitudes.conj())
-        u += np.kron(proj, v_n)
-    local_space = sys_space.concat(app.space)
-    dev = np.abs(u.conj().T @ u - np.eye(ds * da)).max()
+    shifts = np.stack(app.shift_unitaries())
+    dev = np.abs(shifts.conj().transpose(0, 2, 1) @ shifts - np.eye(shifts.shape[1])).max()
     if dev > VALIDITY_ATOL:
         raise ValidationError(f"controlled shift is not unitary (deviation {dev:.3e})")
-    if full_space is None or full_space == local_space:
-        return u
-    return embed_matrix(u, local_space, full_space)
+    return np.column_stack([b.amplitudes for b in basis]), shifts
+
+
+def measurement_unitary(basis: Sequence[StateVector], app: ApparatusModel) -> np.ndarray:
+    """Controlled shift sum(|n><n| x V_n) on system x device, as a dense matrix.
+
+    Runs apply the shift to a state one outcome slice at a time, without
+    this matrix; it is the dense reference for that route.
+    """
+    b, shifts = _checked_shifts(basis, app)
+    ds, da = b.shape[0], shifts.shape[1]
+    u = np.zeros((ds * da, ds * da), dtype=np.complex128)
+    for vec, v_n in zip(b.T, shifts):
+        u += np.kron(np.outer(vec, vec.conj()), v_n)
+    return u
+
+
+def _controlled_shift(
+    state: StateVector, basis: Sequence[StateVector], app: ApparatusModel
+) -> StateVector:
+    """``state`` after the controlled shift sum(|n><n| x V_n) of ``app``.
+
+    The system and device axes of the amplitude tensor move to the front,
+    the system axis turns into the measured basis (B^dagger), slice n takes
+    V_n on the device axis, and the system axis turns back (B).  No operator
+    on system x device is formed: n d^2 + n^2 values besides the state.
+    """
+    b, shifts = _checked_shifts(basis, app)
+    full = state.space
+    perm = _front_axes(basis[0].space.concat(app.space), full)
+    t = state.amplitudes.reshape(full.dims).transpose(perm)
+    shape = t.shape
+    ds, da = b.shape[0], shifts.shape[1]
+    out = b.conj().T @ t.reshape(ds, -1)
+    out = shifts @ out.reshape(ds, da, -1)
+    out = (b @ out.reshape(ds, -1)).reshape(shape).transpose(np.argsort(perm)).reshape(-1)
+    # A sum of zero terms can come out as -0.0; adding 0.0 makes it +0.0 and
+    # changes no other value.
+    out += 0.0
+    return StateVector(full, out)
 
 
 def _device_ready_weight(joint: StateVector, app: ApparatusModel) -> float:
@@ -222,9 +239,7 @@ def premeasure(
             raise ValidationError("apparatus is not in its ready state")
     else:
         joint = tensor(system, app.pointer_ready)
-    local = basis[0].space.concat(app.space)
-    amps = apply_local(joint.amplitudes, measurement_unitary(basis, app), local, joint.space)
-    out = StateVector(joint.space, amps)
+    out = _controlled_shift(joint, basis, app)
     if post_maps is not None:
         out = _apply_post_maps(out, app, basis, post_maps)
     return out
@@ -339,7 +354,6 @@ def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateV
     """
     if initial_system.space != spec.system_space:
         raise SpaceMismatchError("initial state lives off the chain's system space")
-    full = spec.joint_space()
     joint = initial_system
     for link in spec.links:
         joint = tensor(joint, link.pointer_ready)
@@ -347,9 +361,7 @@ def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateV
     states = [joint]
     registers = [spec.links[idx] for idx in spec.activation_order] + [spec.observer]
     for app in registers:
-        u = measurement_unitary(spec.system_basis, app)
-        local = spec.system_space.concat(app.space)
-        states.append(StateVector(full, apply_local(states[-1].amplitudes, u, local, full)))
+        states.append(_controlled_shift(states[-1], spec.system_basis, app))
     return states
 
 
@@ -408,16 +420,8 @@ class BranchingModel:
             self.env_reset.pointer_ready,
         )
 
-    def local_steps(self) -> tuple[tuple[np.ndarray, TensorSpace], ...]:
-        """(operator, the subsystems it acts on) for each of the three steps."""
-        sys_space = self.system_basis[0].space
-        steps = [
-            (measurement_unitary(self.system_basis, reg), sys_space.concat(reg.space))
-            for reg in (self.apparatus, self.env_decohere)
-        ]
-        # Reset: |pointer_n>|ready> -> |ready>|record_n> on apparatus x env_reset.
-        da = self.apparatus.space.total_dim
-        dr = self.env_reset.space.total_dim
+    def reset_unitary(self) -> np.ndarray:
+        """Step 3 on apparatus x env_reset: |pointer_n>|ready> -> |ready>|record_n>."""
         src = [
             np.kron(p.amplitudes, self.env_reset.pointer_ready.amplitudes)
             for p in self.apparatus.pointer_states
@@ -426,14 +430,7 @@ class BranchingModel:
             np.kron(self.apparatus.pointer_ready.amplitudes, r.amplitudes)
             for r in self.env_reset.pointer_states
         ]
-        u3 = _transport_unitary(src, dst, da * dr)
-        steps.append((u3, self.apparatus.space.concat(self.env_reset.space)))
-        return tuple(steps)
-
-    def step_unitaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three steps as D x D matrices on the joint space."""
-        full = self.joint_space()
-        return tuple(embed_matrix(u, sub, full) for u, sub in self.local_steps())
+        return _transport_unitary(src, dst)
 
 
 def branch_and_recohere(
@@ -448,10 +445,11 @@ def branch_and_recohere(
     full = model.joint_space()
     if initial.space != full:
         raise SpaceMismatchError("initial state lives off the model's joint space")
-    states = [initial]
-    for u, sub in model.local_steps():
-        states.append(StateVector(full, apply_local(states[-1].amplitudes, u, sub, full)))
-    return tuple(states[1:])
+    s1 = _controlled_shift(initial, model.system_basis, model.apparatus)
+    s2 = _controlled_shift(s1, model.system_basis, model.env_decohere)
+    reset = model.apparatus.space.concat(model.env_reset.space)
+    s3 = StateVector(full, apply_local(s2.amplitudes, model.reset_unitary(), reset, full))
+    return s1, s2, s3
 
 
 def chain_csv_text(rows) -> str:

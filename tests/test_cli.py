@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -332,6 +333,14 @@ def test_python_dash_m_decolab(tmp_path):
         assert res.returncode == code
 
 
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # only the master kind needs scipy.linalg, and it is half the import time
+    code = "import sys, decolab.cli; print('scipy.linalg' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 # ---- one parse for validate and run ----
 
 R3 = 1.0 / math.sqrt(3.0)
@@ -450,6 +459,64 @@ def test_graham_cap_charges_multinomial_terms_and_arrays(tmp_path, capsys):
         {"p": [0.2, 0.3, 0.5], "epsilon": 0.1, "n_values": [100, 200, 300]},
     ):
         assert cli.validate_document(_scenario("graham", params)) == []
+
+
+def _random_amplitudes(n, seed=0):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return [[float(z.real), float(z.imag)] for z in v / np.linalg.norm(v)]
+
+
+def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
+    rungs = [
+        _scenario("premeasurement", {"amplitudes": _random_amplitudes(40), "pointer_overlap": 0.3}),
+        _scenario("ledger_quantum", {"amplitudes": _random_amplitudes(30)}),
+        _scenario("chain", {"amplitudes": _random_amplitudes(2), "links": 6, "overlap": 0.4}),
+        _scenario("branch_recohere", {"amplitudes": _random_amplitudes(3), "env_dim": 12}),
+        _scenario("ledger_branching", {"amplitudes": _random_amplitudes(2), "env_dim": 60}),
+        _histories(8, 3),
+        # two blocks over dim 48: the class operators outweigh the functional
+        _histories(48, 6, projectors={"type": "blocks", "blocks": [list(range(24)), list(range(24, 48))]}),
+    ]
+    charged = []
+    real = cli._fits
+
+    def recording(entries, field, diags):
+        charged.append(entries)
+        return real(entries, field, diags)
+
+    monkeypatch.setattr(cli, "_fits", recording)
+    for i, doc in enumerate(rungs):
+        charged.clear()
+        path = _write(tmp_path, f"{i}.json", doc)
+        tracemalloc.start()
+        try:
+            code = cli.run(path, out_dir=str(tmp_path / str(i)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * sum(charged), (doc["kind"], peak, charged)
+
+
+def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):
+    # n=100: D = 10100, whose D x D matrix alone would be 1.6 GB
+    doc = _scenario("premeasurement", {"amplitudes": _random_amplitudes(100), "pointer_overlap": 0.2})
+    assert cli.validate_document(doc) == []
+    assert cli.run(_write(tmp_path, "p.json", doc), out_dir=str(tmp_path / "o")) == 0
+    # n=5000: the 5000 shifts of side 5001 alone hold 1.25e11 values
+    doc = _scenario("premeasurement", {"amplitudes": _random_amplitudes(5000)})
+    path = _write(tmp_path, "big.json", doc)
+    start = time.perf_counter()
+    _both_reject(path, tmp_path / "out", capsys, "params.amplitudes")
+    assert time.perf_counter() - start < 1.0
+    # the limits the README states
+    for n, ok in ((236, True), (237, False)):
+        doc = _scenario("ledger_quantum", {"amplitudes": [1.0 / math.sqrt(n)] * n})
+        assert (cli.validate_document(doc) == []) is ok
+    for env_dim, ok in ((807, True), (808, False)):
+        doc = _scenario("ledger_branching", {"amplitudes": [R2, R2], "env_dim": env_dim})
+        assert (cli.validate_document(doc) == []) is ok
 
 
 def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):

@@ -5,10 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from decolab.entanglement import shannon_entropy
+from decolab.dynamics import luders_project
+from decolab.entanglement import ensemble_entropy, shannon_entropy
 from decolab import ledger
-from decolab.errors import ValidationError
-from decolab.hilbert import StateVector
+from decolab.errors import CROSS_ATOL, MIN_BRANCH_PROBABILITY, ValidationError
+from decolab.hilbert import (
+    StateVector,
+    TensorSpace,
+    computational_basis,
+    embed_matrix,
+    partial_trace,
+    tensor,
+)
+from decolab.histories import ProjectorSet, decohere_projectors
+from decolab.measurement import ApparatusModel, premeasure
 from decolab.ledger import (
     ClassicalJoint,
     LedgerRow,
@@ -156,6 +166,60 @@ def test_quantum_ledger_asymmetric_rise():
     rise = rows[2].s_ensemble - rows[1].s_ensemble
     assert rise == pytest.approx(shannon_entropy([0.9, 0.1]), abs=1e-12)
     assert rise == pytest.approx(0.3250829733914482, abs=1e-10)
+
+
+def _reference_quantum_ledger(amplitudes):
+    """(s_ensemble, s_physical, information, s_physical_record_only) per row,
+    with the reduction built as D x D sector projectors on the joint space."""
+    c = np.asarray(amplitudes, dtype=complex)
+    n = c.size
+    sys_space = TensorSpace((("system", n),))
+    system = StateVector(sys_space, c)
+    app = ApparatusModel.ideal("pointer", n)
+    labels = ("system", "pointer")
+
+    def marginals(state, names):
+        return sum(ensemble_entropy(partial_trace(state, [l])) for l in names)
+
+    rows = []
+    for psi in (tensor(system, app.pointer_ready), premeasure(system, app, computational_basis(sys_space))):
+        rows.append((0.0, marginals(psi, labels), 0.0, marginals(psi, labels[1:])))
+    sector_mats = []
+    for j in range(app.space.total_dim):
+        local = np.zeros((app.space.total_dim,) * 2, dtype=complex)
+        local[j, j] = 1.0
+        sector_mats.append(embed_matrix(local, app.space, psi.space))
+    rho_mix = decohere_projectors(psi.density(), ProjectorSet(psi.space, tuple(sector_mats)))
+    s_mix = ensemble_entropy(rho_mix)
+    rows.append((s_mix, marginals(rho_mix, labels), 0.0, marginals(rho_mix, labels[1:])))
+    s_red = s_phys_red = s_rec_red = 0.0
+    for proj in sector_mats:
+        if np.trace(proj @ rho_mix.matrix).real <= MIN_BRANCH_PROBABILITY:
+            continue
+        branch, prob = luders_project(rho_mix, proj)
+        s_red += prob * ensemble_entropy(branch)
+        s_phys_red += prob * marginals(branch, labels)
+        s_rec_red += prob * marginals(branch, labels[1:])
+    rows.append((s_red, s_phys_red, s_mix - s_red, s_rec_red))
+    return rows
+
+
+def test_quantum_ledger_matches_the_sector_projector_route():
+    rng = np.random.default_rng(11)
+    cases = [np.array([0.6, 0.0, 0.8j])] + [
+        rng.normal(size=n) + 1j * rng.normal(size=n) for n in (2, 3, 5, 7)
+    ]
+    for amps in cases:
+        amps = amps / np.linalg.norm(amps)
+        rows = quantum_collapse_ledger(amps)
+        for row, ref in zip(rows, _reference_quantum_ledger(amps)):
+            got = (row.s_ensemble, row.s_physical, row.information, row.s_physical_record_only)
+            assert np.abs(np.subtract(got, ref)).max() < CROSS_ATOL, row.step
+        reduction = rows[3]
+        assert (reduction.s_ensemble, reduction.s_physical, reduction.s_physical_record_only) == (
+            0.0, 0.0, 0.0,
+        )
+        assert reduction.information == rows[2].s_ensemble
 
 
 def test_quantum_ledger_rejects_unnormalized():

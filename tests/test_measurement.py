@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decolab.entanglement import decoherence_factor, linear_entropy
-from decolab.errors import CROSS_ATOL, ValidationError
+from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, ValidationError
 from decolab.hilbert import (
     StateVector,
     TensorSpace,
@@ -19,6 +19,8 @@ from decolab.measurement import (
     ApparatusModel,
     BranchingModel,
     ChainSpec,
+    _complete_orthonormal,
+    _controlled_shift,
     branch_and_recohere,
     chain_csv_text,
     chain_propagate,
@@ -248,9 +250,22 @@ def test_branch_and_recohere_unitary_throughout():
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def _dense_shift(basis, app, full):
+    """The controlled shift as a D x D matrix on ``full``."""
+    return embed_matrix(measurement_unitary(basis, app), basis[0].space.concat(app.space), full)
+
+
+def _dense_steps(model):
+    """The three steps of the branch cycle as D x D matrices on the joint space."""
+    full = model.joint_space()
+    shifts = [_dense_shift(model.system_basis, reg, full) for reg in (model.apparatus, model.env_decohere)]
+    reset = model.apparatus.space.concat(model.env_reset.space)
+    return shifts + [embed_matrix(model.reset_unitary(), reset, full)]
+
+
 def test_step_unitaries_are_unitary():
     model = BranchingModel.ideal(2)
-    for u in model.step_unitaries():
+    for u in _dense_steps(model):
         d = u.shape[0]
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-10
 
@@ -270,7 +285,7 @@ def test_chain_propagate_matches_dense_unitaries():
     amps = states[0].amplitudes
     registers = [spec.links[i] for i in spec.activation_order] + [spec.observer]
     for app, state in zip(registers, states[1:]):
-        amps = measurement_unitary(spec.system_basis, app, full) @ amps
+        amps = _dense_shift(spec.system_basis, app, full) @ amps
         assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
 
 
@@ -278,7 +293,7 @@ def test_branch_and_recohere_matches_step_unitaries():
     model = BranchingModel.ideal(3, env_dim=6)
     initial = model.ready_joint(random_state(model.system_basis[0].space, RNG))
     amps = initial.amplitudes
-    for u, state in zip(model.step_unitaries(), branch_and_recohere(initial, model)):
+    for u, state in zip(_dense_steps(model), branch_and_recohere(initial, model)):
         amps = u @ amps
         assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
 
@@ -293,13 +308,80 @@ def test_premeasure_with_post_maps_on_prepared_joint_matches_dense_route():
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
     out = premeasure(joint, app, computational_basis(sys_space), post_maps=[np.eye(2), flip])
     basis = computational_basis(sys_space)
-    amps = measurement_unitary(basis, app, joint.space) @ joint.amplitudes
+    amps = _dense_shift(basis, app, joint.space) @ joint.amplitudes
     # dense disturbance: W_n on the system for pointer n, identity off the pointers
     local = np.kron(np.eye(2), np.diag([1, 0, 0])).astype(complex)
     for w, pointer in zip([np.eye(2), flip], app.pointer_states):
         local += np.kron(w, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
     amps = embed_matrix(local, sys_space.concat(app.space), joint.space) @ amps
     assert np.abs(out.amplitudes - amps).max() < CROSS_ATOL
+
+
+def _rotated_basis(space, rng):
+    """An orthonormal basis of ``space`` from a random unitary: no computational vector."""
+    d = space.total_dim
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return tuple(StateVector(space, q[:, k]) for k in range(d))
+
+
+def test_slice_route_matches_dense_shift_in_a_rotated_basis():
+    sys_space = TensorSpace((("system", 3),))
+    basis = _rotated_basis(sys_space, RNG)
+    app = ApparatusModel.with_overlap("ptr", 3, 0.35, dim=5)
+    other = TensorSpace((("other", 2),))
+    # the device sits before the system, and the state is not ready: every
+    # slice V_n acts on a full device column
+    full = app.space.concat(other).concat(sys_space)
+    psi = random_state(full, RNG)
+    out = _controlled_shift(psi, basis, app)
+    assert np.abs(out.amplitudes - _dense_shift(basis, app, full) @ psi.amplitudes).max() < CROSS_ATOL
+    # a ready device through premeasure and a chain of overlapping links
+    system = random_state(sys_space, RNG)
+    joint = premeasure(system, app, basis)
+    ready = tensor(system, app.pointer_ready)
+    dense = _dense_shift(basis, app, ready.space) @ ready.amplitudes
+    assert np.abs(joint.amplitudes - dense).max() < CROSS_ATOL
+    links = (ApparatusModel.with_overlap("link0", 3, -0.3), app)
+    spec = ChainSpec(basis, links, ApparatusModel.ideal("observer", 3), (1, 0))
+    states = chain_propagate(spec, system)
+    amps = states[0].amplitudes
+    for reg, state in zip((app, links[0], spec.observer), states[1:]):
+        amps = _dense_shift(basis, reg, spec.joint_space()) @ amps
+        assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
+
+
+def test_premeasure_stores_no_negative_zero():
+    # a slice of zero terms can sum to -0.0, which the JSON artifacts would print
+    rng = np.random.default_rng(0)
+    for n in (2, 3):
+        sys_space = TensorSpace((("system", n),))
+        for g in (0.0, 0.3, -0.2):
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            psi = StateVector(sys_space, c / np.linalg.norm(c))
+            app = ApparatusModel.with_overlap("pointer", n, g)
+            parts = premeasure(psi, app, computational_basis(sys_space)).amplitudes.view(float)
+            assert not np.any((parts == 0.0) & np.signbit(parts)), (n, g)
+
+
+def test_non_unitary_shift_is_refused(monkeypatch):
+    sys_space = TensorSpace((("system", 2),))
+    app = ApparatusModel.ideal("ptr", 2)
+    monkeypatch.setattr(ApparatusModel, "shift_unitaries", lambda self: [np.eye(3), 2 * np.eye(3)])
+    with pytest.raises(ValidationError, match="not unitary"):
+        premeasure(_plus(sys_space), app, computational_basis(sys_space))
+
+
+def test_complete_orthonormal_keeps_seeds_and_is_unitary():
+    seeds = record_states_with_overlap(2, 0.0, 6)
+    rotated = [(seeds[0] + 1j * seeds[1]) / np.sqrt(2), (seeds[0] - 1j * seeds[1]) / np.sqrt(2)]
+    for family in (seeds, rotated, [basis_state(TensorSpace((("r", 4),)), 2).amplitudes]):
+        b = _complete_orthonormal(family)
+        assert np.array_equal(b[:, : len(family)], np.column_stack(family))
+        d = b.shape[0]
+        assert np.abs(b.conj().T @ b - np.eye(d)).max() < VALIDITY_ATOL
+        assert np.array_equal(_complete_orthonormal(family), b)
+    with pytest.raises(ValidationError, match="orthonormal"):
+        _complete_orthonormal([seeds[0], seeds[0]])
 
 
 def test_chain_csv_emitter():

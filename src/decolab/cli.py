@@ -7,10 +7,11 @@ Commands:
     decolab --version
 
 Every artifact is a pure function of (scenario, seed): reruns are
-byte-identical.  A manifest.json records a content hash for each emitted
-file.  Exit codes: 0 success, 2 schema violation, 3 numerical invariant
-violation during the run (or any other failure, reported in one line), 4
-I/O failure.
+byte-identical.  Each artifact is written and hashed chunk by chunk as it is
+produced (wigner.csv one q column at a time), and manifest.json records its
+sha256 and size.  Exit codes: 0 success, 2 schema violation, 3 numerical
+invariant violation during the run (or any other failure, reported in one
+line), 4 I/O failure.
 
 ``validate`` and ``run`` apply the same parse: one function per kind reads
 the parameters, fills in defaults and builds the library objects the run
@@ -43,9 +44,12 @@ operator on the joint space; charged are:
   the largest n, refused above 2 000 000 terms, and the integer and float
   arrays over them (2 x terms x m values), both filed under params.n_values
   or params.n;
-* a Wigner grid above 8192 points, a histories dim above 406 (its
-  projector family holds dim^3 values), a Schmidt state above 2^26
-  amplitudes, or a graham n of 2^26 or more.
+* wigner: GRID_TEMPORARIES grid-sized arrays of n_points^2 values, and
+  the text of wigner.csv, n_points^2 lines of at most 75 bytes, against
+  MAX_ARTIFACT_BYTES (1 GiB): 2048 points are accepted and 4096 refused,
+  both filed under params.n_points;
+* a histories dim above 406 (its projector family holds dim^3 values), a
+  Schmidt state above 2^26 amplitudes, or a graham n of 2^26 or more.
 
 DECOLAB_THREADS caps the worker threads used for trial batches (0 or unset
 means automatic).
@@ -103,7 +107,7 @@ from .wigner import (
     two_packet_mixture,
     two_packet_superposition,
     wigner_binary,
-    wigner_csv_text,
+    wigner_csv_chunks,
     wigner_transform,
 )
 
@@ -134,6 +138,9 @@ KINDS = (
 # complex128 values: as many as one 8192 x 8192 matrix.
 MAX_DENSE_BYTES = 1 << 30
 
+# Bytes one artifact may take, bounded from the parsed sizes before the run.
+MAX_ARTIFACT_BYTES = 1 << 30
+
 # Joint-state-sized arrays alive at once besides the states a run keeps,
 # rounded up: a shift step holds two of the permuted tensor, the slices in
 # the measured basis, their shifts, the rotation back and its copy in the
@@ -146,6 +153,14 @@ JOINT_TEMPORARIES = 4
 # the conjugate copy, product and difference of their unitarity check; the
 # reset unitary's two completed bases, a conjugate copy and their product.
 LOCAL_TEMPORARIES = 5
+
+# Grid-sized complex arrays a Wigner run holds at once, rounded up: the
+# samples or a wavefunction's outer product, and at most four more in the
+# transform, such as the shear's two index arrays (half a complex array
+# each) with the gathered and masked samples, or the sheared samples, their
+# signed copy and the FFT output.  The CSV text is written one q column at
+# a time and takes no grid-sized array.
+GRID_TEMPORARIES = 6
 
 
 def thread_cap() -> int:
@@ -386,7 +401,16 @@ def _parse_wigner(params, seed, diags):
         args = (center, momentum, width)
     else:
         diags.append(f"params.state.kind: unknown kind {kind!r}")
-    if diags or not _fits(n_points * n_points, "params.n_points", diags):
+    if diags:
+        return None
+    # wigner.csv: n^2 lines of three values, two commas and a line feed.
+    csv_bytes = n_points * n_points * (3 * serialize.MAX_FMT_LEN + 3)
+    if csv_bytes > MAX_ARTIFACT_BYTES:
+        diags.append(
+            f"params.n_points: wigner.csv would take up to {csv_bytes} bytes, "
+            f"over the {MAX_ARTIFACT_BYTES >> 30} GiB artifact cap"
+        )
+    if diags or not _fits(GRID_TEMPORARIES * n_points * n_points, "params.n_points", diags):
         return None
     return (_build(diags, "params.state", factory, *args, *q_range, n_points),)
 
@@ -595,9 +619,9 @@ def _parse_graham(params, seed, diags):
         return None
     # Three or more outcomes enumerate every composition of n into m parts,
     # unless epsilon > 1 leaves no deviant branch.  They are weighed in blocks
-    # of first parts; a block's integer and float arrays take about 24 bytes
-    # per entry, and with many outcomes one block holds most of the
-    # enumeration: charge two complex values per entry of all of it.
+    # of bounded size, but the charge stays at the integer and float arrays of
+    # the whole enumeration, two complex values per entry, which also bounds
+    # the work.
     m = len(born or ())
     if m >= 3 and (eps is None or eps <= 1.0):
         terms = _build(diags, field, _multinomial_terms, n, m)
@@ -651,15 +675,20 @@ class _Emitter:
         self.out_dir = out_dir
         self.entries: list[dict] = []
 
-    def write_bytes(self, name: str, data: bytes) -> None:
+    def write_chunks(self, name: str, chunks) -> None:
+        """Write the byte chunks to ``name`` as they arrive, hashing them on
+        the way, and list the file with its sha256 and size."""
+        digest = serialize.sha256()
+        size = 0
         with open(os.path.join(self.out_dir, name), "wb") as fh:
-            fh.write(data)
-        self.entries.append(
-            {"name": name, "sha256": serialize.sha256_hex(data), "bytes": len(data)}
-        )
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+                size += len(chunk)
+        self.entries.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
 
     def write_text(self, name: str, text: str) -> None:
-        self.write_bytes(name, text.encode("utf-8"))
+        self.write_chunks(name, (text.encode("utf-8"),))
 
     def manifest(self, kind: str, seed: int, raw_bytes: bytes) -> None:
         doc = {
@@ -801,9 +830,9 @@ def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, 
 
 def _run_wigner(emit: _Emitter, state) -> None:
     w = wigner_transform(state)
-    emit.write_text("wigner.csv", wigner_csv_text(w))
+    emit.write_chunks("wigner.csv", map(str.encode, wigner_csv_chunks(w)))
     data, meta = wigner_binary(w)
-    emit.write_bytes("wigner.bin", data)
+    emit.write_chunks("wigner.bin", (data,))
     emit.write_text("wigner.meta.json", meta)
     emit.write_text("marginals.csv", marginals_csv_text(w))
 

@@ -351,53 +351,89 @@ def graham_deviant_norm(born_p, n_trials: int, epsilon: float) -> float:
     # product sums on its own, and the terms accumulate in lexicographic
     # order.  graham.csv stays reproducible to the last bit.
     total = 0.0
-    for first in _first_part_blocks(n, m):
-        counts = _compositions(n, m, first)
+    for prefix, parts in _composition_blocks(n, m):
+        counts = _compositions(n, m, parts, prefix)
         deviant = np.abs(counts / n - p).max(axis=1) >= eps
         possible = ~((counts > 0) & (p == 0.0)).any(axis=1)
         counts = counts[deviant & possible]
+        # lgamma(1) = lgamma(2) = 0, so a part that stays below 2 throughout
+        # the block adds exact zeros: its column is skipped.
+        below = n - sum(prefix) - parts[0]  # bounds every part after the head
+        tops = (*prefix, parts[-1]) + (below,) * (m - len(prefix) - 1)
         log_multinomial = np.zeros(len(counts))
-        for j in range(m):
-            log_multinomial += lgamma[counts[:, j]]
+        for j, top in enumerate(tops):
+            if top > 1:
+                log_multinomial += lgamma[counts[:, j]]
         log_w = lgamma[n] - log_multinomial + (counts * log_p).sum(axis=1)
         for x in log_w.tolist():
             total += math.exp(x)
     return total
 
 
-# Compositions are enumerated and weighed in blocks of consecutive first
-# parts holding about this many entries.  A block's arrays take a few hundred
-# KiB; the whole enumeration at m = 3, n = 300 would take about 3.5 MB at
-# once and raise the peak RSS of a run by as much.
+# Compositions are enumerated and weighed in blocks of about this many
+# entries.  A block's arrays take a few hundred KiB; the whole enumeration at
+# m = 3, n = 300 would take about 3.5 MB at once and raise the peak RSS of a
+# run by as much.
 _COMPOSITION_BLOCK = 1 << 13
 
 
-def _first_part_blocks(n: int, m: int):
-    """Ranges of first parts whose compositions of n into m parts hold about
-    _COMPOSITION_BLOCK entries together; one first part may hold more."""
-    start, entries = 0, 0
-    for first in range(n + 1):
-        size = m * math.comb(n - first + m - 2, m - 2)
-        if entries and entries + size > _COMPOSITION_BLOCK:
-            yield range(start, first)
-            start, entries = first, 0
-        entries += size
-    yield range(start, n + 1)
+def _composition_blocks(n: int, m: int):
+    """(prefix, parts) pairs that cut the compositions of n into m parts into
+    blocks of about _COMPOSITION_BLOCK entries, in lexicographic order.
+
+    A block holds the compositions that start with the parts ``prefix`` and
+    then a part in the range ``parts``.  A part whose compositions alone
+    exceed the block is split on the part after it, down to single rows, so
+    no block holds more than max(_COMPOSITION_BLOCK, m) entries.
+    """
+    # A depth-first walk over prefixes.  frames[d] is (what the prefix of
+    # length d leaves to place, the next part to take), so a popped frame's
+    # prefix is prefix[:len(frames)].
+    prefix: list[int] = []
+    frames = [(n, 0)]
+    while frames:
+        left, start = frames.pop()
+        del prefix[len(frames) :]
+        free = m - len(prefix)  # parts still to place, the next one included
+        entries = 0
+        for part in range(start, left + 1):
+            size = m * math.comb(left - part + free - 2, free - 2)
+            if size > _COMPOSITION_BLOCK and free > 2:
+                if entries:
+                    yield tuple(prefix), range(start, part)
+                frames += [(left, part + 1), (left - part, 0)]
+                prefix.append(part)
+                break
+            if entries and entries + size > _COMPOSITION_BLOCK:
+                yield tuple(prefix), range(start, part)
+                start, entries = part, 0
+            entries += size
+        else:
+            if entries:
+                yield tuple(prefix), range(start, left + 1)
 
 
-def _compositions(n: int, m: int, first: range) -> np.ndarray:
-    """Every composition of n into m >= 2 nonnegative parts whose first part
-    is in ``first``, one per row, in lexicographic order.
+def _compositions(n: int, m: int, parts: range, prefix: tuple = ()) -> np.ndarray:
+    """Every composition of n into m nonnegative parts that starts with the
+    parts ``prefix`` and then a part in ``parts``, one per row, in
+    lexicographic order; at least two parts follow the prefix.
 
     The parts are placed one at a time: a row that leaves r to place splits
-    into r + 1 rows whose next part is 0, 1, ..., r.
+    into r + 1 rows whose next part is 0, 1, ..., r.  Once no row leaves
+    anything to place, every later part is 0.
     """
-    head = np.asarray(first, dtype=np.int64)
+    head = np.asarray(parts, dtype=np.int64)
     comp = head[:, None]
-    rest = n - head
-    for _ in range(m - 2):
+    rest = n - sum(prefix) - head
+    for _ in range(m - len(prefix) - 2):
+        if not rest.any():
+            break
         width = rest + 1
         part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         comp = np.column_stack((np.repeat(comp, width, axis=0), part))
         rest = np.repeat(rest, width) - part
-    return np.column_stack((comp, rest))
+    out = np.zeros((rest.size, m), dtype=np.int64)
+    out[:, : len(prefix)] = prefix
+    out[:, len(prefix) : len(prefix) + comp.shape[1]] = comp
+    out[:, -1] = rest
+    return out

@@ -1,15 +1,25 @@
 """Deterministic text, JSON, and hashing helpers shared by the emitters.
 
 Floats are printed with 17 significant digits so that every emitted value
-round-trips to the exact double it came from.
+round-trips to the exact double it came from.  Large tables apply the same
+format as a ``%.17g`` template instead of calling fmt per value:
+``"%.17g" % x`` and ``format(x, ".17g")`` both go through CPython's
+PyOS_double_to_string and print the same bytes.  The Wigner CSV is
+produced that way in chunks, one q column each, which the runner writes
+and hashes as they arrive.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+from hashlib import sha256
 
 import numpy as np
+
+
+# The longest text fmt gives a finite double: a sign, 17 digits, the point
+# and a three-digit exponent, as in "-2.2250738585072014e-308".
+MAX_FMT_LEN = 24
 
 
 def fmt(x: float) -> str:
@@ -50,7 +60,7 @@ def dumps(obj) -> str:
 
 
 def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def csv_text(header: list[str], rows) -> str:

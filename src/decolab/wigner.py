@@ -296,32 +296,27 @@ def two_packet_mixture(
     return GridState(q_min, q_max, n_points, rho)
 
 
-def wigner_csv_text(w: WignerGrid) -> str:
-    """Long-format (q, p, w) table, q outer loop."""
-    ps = [serialize.fmt(pv) for pv in w.p_grid]
-    rows = []
-    for qv, column in zip(w.q_grid, w.values.T):
-        q_text = serialize.fmt(qv)
-        for p_text, value in zip(ps, column):
-            rows.append([q_text, p_text, serialize.fmt(value)])
-    return serialize.csv_text(["q", "p", "w"], rows)
+def wigner_csv_chunks(w: WignerGrid):
+    """Long-format (q, p, w) table, q outer loop: the header, then one chunk
+    of text per q column.
+
+    Each column fills one ``%.17g`` line template that already holds the q
+    and p texts; ``"%.17g" % x`` prints the same digits as
+    :func:`serialize.fmt`.
+    """
+    p_lines = [f",{serialize.fmt(p)},%.17g\n" for p in w.p_grid.tolist()]
+    yield "q,p,w\n"
+    for q, column in zip(w.q_grid.tolist(), w.values.T):
+        q_text = serialize.fmt(q)
+        yield (q_text + q_text.join(p_lines)) % tuple(column.tolist())
 
 
 def marginals_csv_text(w: WignerGrid) -> str:
     pos, mom = marginals(w)
-    rows = []
-    qs = w.q_grid
-    ps = w.p_grid
-    for i in range(w.n_points):
-        rows.append(
-            [
-                serialize.fmt(qs[i]),
-                serialize.fmt(pos[i]),
-                serialize.fmt(ps[i]),
-                serialize.fmt(mom[i]),
-            ]
-        )
-    return serialize.csv_text(["q", "position_density", "p", "momentum_density"], rows)
+    table = np.column_stack((w.q_grid, pos, w.p_grid, mom))
+    return "q,position_density,p,momentum_density\n" + (
+        "%.17g,%.17g,%.17g,%.17g\n" * w.n_points
+    ) % tuple(table.ravel().tolist())
 
 
 def wigner_binary(w: WignerGrid) -> tuple[bytes, str]:

@@ -32,6 +32,11 @@ def _scenario(kind, params, seed=0):
     return {"schema": "decolab/scenario/v1", "kind": kind, "seed": seed, "params": params}
 
 
+def _wigner(kind, n_points):
+    return _scenario("wigner", {"state": {"kind": kind, "center": 3.0}, "n_points": n_points,
+                                "q_min": -12.0, "q_max": 12.0})
+
+
 def _read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -202,20 +207,22 @@ def test_run_branch_recohere_rows(tmp_path):
 
 
 def test_manifest_hashes_every_artifact(tmp_path):
-    doc = _scenario("master", {
+    master = _scenario("master", {
         "p0": [0.9, 0.1], "rates": [[0.0, 0.7], [0.7, 0.0]], "times": [0.0, 1.0],
     })
-    out = tmp_path / "out"
-    assert cli.run(_write(tmp_path, "m.json", doc), out_dir=str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["schema"] == "decolab/manifest/v1"
-    names = {entry["name"] for entry in manifest["files"]}
-    on_disk = {p.name for p in out.iterdir()}
-    assert names == on_disk - {"manifest.json"}
-    for entry in manifest["files"]:
-        blob = (out / entry["name"]).read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
-        assert len(blob) == entry["bytes"]
+    # wigner.csv is written and hashed one q column at a time
+    for i, doc in enumerate((master, _wigner("mixture", 64))):
+        out = tmp_path / f"out{i}"
+        assert cli.run(_write(tmp_path, f"{i}.json", doc), out_dir=str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["schema"] == "decolab/manifest/v1"
+        names = {entry["name"] for entry in manifest["files"]}
+        on_disk = {p.name for p in out.iterdir()}
+        assert names == on_disk - {"manifest.json"}
+        for entry in manifest["files"]:
+            blob = (out / entry["name"]).read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+            assert len(blob) == entry["bytes"]
 
 
 # ---- determinism ----
@@ -477,6 +484,9 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         _histories(8, 3),
         # two blocks over dim 48: the class operators outweigh the functional
         _histories(48, 6, projectors={"type": "blocks", "blocks": [list(range(24)), list(range(24, 48))]}),
+        # one first part holds 135 751 of the 1 221 759 compositions
+        _scenario("graham", {"p": [1.0 / 6] * 6, "epsilon": 0.2, "n": 40}),
+        _wigner("mixture", 256),
     ]
     charged = []
     real = cli._fits
@@ -497,6 +507,17 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert code == 0
         assert peak < 16 * sum(charged), (doc["kind"], peak, charged)
+
+
+def test_wigner_text_is_bounded_in_the_parse(tmp_path, capsys):
+    # 2048 points: wigner.csv is at most 2048^2 lines of 75 bytes (315 MB)
+    assert cli.validate_document(_wigner("mixture", 2048)) == []
+    # 4096 points: up to 1.26 GB of text, over the artifact cap
+    path = _write(tmp_path, "w.json", _wigner("mixture", 4096))
+    start = time.perf_counter()
+    _both_reject(path, tmp_path / "out", capsys, "params.n_points")
+    assert time.perf_counter() - start < 1.0
+    assert any("artifact cap" in d for d in cli.validate_document(_wigner("superposition", 4096)))
 
 
 def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):

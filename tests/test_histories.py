@@ -486,9 +486,10 @@ def test_compositions_are_all_of_them_in_lexicographic_order(monkeypatch):
         assert [tuple(row) for row in comp.tolist()] == every
         for block in (1, 64, 1 << 13):
             monkeypatch.setattr(decolab.histories, "_COMPOSITION_BLOCK", block)
-            firsts = list(decolab.histories._first_part_blocks(n, m))
-            assert [f for r in firsts for f in r] == list(range(n + 1))
-            blocks = [_compositions(n, m, first) for first in firsts]
+            cuts = list(decolab.histories._composition_blocks(n, m))
+            blocks = [_compositions(n, m, parts, prefix) for prefix, parts in cuts]
+            assert all(len(parts) > 0 for _prefix, parts in cuts)
+            assert max(b.size for b in blocks) <= max(block, m)
             assert np.array_equal(np.concatenate(blocks), comp)
 
 
@@ -507,7 +508,7 @@ def test_graham_multinomial_matches_composition_loop_bitwise(monkeypatch):
             ref = _reference_graham(p, n, eps)
             assert graham_deviant_norm(p, n, eps) == ref
             with monkeypatch.context() as mp:
-                mp.setattr(decolab.histories, "_COMPOSITION_BLOCK", 1)  # one first part per block
+                mp.setattr(decolab.histories, "_COMPOSITION_BLOCK", 1)  # one row per block
                 assert graham_deviant_norm(p, n, eps) == ref
     # epsilon hit exactly by a relative frequency: 6/8 - 1/2 == 1/4
     p, n, eps = [0.5, 0.25, 0.25], 8, 0.25

@@ -1,10 +1,12 @@
 """Phase-space transform on uniform grids."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from decolab import serialize
 from decolab.errors import ValidationError
 from decolab.wigner import (
     GridState,
@@ -18,7 +20,7 @@ from decolab.wigner import (
     two_packet_mixture,
     two_packet_superposition,
     wigner_binary,
-    wigner_csv_text,
+    wigner_csv_chunks,
     wigner_transform,
     wigner_via_kernel,
 )
@@ -159,7 +161,7 @@ def test_wigner_grid_validates_normalization():
 
 def test_csv_and_binary_emitters():
     w = wigner_transform(oscillator_state(0, n_points=64))
-    lines = wigner_csv_text(w).strip().split("\n")
+    lines = "".join(wigner_csv_chunks(w)).strip().split("\n")
     assert lines[0] == "q,p,w"
     assert len(lines) == 1 + 64 * 64
 
@@ -172,3 +174,44 @@ def test_csv_and_binary_emitters():
     assert np.array_equal(data, w.values)
     assert meta["dtype"] == "<f8"
     assert meta["q_min"] == -8.0
+
+
+def _reference_wigner_csv_text(w):
+    """The per-value route: serialize.fmt on every value, then csv_text."""
+    ps = [serialize.fmt(pv) for pv in w.p_grid]
+    rows = []
+    for qv, column in zip(w.q_grid, w.values.T):
+        q_text = serialize.fmt(qv)
+        for p_text, value in zip(ps, column):
+            rows.append([q_text, p_text, serialize.fmt(value)])
+    return serialize.csv_text(["q", "p", "w"], rows)
+
+
+def _reference_marginals_csv_text(w):
+    pos, mom = marginals(w)
+    rows = [
+        [serialize.fmt(x) for x in (w.q_grid[i], pos[i], w.p_grid[i], mom[i])]
+        for i in range(w.n_points)
+    ]
+    return serialize.csv_text(["q", "position_density", "p", "momentum_density"], rows)
+
+
+def test_csv_templates_match_the_per_value_route_byte_for_byte():
+    grids = [
+        wigner_transform(oscillator_state(3, n_points=64)),
+        wigner_transform(two_packet_superposition(2.5, momentum=0.7, n_points=64)),
+        wigner_transform(two_packet_mixture(3.0, width=0.9, n_points=128)),
+    ]
+    # a signed zero and a subnormal, with the normalizing weight in one cell
+    values = np.zeros((4, 4))
+    values[0, 0] = -0.0
+    values[1, 2] = 5e-324
+    values[2, 1] = 4.0 / math.pi  # 1 / (dq dp) on a 4-point grid
+    odd = WignerGrid(-12.0, 12.0, 4, values)
+    for w in grids + [odd]:
+        chunks = list(wigner_csv_chunks(w))
+        assert len(chunks) == 1 + w.n_points
+        assert "".join(chunks) == _reference_wigner_csv_text(w)
+        assert marginals_csv_text(w) == _reference_marginals_csv_text(w)
+    text = "".join(wigner_csv_chunks(odd))
+    assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text

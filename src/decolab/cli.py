@@ -48,17 +48,17 @@ operator on the joint space; charged are:
   the text of wigner.csv, n_points^2 lines of at most 75 bytes, against
   MAX_ARTIFACT_BYTES (1 GiB): 2048 points are accepted and 4096 refused,
   both filed under params.n_points;
+* collapse_mc: two values per trial for the draws, and the records' pre
+  and post states plus one more amplitude per outcome, at
+  RECORD_AMPLITUDE_BYTES each, filed under params.record_limit; more than
+  MAX_TRIALS trials are refused under params.trials;
 * a histories dim above 406 (its projector family holds dim^3 values), a
   Schmidt state above 2^26 amplitudes, or a graham n of 2^26 or more.
-
-DECOLAB_THREADS caps the worker threads used for trial batches (0 or unset
-means automatic).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -67,13 +67,14 @@ import sys
 import numpy as np
 
 from . import __version__, serialize
-from .dynamics import Hamiltonian, collapse
+from .dynamics import CollapseRecord, Hamiltonian, born_weights, sample_outcomes
 from .entanglement import decoherence_factor, linear_entropy, schmidt_decompose
 from .errors import DecolabError, SpaceMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
     StateVector,
     TensorSpace,
+    basis_state,
     computational_basis,
     partial_trace,
     random_state,
@@ -141,6 +142,14 @@ MAX_DENSE_BYTES = 1 << 30
 # Bytes one artifact may take, bounded from the parsed sizes before the run.
 MAX_ARTIFACT_BYTES = 1 << 30
 
+# collapse_mc trials one scenario may ask for: each seeds its own generator,
+# about 20 s of them at the cap (18 µs each on 2 CPUs, numpy 2.4.6).
+MAX_TRIALS = 10**6
+
+# Bytes a collapse record amplitude takes while records.json is built: its
+# [re, im] list and its JSON text (451 measured in a joint state, ~420 here).
+RECORD_AMPLITUDE_BYTES = 451
+
 # Joint-state-sized arrays alive at once besides the states a run keeps,
 # rounded up: a shift step holds two of the permuted tensor, the slices in
 # the measured basis, their shifts, the rotation back and its copy in the
@@ -164,16 +173,9 @@ GRID_TEMPORARIES = 6
 
 
 def thread_cap() -> int:
-    raw = os.environ.get("DECOLAB_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValidationError(f"DECOLAB_THREADS must be an integer, got {raw!r}") from None
-    if val < 0:
-        raise ValidationError(f"DECOLAB_THREADS must be nonnegative, got {val}")
-    if val == 0:
-        return min(32, os.cpu_count() or 1)
-    return val
+    """Worker threads a run uses: always 1, since collapse_mc dropped its
+    thread pool.  Kept because the benchmark's environment record reads it."""
+    return 1
 
 
 # ---- parse: one function per kind, shared by validate and run ----
@@ -371,6 +373,15 @@ def _parse_collapse_mc(params, seed, diags):
     system = _system_state(params, diags)
     trials = _integer(params, "trials", "params", diags, minimum=1)
     limit = _integer(params, "record_limit", "params", diags, minimum=0, default=5)
+    if trials is not None and trials > MAX_TRIALS:
+        diags.append(f"params.trials: {trials} trials, over the cap of {MAX_TRIALS}")
+    if diags:
+        return None
+    # Two complex values per trial hold its draw and the arrays searched from
+    # it.  Each record lists a pre and a post state of n amplitudes; one more
+    # per outcome covers the decoded scenario, the table and collapse.csv.
+    amplitudes = (2 * min(limit, trials) + 1) * system.space.total_dim
+    _fits(2 * trials + amplitudes * RECORD_AMPLITUDE_BYTES // 16, "params.record_limit", diags)
     return system, trials, limit, seed
 
 
@@ -788,43 +799,19 @@ def _run_branch_recohere(emit: _Emitter, system: StateVector, model: BranchingMo
     )
 
 
-def _collapse_counts(psi, basis, seeds) -> np.ndarray:
-    counts = np.zeros(len(basis), dtype=np.int64)
-    for s in seeds:
-        rec = collapse(psi, basis, int(s))
-        counts[rec.outcome_index] += 1
-    return counts
-
-
 def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, seed: int) -> None:
     n = psi.space.total_dim
-    basis = computational_basis(psi.space)
-    workers = thread_cap()
-    seeds = range(seed, seed + trials)
-    if workers <= 1 or trials < 256:
-        counts = _collapse_counts(psi, basis, seeds)
-    else:
-        chunk = (trials + workers - 1) // workers
-        parts = [seeds[i : i + chunk] for i in range(0, trials, chunk)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda part: _collapse_counts(psi, basis, part), parts))
-        counts = np.sum(results, axis=0)
-    born = np.abs(psi.amplitudes) ** 2
-    rows = []
-    for i in range(n):
-        rows.append(
-            [
-                str(i),
-                serialize.fmt(born[i]),
-                str(int(counts[i])),
-                serialize.fmt(counts[i] / trials),
-            ]
-        )
-    emit.write_text(
-        "collapse.csv",
-        serialize.csv_text(["outcome", "born_probability", "count", "frequency"], rows),
-    )
-    records = [collapse(psi, basis, seed + i).to_json_obj() for i in range(min(limit, trials))]
+    probs = born_weights(psi)
+    outcomes = sample_outcomes(probs, range(seed, seed + trials))
+    counts = np.bincount(outcomes, minlength=n)
+    born = np.abs(psi.amplitudes) ** 2  # numpy array abs: may differ from probs in the last place
+    columns = zip(range(n), born.tolist(), counts.tolist(), (counts / trials).tolist())
+    text = "".join("%d,%.17g,%d,%.17g\n" % row for row in columns)
+    emit.write_text("collapse.csv", "outcome,born_probability,count,frequency\n" + text)
+    records = [
+        CollapseRecord(int(k), float(probs[k]), psi, basis_state(psi.space, k), seed + i).to_json_obj()
+        for i, k in enumerate(outcomes[:limit])
+    ]
     emit.write_text("records.json", serialize.dumps(records))
 
 

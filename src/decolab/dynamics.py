@@ -125,35 +125,43 @@ class CollapseRecord:
         return serialize.dumps(self.to_json_obj())
 
 
-def collapse(psi: StateVector, basis, seed: int) -> CollapseRecord:
-    """Sample one outcome from the squared-amplitude distribution.
-
-    The replacement is discontinuous and seeded: one fresh generator per
-    call, outcomes below MIN_BRANCH_PROBABILITY excluded from sampling.
-    The post state is the basis vector exactly as supplied (its stored
-    phase is the caller's convention).
-    """
-    basis = tuple(basis)
-    _check_orthonormal_complete(basis, psi.space)
+def born_weights(psi: StateVector, basis=None) -> np.ndarray:
+    """|<b|psi>|^2 / <psi|psi> over ``basis`` (None: the computational one,
+    whose overlaps are the amplitudes exactly), one scalar abs per entry:
+    numpy's array abs can differ from it in the last place."""
     nrm = psi.norm()
     if nrm == 0.0:
         raise ValidationError("cannot collapse a zero-norm state")
     amps = psi.amplitudes / nrm
-    probs = np.array([abs(np.vdot(b.amplitudes, amps)) ** 2 for b in basis])
+    overlaps = amps if basis is None else [np.vdot(b.amplitudes, amps) for b in basis]
+    return np.array([abs(z) ** 2 for z in overlaps])
+
+
+def sample_outcomes(probs: np.ndarray, seeds) -> np.ndarray:
+    """The outcome each of the sequence ``seeds`` draws from the Born table
+    ``probs``: one fresh generator per seed, outcomes below
+    MIN_BRANCH_PROBABILITY excluded."""
     keep = np.flatnonzero(probs >= MIN_BRANCH_PROBABILITY)
     if keep.size == 0:
         raise ValidationError("no outcome has weight above the sampling floor")
-    rng = np.random.default_rng(seed)
     cum = np.cumsum(probs[keep])
-    draw = rng.random() * cum[-1]
-    outcome = int(keep[np.searchsorted(cum, draw, side="right").clip(0, keep.size - 1)])
-    return CollapseRecord(
-        outcome_index=outcome,
-        outcome_probability=float(probs[outcome]),
-        pre_state=psi,
-        post_state=basis[outcome],
-        rng_seed=int(seed),
-    )
+    draws = np.fromiter((np.random.default_rng(s).random() for s in seeds), np.float64, len(seeds))
+    draws *= cum[-1]
+    return keep[np.searchsorted(cum, draws, side="right").clip(0, keep.size - 1)]
+
+
+def collapse(psi: StateVector, basis, seed: int) -> CollapseRecord:
+    """Sample one outcome from the squared-amplitude distribution.
+
+    The replacement is discontinuous and seeded (see sample_outcomes).  The
+    post state is the basis vector exactly as supplied (its stored phase is
+    the caller's convention).
+    """
+    basis = tuple(basis)
+    _check_orthonormal_complete(basis, psi.space)
+    probs = born_weights(psi, basis)
+    outcome = int(sample_outcomes(probs, (seed,))[0])
+    return CollapseRecord(outcome, float(probs[outcome]), psi, basis[outcome], int(seed))
 
 
 def _check_projector(p: np.ndarray, dim: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .entanglement import ensemble_entropy, entropy_bits, schmidt_decompose, shannon_entropy
+from .entanglement import SCHMIDT_CUTOFF, ensemble_entropy, entropy_bits, shannon_entropy
 from .errors import MIN_BRANCH_PROBABILITY, ValidationError
 from .hilbert import StateVector, TensorSpace, computational_basis, partial_trace, tensor
 from .measurement import ApparatusModel, BranchingModel, branch_and_recohere, premeasure
@@ -247,11 +247,16 @@ def _marginal_entropy_sum(state: StateVector, labels) -> float:
     """Sum of the marginal entropies of the labelled registers.
 
     A pure global state's marginal spectrum is its squared Schmidt
-    coefficients, so a product state gives exactly 0 instead of eigenvalue
-    round-off.
+    coefficients (singular values above SCHMIDT_CUTOFF), so a product state
+    gives exactly 0 instead of eigenvalue round-off.
     """
-    spectra = (schmidt_decompose(state, [l]).probabilities for l in labels)
-    return float(sum(shannon_entropy(p / p.sum()) for p in spectra))
+    amps = state.amplitudes.reshape(state.space.dims)
+    total = 0
+    for axis in map(state.space.axis, labels):
+        s = np.linalg.svd(np.moveaxis(amps, axis, 0).reshape(amps.shape[axis], -1), compute_uv=False)
+        p = s[s > SCHMIDT_CUTOFF] ** 2
+        total += shannon_entropy(p / p.sum())
+    return float(total)
 
 
 def _validated_amplitudes(c) -> np.ndarray:

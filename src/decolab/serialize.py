@@ -28,8 +28,7 @@ def fmt(x: float) -> str:
 
 def complex_pairs(vec: np.ndarray) -> list[list[float]]:
     """Flatten a complex vector to [[re, im], ...]."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in v]
+    return np.ascontiguousarray(vec, np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
@@ -41,8 +40,8 @@ def pairs_to_complex(pairs) -> np.ndarray:
 
 
 def matrix_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(mat, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    m = np.ascontiguousarray(mat, np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def pairs_to_matrix(rows) -> np.ndarray:

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab import cli, serialize
+from decolab.dynamics import collapse
+from decolab.hilbert import computational_basis
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -56,6 +58,17 @@ def test_dumps_is_stable():
     out = serialize.dumps({"b": 1, "a": [1.5, 2]})
     assert out.startswith('{\n  "a"')
     assert out.endswith("\n")
+
+
+def test_pairs_match_the_per_element_loop_text():
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(25, 40)) + 1j * rng.normal(size=(25, 40))
+    z[0, :4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1e300)]
+    loop = [[[float(x.real), float(x.imag)] for x in row] for row in z]
+    assert serialize.dumps(serialize.matrix_pairs(z)) == serialize.dumps(loop)
+    assert serialize.dumps(serialize.matrix_pairs(z.T)) == serialize.dumps([list(c) for c in zip(*loop)])
+    assert serialize.dumps(serialize.complex_pairs(z[:, 3])) == serialize.dumps([r[3] for r in loop])
+    assert serialize.dumps(serialize.complex_pairs(z)) == serialize.dumps([p for r in loop for p in r])
 
 
 # ---- validate ----
@@ -251,24 +264,42 @@ def test_seed_flag_overrides_scenario(tmp_path):
     assert (out_a / "records.json").read_bytes() != (out_b / "records.json").read_bytes()
 
 
-def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    doc = _scenario(
-        "collapse_mc", {"amplitudes": [0.5, 0.5, 0.5, 0.5], "trials": 600}, seed=3
-    )
-    path = _write(tmp_path, "c.json", doc)
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DECOLAB_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        assert cli.run(path, out_dir=str(out)) == 0
-        outputs.append((out / "collapse.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+def _reference_collapse_mc(psi, trials, limit, seed):
+    """collapse.csv and records.json from one collapse() call per trial."""
+    basis = computational_basis(psi.space)
+    counts = np.zeros(len(basis), dtype=np.int64)
+    records = []
+    for i in range(trials):
+        rec = collapse(psi, basis, seed + i)
+        counts[rec.outcome_index] += 1
+        if i < limit:
+            records.append(rec.to_json_obj())
+    born = np.abs(psi.amplitudes) ** 2
+    rows = [
+        [str(i), serialize.fmt(born[i]), str(int(counts[i])), serialize.fmt(counts[i] / trials)]
+        for i in range(len(basis))
+    ]
+    header = ["outcome", "born_probability", "count", "frequency"]
+    return serialize.csv_text(header, rows), serialize.dumps(records)
 
 
-def test_bad_thread_env_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("DECOLAB_THREADS", "lots")
-    doc = _scenario("collapse_mc", {"amplitudes": [R2, R2], "trials": 10})
-    assert cli.run(_write(tmp_path, "c.json", doc), out_dir=str(tmp_path / "o")) == 3
+def test_collapse_mc_matches_one_collapse_per_trial(tmp_path):
+    rng = np.random.default_rng(11)
+    for i, (seed, trials, limit) in enumerate(
+        [(0, 1, 5), (3, 257, 0), (2**32 - 2, 300, 4), (2**40, 64, 64), (2**63 + 5, 9, 20)]
+    ):
+        n = 2 + i
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps[(2 * i + 1) % n] = 0.0
+        amps /= np.linalg.norm(amps)
+        params = {"amplitudes": [[z.real, z.imag] for z in amps], "trials": trials, "record_limit": limit}
+        doc = _scenario("collapse_mc", params, seed=seed)
+        out = tmp_path / str(i)
+        assert cli.run(_write(tmp_path, f"{i}.json", doc), out_dir=str(out)) == 0
+        psi = cli._parse_document(doc)[1][2][0]
+        csv_text, records_text = _reference_collapse_mc(psi, trials, limit, seed)
+        assert (out / "collapse.csv").read_text() == csv_text
+        assert (out / "records.json").read_text() == records_text
 
 
 # ---- exit codes ----
@@ -324,7 +355,6 @@ def test_console_script_installed(tmp_path):
         [sys.executable, "-m", "decolab.cli", "run", path, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
-        env={**os.environ, "DECOLAB_THREADS": "1"},
     )
     assert res.returncode == 0
     assert (tmp_path / "o" / "manifest.json").exists()
@@ -487,6 +517,8 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         # one first part holds 135 751 of the 1 221 759 compositions
         _scenario("graham", {"p": [1.0 / 6] * 6, "epsilon": 0.2, "n": 40}),
         _wigner("mixture", 256),
+        # at the parent: 3.9 s and 339 MiB, a Gram matrix of the basis per trial
+        _scenario("collapse_mc", {"amplitudes": _random_amplitudes(2000), "trials": 3, "record_limit": 5}),
     ]
     charged = []
     real = cli._fits
@@ -518,6 +550,26 @@ def test_wigner_text_is_bounded_in_the_parse(tmp_path, capsys):
     _both_reject(path, tmp_path / "out", capsys, "params.n_points")
     assert time.perf_counter() - start < 1.0
     assert any("artifact cap" in d for d in cli.validate_document(_wigner("superposition", 4096)))
+
+
+def test_collapse_mc_trials_and_records_are_charged(tmp_path, capsys):
+    amps = _random_amplitudes(2000)
+    assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6})) == []
+    # records of 2 x 2000 amplitudes: 1.8 MB of JSON lists each; the README limit
+    for limit, ok in ((594, True), (595, False)):
+        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": limit, "record_limit": limit})
+        assert (cli.validate_document(doc) == []) is ok
+    # records are built for the trials only
+    doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 3, "record_limit": 10**9})
+    assert cli.validate_document(doc) == []
+    for params, field in (
+        ({"trials": 10**6 + 1}, "params.trials"),
+        ({"trials": 1000, "record_limit": 1000}, "params.record_limit"),
+    ):
+        path = _write(tmp_path, "c.json", _scenario("collapse_mc", {"amplitudes": amps, **params}))
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, field)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):

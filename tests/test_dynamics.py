@@ -6,9 +6,11 @@ import pytest
 from decolab.dynamics import (
     CollapseRecord,
     Hamiltonian,
+    born_weights,
     collapse,
     luders_project,
     propagator,
+    sample_outcomes,
     schrodinger_evolve,
     von_neumann_evolve,
 )
@@ -146,6 +148,35 @@ def test_collapse_requires_orthonormal_basis():
     skew = [psi, StateVector(sp, np.array([1.0, 1.0]) / np.sqrt(2))]
     with pytest.raises(ValidationError):
         collapse(psi, skew, seed=0)
+
+
+def test_born_table_matches_the_scalar_overlap_formula_bitwise():
+    sp = TensorSpace((("s", 61),))
+    amps = RNG.normal(size=61) + 1j * RNG.normal(size=61)
+    amps[::7] = 0.0
+    amps[3::11] = amps[3::11].real
+    psi = StateVector(sp, amps / np.linalg.norm(amps))
+    unit = psi.amplitudes / psi.norm()
+    rotated = tuple(StateVector(sp, v) for v in np.linalg.qr(RNG.normal(size=(61, 61)))[0].T)
+    for basis in (computational_basis(sp), rotated):
+        want = np.array([abs(np.vdot(b.amplitudes, unit)) ** 2 for b in basis])
+        assert born_weights(psi, basis).tobytes() == want.tobytes()
+    want = np.array([abs(np.vdot(b.amplitudes, unit)) ** 2 for b in computational_basis(sp)])
+    assert born_weights(psi).tobytes() == want.tobytes()
+
+
+def test_sampler_draws_each_seed_from_its_own_generator():
+    probs = np.array([0.3, 0.0, 1e-15, 0.45, 0.25])
+    keep = np.array([0, 3, 4])
+    cum = np.cumsum(probs[keep])
+    seeds = [0, 1, 17, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 9]
+    want = [
+        keep[np.searchsorted(cum, np.random.default_rng(s).random() * cum[-1], side="right").clip(0, 2)]
+        for s in seeds
+    ]
+    assert sample_outcomes(probs, seeds).tolist() == want
+    with pytest.raises(ValidationError):
+        sample_outcomes(np.array([1e-15, 0.0]), [0])
 
 
 def test_luders_pure_state():

@@ -250,6 +250,25 @@ def test_pure_product_rows_have_exactly_zero_marginal_entropy():
     assert (initial.s_physical, initial.s_physical_record_only) == (0.0, 0.0)
 
 
+def test_marginal_entropy_sum_reads_the_schmidt_spectra():
+    rng = np.random.default_rng(12)
+    parts = []
+    for label, d in (("a", 3), ("b", 4), ("c", 5)):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        parts.append(StateVector(TensorSpace(((label, d),)), v / np.linalg.norm(v)))
+    product = tensor(tensor(parts[0], parts[1]), parts[2])
+    # a rotated product state: the singular values beyond the first are
+    # round-off, below SCHMIDT_CUTOFF, so the sum is an exact 0
+    assert ledger._marginal_entropy_sum(product, ["a", "b", "c"]) == 0.0
+    amps = rng.normal(size=60) + 1j * rng.normal(size=60)
+    psi = StateVector(product.space, amps / np.linalg.norm(amps))
+    want = sum(
+        shannon_entropy(np.clip(partial_trace(psi, label).eigenvalues(), 0.0, None))
+        for label in ("a", "c")
+    )
+    assert abs(ledger._marginal_entropy_sum(psi, ["a", "c"]) - want) < CROSS_ATOL
+
+
 def test_quantum_ledger_pure_rows_have_exactly_zero_ensemble_entropy():
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):

@@ -17,15 +17,18 @@ line), 4 I/O failure.
 the parameters, fills in defaults and builds the library objects the run
 needs, so a scenario that validates never fails the run on a schema
 problem.  Every schema problem exits 2 with a diagnostic that names the
-field.  Rejected are: files that are not UTF-8 JSON or are nested too deeply
-for the JSON decoder, non-finite numbers (NaN, Infinity), booleans given as
-numbers or integers, values the library constructors refuse (such as a
-pointer overlap outside (-1/(n-1), 1) for n outcomes, duplicate subsystem
-labels or a Hamiltonian that is not Hermitian), and any scenario whose
-memory would exceed MAX_DENSE_BYTES (1 GiB of complex128 values), estimated
-from the parsed sizes before anything is allocated.  A controlled shift
-acts on the state tensor one outcome slice at a time, so no kind builds an
-operator on the joint space; charged are:
+field.  Rejected are: files over MAX_SCENARIO_BYTES, whose decoding could
+take DECODE_BYTES_PER_BYTE bytes of memory per byte, over MAX_DENSE_BYTES
+(checked before the file is decoded, under "scenario"), files that are not
+UTF-8 JSON or are nested too deeply for the JSON decoder, non-finite
+numbers (NaN, Infinity), booleans given as numbers or integers, values the
+library constructors refuse (such as a pointer overlap outside
+(-1/(n-1), 1) for n outcomes, duplicate subsystem labels or a Hamiltonian
+that is not Hermitian), and any scenario whose memory would exceed
+MAX_DENSE_BYTES (1 GiB of complex128 values), estimated from the parsed
+sizes before anything is allocated.  A controlled shift acts on the state
+tensor one outcome slice at a time, so no kind builds an operator on the
+joint space; charged are:
 
 * every register kind: the joint states of D amplitudes it keeps (links + 2
   for chain, 4 for branch_recohere and ledger_branching, 2 for
@@ -68,7 +71,7 @@ import numpy as np
 
 from . import __version__, serialize
 from .dynamics import CollapseRecord, Hamiltonian, born_weights, sample_outcomes
-from .entanglement import decoherence_factor, linear_entropy, schmidt_decompose
+from .entanglement import decoherence_factor, entropy_bits, linear_entropy, schmidt_decompose
 from .errors import DecolabError, SpaceMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
@@ -92,18 +95,17 @@ from .histories import (
     history_trace_single_sided,
     pauli_master_evolve,
 )
-from .ledger import branching_ledger, classical_ledger, ledger_csv_text, quantum_collapse_ledger
+from .ledger import branching_ledger, classical_ledger, quantum_collapse_ledger
 from .measurement import (
     ApparatusModel,
     BranchingModel,
     ChainSpec,
     branch_and_recohere,
-    chain_csv_text,
     chain_propagate,
     premeasure,
 )
 from .wigner import (
-    marginals_csv_text,
+    marginals,
     oscillator_state,
     two_packet_mixture,
     two_packet_superposition,
@@ -141,6 +143,14 @@ MAX_DENSE_BYTES = 1 << 30
 
 # Bytes one artifact may take, bounded from the parsed sizes before the run.
 MAX_ARTIFACT_BYTES = 1 << 30
+
+# Peak bytes the JSON decoder may take per byte of scenario file, rounded up
+# from the worst shape measured (tracemalloc, Python 3.11): nested empty
+# lists, 44.9; lists of empty lists 22.4, [re, im] pairs of short numbers
+# 15.4 and of 17-digit ones 4.4, bare numbers 9.1.  Longer files are refused
+# before they are decoded.
+DECODE_BYTES_PER_BYTE = 48
+MAX_SCENARIO_BYTES = MAX_DENSE_BYTES // DECODE_BYTES_PER_BYTE
 
 # collapse_mc trials one scenario may ask for: each seeds its own generator,
 # about 20 s of them at the cap (18 µs each on 2 CPUs, numpy 2.4.6).
@@ -728,34 +738,27 @@ def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel
     off, _pops = decoherence_factor(rho_sys, basis)
     emit.write_text("joint_state.json", joint.to_json())
     emit.write_text("system_density.json", rho_sys.to_json())
-    emit.write_text(
-        "summary.csv",
-        serialize.csv_text(
-            ["off_diagonal_max", "system_linear_entropy", "global_purity"],
-            [
-                [
-                    serialize.fmt(off.max() if n > 1 else 0.0),
-                    serialize.fmt(linear_entropy(rho_sys)),
-                    serialize.fmt(purity),
-                ]
-            ],
-        ),
-    )
+    header = ["off_diagonal_max", "system_linear_entropy", "global_purity"]
+    off_max = off.max() if n > 1 else 0.0
+    text = serialize.csv_text(header, [off_max], [linear_entropy(rho_sys)], [purity])
+    emit.write_text("summary.csv", text)
 
 
 def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
     n = system.space.total_dim
     states = chain_propagate(spec, system)
     basis = spec.system_basis
-    rows = []
-    for step in range(1, len(spec.links) + 1):
+    steps = range(1, len(spec.links) + 1)
+    table = np.zeros((len(steps), 3))  # off-diagonal, linear entropy, purity
+    for row, step in zip(table, steps):
         state = states[step]
         purity = state.norm() ** 4
         _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r} at step {step}")
         rho_sys = partial_trace(state, "system")
         off, _pops = decoherence_factor(rho_sys, basis)
-        rows.append((step, off.max() if n > 1 else 0.0, linear_entropy(rho_sys), purity))
-    emit.write_text("chain.csv", chain_csv_text(rows))
+        row[:] = off.max() if n > 1 else 0.0, linear_entropy(rho_sys), purity
+    header = ["step", "off_diagonal", "system_linear_entropy", "global_purity"]
+    emit.write_text("chain.csv", serialize.csv_text(header, steps, *table.T))
     final = states[-1]
     rho_final = partial_trace(final, "system")
     _off, pops = decoherence_factor(rho_final, basis)
@@ -776,27 +779,15 @@ def _run_branch_recohere(emit: _Emitter, system: StateVector, model: BranchingMo
     initial = model.ready_joint(system)
     states = (initial,) + branch_and_recohere(initial, model)
     ready = model.apparatus.pointer_ready.amplitudes
-    rows = []
-    for step, state in enumerate(states):
+    table = np.zeros((len(states), 3))  # fidelity, linear entropy, purity
+    for step, (row, state) in enumerate(zip(table, states)):
         purity = state.norm() ** 4
         _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r} at step {step}")
         rho_app = partial_trace(state, "apparatus")
         fidelity = float(np.vdot(ready, rho_app.matrix @ ready).real)
-        rho_sys = partial_trace(state, "system")
-        rows.append(
-            [
-                str(step),
-                serialize.fmt(fidelity),
-                serialize.fmt(linear_entropy(rho_sys)),
-                serialize.fmt(purity),
-            ]
-        )
-    emit.write_text(
-        "branch.csv",
-        serialize.csv_text(
-            ["step", "apparatus_fidelity", "system_linear_entropy", "global_purity"], rows
-        ),
-    )
+        row[:] = fidelity, linear_entropy(partial_trace(state, "system")), purity
+    header = ["step", "apparatus_fidelity", "system_linear_entropy", "global_purity"]
+    emit.write_text("branch.csv", serialize.csv_text(header, range(len(states)), *table.T))
 
 
 def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, seed: int) -> None:
@@ -805,9 +796,8 @@ def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, 
     outcomes = sample_outcomes(probs, range(seed, seed + trials))
     counts = np.bincount(outcomes, minlength=n)
     born = np.abs(psi.amplitudes) ** 2  # numpy array abs: may differ from probs in the last place
-    columns = zip(range(n), born.tolist(), counts.tolist(), (counts / trials).tolist())
-    text = "".join("%d,%.17g,%d,%.17g\n" % row for row in columns)
-    emit.write_text("collapse.csv", "outcome,born_probability,count,frequency\n" + text)
+    header = ["outcome", "born_probability", "count", "frequency"]
+    emit.write_text("collapse.csv", serialize.csv_text(header, range(n), born, counts, counts / trials))
     records = [
         CollapseRecord(int(k), float(probs[k]), psi, basis_state(psi.space, k), seed + i).to_json_obj()
         for i, k in enumerate(outcomes[:limit])
@@ -821,7 +811,9 @@ def _run_wigner(emit: _Emitter, state) -> None:
     data, meta = wigner_binary(w)
     emit.write_chunks("wigner.bin", (data,))
     emit.write_text("wigner.meta.json", meta)
-    emit.write_text("marginals.csv", marginals_csv_text(w))
+    pos, mom = marginals(w)
+    header = ["q", "position_density", "p", "momentum_density"]
+    emit.write_text("marginals.csv", serialize.csv_text(header, w.q_grid, pos, w.p_grid, mom))
 
 
 def _run_schmidt(emit: _Emitter, psi: StateVector, system: list[str]) -> None:
@@ -831,51 +823,37 @@ def _run_schmidt(emit: _Emitter, psi: StateVector, system: list[str]) -> None:
     doc = dec.to_json_obj()
     doc["reconstruction_error"] = err
     emit.write_text("schmidt.json", serialize.dumps(doc))
-    rows = [
-        [str(k), serialize.fmt(c), serialize.fmt(c * c)]
-        for k, c in enumerate(dec.coefficients)
-    ]
-    emit.write_text(
-        "coefficients.csv", serialize.csv_text(["k", "coefficient", "probability"], rows)
-    )
+    c = np.asarray(dec.coefficients, dtype=np.float64)
+    header = ["k", "coefficient", "probability"]
+    emit.write_text("coefficients.csv", serialize.csv_text(header, range(c.size), c, c * c))
 
 
 def _run_master(emit: _Emitter, p0: np.ndarray, rates: RateMatrix, times: list[float]) -> None:
-    rows = []
-    for t in times:
+    table = np.zeros((len(times), rates.size))
+    for row, t in zip(table, times):
         p = pauli_master_evolve(p0, rates, t)
         _check(p.min() >= -1e-12, f"occupation {p.min()!r} below zero at t={t}")
         _check(abs(p.sum() - 1.0) <= 1e-10, f"occupations sum to {p.sum()!r} at t={t}")
-        rows.append([serialize.fmt(t)] + [serialize.fmt(x) for x in p])
+        row[:] = p
     header = ["t"] + [f"p{i}" for i in range(rates.size)]
-    emit.write_text("master.csv", serialize.csv_text(header, rows))
+    emit.write_text("master.csv", serialize.csv_text(header, times, *table.T))
 
 
 def _run_histories(emit: _Emitter, spec: HistorySpec) -> None:
     defect = consistency_defect(spec)
-    rows = []
+    names, probs, raws = [], [], []
     total = 0.0
     for hist in enumerate_histories(spec):
         p = history_probability(spec, hist)
-        raw = history_trace_single_sided(spec, hist)
         total += p
-        rows.append(
-            [
-                "|".join(str(h) for h in hist),
-                serialize.fmt(p),
-                serialize.fmt(raw.real),
-                serialize.fmt(raw.imag),
-                serialize.fmt(defect),
-            ]
-        )
+        names.append("|".join(str(h) for h in hist))
+        probs.append(p)
+        raws.append(history_trace_single_sided(spec, hist))
     _check(abs(total - 1.0) <= 1e-10, f"history probabilities sum to {total!r}")
-    emit.write_text(
-        "histories.csv",
-        serialize.csv_text(
-            ["history", "probability", "single_sided_real", "single_sided_imag", "consistency_defect"],
-            rows,
-        ),
-    )
+    raws = np.array(raws, dtype=np.complex128)
+    header = ["history", "probability", "single_sided_real", "single_sided_imag", "consistency_defect"]
+    text = serialize.csv_text(header, names, probs, raws.real, raws.imag, [defect] * len(names))
+    emit.write_text("histories.csv", text)
     emit.write_text(
         "summary.json",
         serialize.dumps({"total_probability": total, "consistency_defect": defect}),
@@ -883,25 +861,34 @@ def _run_histories(emit: _Emitter, spec: HistorySpec) -> None:
 
 
 def _run_graham(emit: _Emitter, born: list[float], eps: float, n_values: list[int]) -> None:
-    rows = []
-    for n in n_values:
-        val = graham_deviant_norm(born, n, eps)
-        rows.append([str(n), serialize.fmt(eps), serialize.fmt(val)])
-    emit.write_text("graham.csv", serialize.csv_text(["n", "epsilon", "deviant_norm"], rows))
+    norms = [graham_deviant_norm(born, n, eps) for n in n_values]
+    header = ["n", "epsilon", "deviant_norm"]
+    emit.write_text("graham.csv", serialize.csv_text(header, n_values, [eps] * len(n_values), norms))
+
+
+def _write_ledger(emit: _Emitter, rows) -> None:
+    """ledger.csv: each row's entropies in nats, then the first three in bits."""
+    nats = np.array(
+        [(r.s_ensemble, r.s_physical, r.information, r.s_physical_record_only) for r in rows],
+        dtype=np.float64,
+    )
+    header = ["step", "s_ensemble_nats", "s_physical_nats", "information_nats"]
+    header += ["s_physical_record_only_nats", "s_ensemble_bits", "s_physical_bits", "information_bits"]
+    bits = entropy_bits(nats[:, :3])
+    emit.write_text("ledger.csv", serialize.csv_text(header, [r.step for r in rows], *nats.T, *bits.T))
 
 
 def _run_ledger_classical(emit: _Emitter, p: np.ndarray) -> None:
-    emit.write_text("ledger.csv", ledger_csv_text(classical_ledger(p)))
+    _write_ledger(emit, classical_ledger(p))
 
 
 def _run_ledger_quantum(emit: _Emitter, system: StateVector) -> None:
-    emit.write_text("ledger.csv", ledger_csv_text(quantum_collapse_ledger(system.amplitudes)))
+    _write_ledger(emit, quantum_collapse_ledger(system.amplitudes))
 
 
 def _run_ledger_branching(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
     env_dim = model.env_decohere.space.total_dim
-    rows = branching_ledger(system.amplitudes, env_dim=env_dim)
-    emit.write_text("ledger.csv", ledger_csv_text(rows))
+    _write_ledger(emit, branching_ledger(system.amplitudes, env_dim=env_dim))
 
 
 _HANDLERS = {
@@ -924,21 +911,28 @@ def _read_scenario(path: str, seed: int | None, out):
     """(exit code, parsed scenario, raw bytes); diagnostics are printed to ``out``."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            # A longer regular file is refused below without being read.
+            raw = fh.read() if os.fstat(fh.fileno()).st_size <= MAX_SCENARIO_BYTES else None
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_IO, None, None
     parsed = None
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError:
-        diags = ["schema: not valid UTF-8"]
-    except json.JSONDecodeError as exc:
-        diags = [f"schema: not valid JSON: {exc}"]
-    except RecursionError:
-        diags = ["schema: JSON nested too deeply"]
+    if raw is None or len(raw) > MAX_SCENARIO_BYTES:
+        diags = [
+            f"scenario: file over {MAX_SCENARIO_BYTES} bytes, whose decoding may take "
+            f"{DECODE_BYTES_PER_BYTE} bytes per byte, over the {MAX_DENSE_BYTES >> 30} GiB cap"
+        ]
     else:
-        diags, parsed = _parse_document(doc, seed)
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            diags = ["schema: not valid UTF-8"]
+        except json.JSONDecodeError as exc:
+            diags = [f"schema: not valid JSON: {exc}"]
+        except RecursionError:
+            diags = ["schema: JSON nested too deeply"]
+        else:
+            diags, parsed = _parse_document(doc, seed)
     for d in diags:
         print(d, file=out)
     return (EXIT_SCHEMA if diags else EXIT_OK), parsed, raw

@@ -34,7 +34,6 @@ from .hilbert import (
 class Hamiltonian:
     space: TensorSpace
     matrix: np.ndarray
-    note: str | None = None
 
     def __post_init__(self):
         mat = _check_hermitian(self.matrix, self.space.total_dim, "Hamiltonian")

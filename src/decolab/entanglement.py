@@ -148,13 +148,12 @@ def decoherence_factor(rho: DensityOperator, basis) -> tuple[np.ndarray, np.ndar
 
 def entropy_series_text(times, rhos) -> str:
     """CSV of (t, linear_entropy, ensemble_entropy_nats, ensemble_entropy_bits)."""
-    rows = []
-    for t, rho in zip(times, rhos):
-        s = ensemble_entropy(rho)
-        rows.append(
-            [serialize.fmt(t), serialize.fmt(linear_entropy(rho)),
-             serialize.fmt(s), serialize.fmt(entropy_bits(s))]
-        )
+    rhos = list(rhos)
+    nats = np.array([ensemble_entropy(rho) for rho in rhos], dtype=np.float64)
     return serialize.csv_text(
-        ["t", "linear_entropy", "ensemble_entropy_nats", "ensemble_entropy_bits"], rows
+        ["t", "linear_entropy", "ensemble_entropy_nats", "ensemble_entropy_bits"],
+        np.asarray(times, dtype=np.float64),
+        [linear_entropy(rho) for rho in rhos],
+        nats,
+        entropy_bits(nats),
     )

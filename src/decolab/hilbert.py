@@ -22,12 +22,6 @@ from . import serialize
 from .errors import SpaceMismatchError, ValidationError, VALIDITY_ATOL
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class TensorSpace:
     """Ordered collection of labeled finite-dimensional subsystems."""
@@ -210,21 +204,15 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator, optionally carrying its defining eigensystem."""
+    """Hermitian operator on a tensor space."""
 
     space: TensorSpace
     matrix: np.ndarray
-    basis: tuple[StateVector, ...] | None = None
-    scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
         mat = _check_hermitian(self.matrix, self.space.total_dim, "observable")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def identity(cls, space: TensorSpace) -> Observable:
-        return cls(space, np.eye(space.total_dim, dtype=np.complex128))
 
 
 def _check_hermitian(mat, dim: int, what: str) -> np.ndarray:
@@ -306,7 +294,7 @@ def build_observable(basis: Sequence[StateVector], scale: Sequence[float]) -> Ob
     mat = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
     for vec, a in zip(basis, scale):
         mat += float(a) * np.outer(vec.amplitudes, vec.amplitudes.conj())
-    return Observable(space, mat, basis=tuple(basis), scale=tuple(float(a) for a in scale))
+    return Observable(space, mat)
 
 
 def expectation(observable: Observable, state) -> float:

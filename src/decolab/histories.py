@@ -30,7 +30,6 @@ class ProjectorSet:
 
     space: TensorSpace
     projectors: tuple[np.ndarray, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         d = self.space.total_dim
@@ -46,13 +45,7 @@ class ProjectorSet:
         total = sum(mats)
         if np.abs(total - np.eye(d)).max() > VALIDITY_ATOL:
             raise ValidationError("projectors do not resolve the identity")
-        labels = self.labels
-        if labels is None:
-            labels = tuple(str(i) for i in range(len(mats)))
-        if len(labels) != len(mats):
-            raise ValidationError("one label per projector required")
         object.__setattr__(self, "projectors", tuple(mats))
-        object.__setattr__(self, "labels", tuple(str(l) for l in labels))
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -61,13 +54,12 @@ class ProjectorSet:
         return self.projectors[i]
 
     @classmethod
-    def from_basis(cls, basis: Sequence[StateVector], labels=None) -> ProjectorSet:
+    def from_basis(cls, basis: Sequence[StateVector]) -> ProjectorSet:
         space = basis[0].space
-        mats = tuple(np.outer(b.amplitudes, b.amplitudes.conj()) for b in basis)
-        return cls(space, mats, labels=tuple(labels) if labels is not None else None)
+        return cls(space, tuple(np.outer(b.amplitudes, b.amplitudes.conj()) for b in basis))
 
     @classmethod
-    def from_index_blocks(cls, space: TensorSpace, blocks, labels=None) -> ProjectorSet:
+    def from_index_blocks(cls, space: TensorSpace, blocks) -> ProjectorSet:
         d = space.total_dim
         mats = []
         for block in blocks:
@@ -75,7 +67,7 @@ class ProjectorSet:
             for i in block:
                 p[int(i), int(i)] = 1.0
             mats.append(p)
-        return cls(space, tuple(mats), labels=tuple(labels) if labels is not None else None)
+        return cls(space, tuple(mats))
 
 
 def decohere_projectors(rho: DensityOperator, pset: ProjectorSet) -> DensityOperator:

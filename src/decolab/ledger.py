@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
-from .entanglement import SCHMIDT_CUTOFF, ensemble_entropy, entropy_bits, shannon_entropy
+from .entanglement import SCHMIDT_CUTOFF, ensemble_entropy, shannon_entropy
 from .errors import MIN_BRANCH_PROBABILITY, ValidationError
 from .hilbert import StateVector, TensorSpace, computational_basis, partial_trace, tensor
 from .measurement import ApparatusModel, BranchingModel, branch_and_recohere, premeasure
@@ -51,34 +50,6 @@ class LedgerRow:
             )
         if self.information < -1e-12:
             raise ValidationError(f"step {self.step!r}: negative information")
-
-    def as_csv_row(self) -> list[str]:
-        return [
-            self.step,
-            serialize.fmt(self.s_ensemble),
-            serialize.fmt(self.s_physical),
-            serialize.fmt(self.information),
-            serialize.fmt(self.s_physical_record_only),
-            serialize.fmt(entropy_bits(self.s_ensemble)),
-            serialize.fmt(entropy_bits(self.s_physical)),
-            serialize.fmt(entropy_bits(self.information)),
-        ]
-
-
-LEDGER_CSV_HEADER = [
-    "step",
-    "s_ensemble_nats",
-    "s_physical_nats",
-    "information_nats",
-    "s_physical_record_only_nats",
-    "s_ensemble_bits",
-    "s_physical_bits",
-    "information_bits",
-]
-
-
-def ledger_csv_text(rows) -> str:
-    return serialize.csv_text(LEDGER_CSV_HEADER, [r.as_csv_row() for r in rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,20 +214,20 @@ def classical_ledger(p_system) -> list[LedgerRow]:
     return rows
 
 
-def _marginal_entropy_sum(state: StateVector, labels) -> float:
-    """Sum of the marginal entropies of the labelled registers.
+def _marginal_entropies(state: StateVector, labels) -> list[float]:
+    """The marginal entropy of each labelled register, in order.
 
     A pure global state's marginal spectrum is its squared Schmidt
     coefficients (singular values above SCHMIDT_CUTOFF), so a product state
     gives exactly 0 instead of eigenvalue round-off.
     """
     amps = state.amplitudes.reshape(state.space.dims)
-    total = 0
+    out = []
     for axis in map(state.space.axis, labels):
         s = np.linalg.svd(np.moveaxis(amps, axis, 0).reshape(amps.shape[axis], -1), compute_uv=False)
         p = s[s > SCHMIDT_CUTOFF] ** 2
-        total += shannon_entropy(p / p.sum())
-    return float(total)
+        out.append(shannon_entropy(p / p.sum()))
+    return out
 
 
 def _validated_amplitudes(c) -> np.ndarray:
@@ -330,10 +301,5 @@ def _pure_row(name: str, state: StateVector, labels) -> LedgerRow:
     is pure, so the ensemble entropy is exactly 0 and no information fires."""
     if not state.is_normalized():
         raise ValidationError(f"step {name!r}: global state lost its normalization")
-    return LedgerRow(
-        name,
-        0.0,
-        _marginal_entropy_sum(state, labels),
-        0.0,
-        _marginal_entropy_sum(state, labels[1:]),
-    )
+    entropies = _marginal_entropies(state, labels)
+    return LedgerRow(name, 0.0, float(sum(entropies)), 0.0, float(sum(entropies[1:])))

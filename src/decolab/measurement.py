@@ -10,12 +10,12 @@ which registers are later ignored.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import serialize
 from .errors import SpaceMismatchError, ValidationError, VALIDITY_ATOL
 from .hilbert import (
     StateVector,
@@ -89,7 +89,6 @@ class ApparatusModel:
     space: TensorSpace
     pointer_ready: StateVector
     pointer_states: tuple[StateVector, ...]
-    overlap_matrix: np.ndarray = None
 
     def __post_init__(self):
         if self.pointer_ready.space != self.space:
@@ -101,13 +100,17 @@ class ApparatusModel:
                 raise SpaceMismatchError("pointer state lives off the device space")
             if not p.is_normalized():
                 raise ValidationError("pointer state is not normalized")
+
+    @functools.cached_property
+    def overlap_matrix(self) -> np.ndarray:
+        """<pointer_i|pointer_j> for every pair of pointer states."""
         n = len(self.pointer_states)
         ov = np.empty((n, n), dtype=np.complex128)
         for i, a in enumerate(self.pointer_states):
             for j, b in enumerate(self.pointer_states):
                 ov[i, j] = a.inner(b)
         ov.setflags(write=False)
-        object.__setattr__(self, "overlap_matrix", ov)
+        return ov
 
     @property
     def n_outcomes(self) -> int:
@@ -141,11 +144,10 @@ class ApparatusModel:
         )
 
     def shift_unitaries(self) -> list[np.ndarray]:
-        """One unitary per outcome, carrying the ready state to that pointer."""
-        return [
-            _transport_unitary([self.pointer_ready.amplitudes], [p.amplitudes])
-            for p in self.pointer_states
-        ]
+        """One unitary per outcome, carrying the ready state to that pointer:
+        the pointer's completed basis times the adjoint of the ready state's."""
+        ready = _complete_orthonormal([self.pointer_ready.amplitudes]).conj().T
+        return [_complete_orthonormal([p.amplitudes]) @ ready for p in self.pointer_states]
 
 
 def _checked_shifts(
@@ -451,13 +453,3 @@ def branch_and_recohere(
     s3 = StateVector(full, apply_local(s2.amplitudes, model.reset_unitary(), reset, full))
     return s1, s2, s3
 
-
-def chain_csv_text(rows) -> str:
-    """CSV of (step, off_diagonal, system_linear_entropy, global_purity)."""
-    return serialize.csv_text(
-        ["step", "off_diagonal", "system_linear_entropy", "global_purity"],
-        [
-            [str(int(step)), serialize.fmt(off), serialize.fmt(slin), serialize.fmt(pur)]
-            for step, off, slin, pur in rows
-        ],
-    )

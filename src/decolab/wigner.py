@@ -300,23 +300,15 @@ def wigner_csv_chunks(w: WignerGrid):
     """Long-format (q, p, w) table, q outer loop: the header, then one chunk
     of text per q column.
 
-    Each column fills one ``%.17g`` line template that already holds the q
-    and p texts; ``"%.17g" % x`` prints the same digits as
-    :func:`serialize.fmt`.
+    Each column fills one line template that already holds the q and p
+    texts, with :data:`serialize.FLOAT_FIELD` for w, so q and p are
+    formatted once each rather than once per line.
     """
-    p_lines = [f",{serialize.fmt(p)},%.17g\n" for p in w.p_grid.tolist()]
+    p_lines = [f",{serialize.fmt(p)},{serialize.FLOAT_FIELD}\n" for p in w.p_grid.tolist()]
     yield "q,p,w\n"
     for q, column in zip(w.q_grid.tolist(), w.values.T):
         q_text = serialize.fmt(q)
         yield (q_text + q_text.join(p_lines)) % tuple(column.tolist())
-
-
-def marginals_csv_text(w: WignerGrid) -> str:
-    pos, mom = marginals(w)
-    table = np.column_stack((w.q_grid, pos, w.p_grid, mom))
-    return "q,position_density,p,momentum_density\n" + (
-        "%.17g,%.17g,%.17g,%.17g\n" * w.n_points
-    ) % tuple(table.ravel().tolist())
 
 
 def wigner_binary(w: WignerGrid) -> tuple[bytes, str]:

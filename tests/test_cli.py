@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -69,6 +70,33 @@ def test_pairs_match_the_per_element_loop_text():
     assert serialize.dumps(serialize.matrix_pairs(z.T)) == serialize.dumps([list(c) for c in zip(*loop)])
     assert serialize.dumps(serialize.complex_pairs(z[:, 3])) == serialize.dumps([r[3] for r in loop])
     assert serialize.dumps(serialize.complex_pairs(z)) == serialize.dumps([p for r in loop for p in r])
+
+
+def test_csv_text_picks_each_field_from_the_column_dtype():
+    floats = np.array([-0.0, 1e-300, 2.0])
+    text = serialize.csv_text(
+        ["k", "x", "y", "name"],
+        np.arange(3, dtype=np.int32),
+        floats,
+        floats.astype(np.float32),
+        ["a", "b|c", ""],
+    )
+    lines = ["k,x,y,name"] + [
+        ",".join([str(k), serialize.fmt(x), serialize.fmt(np.float32(x)), name])
+        for k, x, name in zip(range(3), floats, ["a", "b|c", ""])
+    ]
+    assert text == "\n".join(lines) + "\n"
+    assert text.split("\n")[1:4] == ["0,-0,-0,a", "1,1e-300,0,b|c", "2,2,2,"]
+    assert serialize.csv_text(["n"], np.array([2**63 - 1], dtype=np.uint64)) == "n\n9223372036854775807\n"
+    # zero rows: the header alone, for every field kind
+    assert serialize.csv_text(["k", "x", "name"], np.arange(0), np.zeros(0), np.array([], dtype=str)) == "k,x,name\n"
+    for bad in (np.array([1j]), np.array([True]), np.array([None]), np.array(["2020"], dtype="datetime64[D]")):
+        with pytest.raises(TypeError, match="unsupported dtype"):
+            serialize.csv_text(["v"], bad)
+    with pytest.raises(ValueError, match="equal lengths"):
+        serialize.csv_text(["a", "b"], [1, 2], [1.0])
+    with pytest.raises(ValueError, match="header fields"):
+        serialize.csv_text(["a", "b"], [1, 2])
 
 
 # ---- validate ----
@@ -275,12 +303,11 @@ def _reference_collapse_mc(psi, trials, limit, seed):
         if i < limit:
             records.append(rec.to_json_obj())
     born = np.abs(psi.amplitudes) ** 2
-    rows = [
-        [str(i), serialize.fmt(born[i]), str(int(counts[i])), serialize.fmt(counts[i] / trials)]
+    lines = ["outcome,born_probability,count,frequency"] + [
+        ",".join([str(i), serialize.fmt(born[i]), str(int(counts[i])), serialize.fmt(counts[i] / trials)])
         for i in range(len(basis))
     ]
-    header = ["outcome", "born_probability", "count", "frequency"]
-    return serialize.csv_text(header, rows), serialize.dumps(records)
+    return "\n".join(lines) + "\n", serialize.dumps(records)
 
 
 def test_collapse_mc_matches_one_collapse_per_trial(tmp_path):
@@ -599,6 +626,57 @@ def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):
     path = _write(tmp_path, "c.json", doc)
     assert cli.run(path, out_dir=str(tmp_path / "o")) == 0
     assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_decode_factor_bounds_the_measured_peak():
+    # [re, im] pairs, bare reals, lists of empty lists and nested empty lists
+    for item in ("[0.5,-0.25]", "[0.0,0.0]", "0.0", "0.12345678901234567", "[]", "[" * 50 + "]" * 50):
+        raw = json.dumps(_scenario("collapse_mc", {"trials": 1})).encode()
+        raw = raw.replace(b'"trials"', b'"amplitudes": [' + ",".join([item] * (100_000 // len(item))).encode() + b'], "trials"')
+        tracemalloc.start()
+        try:
+            json.loads(raw.decode("utf-8"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cli.DECODE_BYTES_PER_BYTE * len(raw), (item, peak / len(raw))
+
+
+def test_scenario_file_size_is_bounded_before_decoding(tmp_path, capsys):
+    doc = json.dumps(_scenario("ledger_classical", {"p": [0.5, 0.5]}))
+    path = tmp_path / "pad.json"
+    path.write_text(doc + " " * (cli.MAX_SCENARIO_BYTES - len(doc)))
+    assert cli.validate(str(path)) == 0
+    # one byte more, as [re, im] pairs: refused before any decoding
+    pair = "[0.0, 0.0], "
+    head = '{"schema": "decolab/scenario/v1", "kind": "collapse_mc", "params": {"trials": 1, "amplitudes": ['
+    tail = "[1.0, 0.0]]}}"
+    count, rest = divmod(cli.MAX_SCENARIO_BYTES + 1 - len(head) - len(tail), len(pair))
+    path.write_text(head + " " * rest + pair * count + tail)
+    assert path.stat().st_size == cli.MAX_SCENARIO_BYTES + 1
+    start = time.perf_counter()
+    _both_reject(str(path), tmp_path / "out", capsys, "scenario: file over")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_scenario_from_a_pipe_is_bounded_before_decoding(tmp_path, capsys):
+    # a pipe has no size to check before reading: the length read is checked
+    fifo = str(tmp_path / "pipe.json")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(b" " * (cli.MAX_SCENARIO_BYTES + 1))
+
+    for command in (lambda: cli.validate(fifo), lambda: cli.run(fifo, out_dir=str(tmp_path / "o"))):
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        assert command() == 2
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        out, err = capsys.readouterr()
+        assert "scenario: file over" in out + err
 
 
 def test_deeply_nested_json_is_a_schema_violation(tmp_path, capsys):

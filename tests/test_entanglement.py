@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decolab import serialize
 from decolab.entanglement import (
     decoherence_factor,
     ensemble_entropy,
@@ -127,8 +128,13 @@ def test_entropy_series_csv():
         DensityOperator.maximally_mixed(sp),
         StateVector(sp, np.array([1.0, 0.0], dtype=complex)).density(),
     ]
-    lines = entropy_series_text([0.0, 1.0], rhos).strip().split("\n")
+    text = entropy_series_text([0.0, 1.0], rhos)
+    lines = text.strip().split("\n")
     assert lines[0] == "t,linear_entropy,ensemble_entropy_nats,ensemble_entropy_bits"
+    # the per-value route: serialize.fmt on each field
+    for t, rho, line in zip([0.0, 1.0], rhos, lines[1:]):
+        s = ensemble_entropy(rho)
+        assert line == ",".join(map(serialize.fmt, (t, linear_entropy(rho), s, entropy_bits(s))))
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(0.5)

@@ -1,13 +1,14 @@
 """Entropy bookkeeping for classical, collapse, and branching measurements."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from decolab.dynamics import luders_project
-from decolab.entanglement import ensemble_entropy, shannon_entropy
-from decolab import ledger
+from decolab.entanglement import ensemble_entropy, entropy_bits, shannon_entropy
+from decolab import cli, ledger, serialize
 from decolab.errors import CROSS_ATOL, MIN_BRANCH_PROBABILITY, ValidationError
 from decolab.hilbert import (
     StateVector,
@@ -26,7 +27,6 @@ from decolab.ledger import (
     classical_ledger,
     copy_to_memory,
     initial_classical_joint,
-    ledger_csv_text,
     quantum_collapse_ledger,
     reset_memory,
 )
@@ -259,14 +259,13 @@ def test_marginal_entropy_sum_reads_the_schmidt_spectra():
     product = tensor(tensor(parts[0], parts[1]), parts[2])
     # a rotated product state: the singular values beyond the first are
     # round-off, below SCHMIDT_CUTOFF, so the sum is an exact 0
-    assert ledger._marginal_entropy_sum(product, ["a", "b", "c"]) == 0.0
+    assert ledger._marginal_entropies(product, ["a", "b", "c"]) == [0.0, 0.0, 0.0]
     amps = rng.normal(size=60) + 1j * rng.normal(size=60)
     psi = StateVector(product.space, amps / np.linalg.norm(amps))
-    want = sum(
-        shannon_entropy(np.clip(partial_trace(psi, label).eigenvalues(), 0.0, None))
-        for label in ("a", "c")
-    )
-    assert abs(ledger._marginal_entropy_sum(psi, ["a", "c"]) - want) < CROSS_ATOL
+    got = ledger._marginal_entropies(psi, ["a", "c"])
+    for label, s in zip(("a", "c"), got):
+        want = shannon_entropy(np.clip(partial_trace(psi, label).eigenvalues(), 0.0, None))
+        assert abs(s - want) < CROSS_ATOL
 
 
 def test_quantum_ledger_pure_rows_have_exactly_zero_ensemble_entropy():
@@ -305,12 +304,34 @@ def test_branching_ledger_rejects_small_environment():
 # ---- CSV emitter ----
 
 
-def test_ledger_csv():
-    rows = classical_ledger(np.array([0.5, 0.5]))
-    lines = ledger_csv_text(rows).strip().split("\n")
+def _reference_ledger_csv(rows):
+    """The per-value route: serialize.fmt on each field, the bits per value."""
+    lines = [
+        "step,s_ensemble_nats,s_physical_nats,information_nats,s_physical_record_only_nats,"
+        "s_ensemble_bits,s_physical_bits,information_bits"
+    ]
+    for r in rows:
+        nats = (r.s_ensemble, r.s_physical, r.information, r.s_physical_record_only)
+        bits = (entropy_bits(r.s_ensemble), entropy_bits(r.s_physical), entropy_bits(r.information))
+        lines.append(",".join([r.step] + [serialize.fmt(x) for x in nats + bits]))
+    return "\n".join(lines) + "\n"
+
+
+def test_ledger_csv(tmp_path):
+    amps = [0.6, [0.0, 0.48], [0.64, 0.0]]
+    for i, (kind, params, rows) in enumerate((
+        ("ledger_classical", {"p": [0.5, 0.5]}, classical_ledger(np.array([0.5, 0.5]))),
+        ("ledger_classical", {"p": [0.2, 0.0, 0.8]}, classical_ledger(np.array([0.2, 0.0, 0.8]))),
+        ("ledger_quantum", {"amplitudes": amps}, quantum_collapse_ledger(np.array([0.6, 0.48j, 0.64]))),
+        ("ledger_branching", {"amplitudes": amps, "env_dim": 5},
+         branching_ledger(np.array([0.6, 0.48j, 0.64]), env_dim=5)),
+    )):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": kind, "params": params}))
+        assert cli.run(str(path), out_dir=str(tmp_path / str(i))) == 0
+        assert (tmp_path / str(i) / "ledger.csv").read_text() == _reference_ledger_csv(rows)
+    lines = (tmp_path / "0" / "ledger.csv").read_text().strip().split("\n")
     header = lines[0].split(",")
-    assert header[0] == "step"
-    assert "s_ensemble_nats" in header and "s_ensemble_bits" in header
     assert len(lines) == 5
     first = dict(zip(header, lines[1].split(",")))
     assert float(first["s_ensemble_bits"]) == pytest.approx(1.0)

@@ -1,8 +1,11 @@
 """Pre-measurement unitaries, observation chains, branch/recohere cycle."""
 
+import json
+
 import numpy as np
 import pytest
 
+from decolab import cli, serialize
 from decolab.entanglement import decoherence_factor, linear_entropy
 from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, ValidationError
 from decolab.hilbert import (
@@ -21,8 +24,8 @@ from decolab.measurement import (
     ChainSpec,
     _complete_orthonormal,
     _controlled_shift,
+    _transport_unitary,
     branch_and_recohere,
-    chain_csv_text,
     chain_propagate,
     measurement_unitary,
     premeasure,
@@ -44,6 +47,20 @@ def test_record_states_overlap_matrix():
             assert np.vdot(vecs[i], vecs[i]).real == pytest.approx(1.0)
             for j in range(i + 1, 3):
                 assert np.vdot(vecs[i], vecs[j]) == pytest.approx(g, abs=1e-12)
+
+
+def test_apparatus_overlaps_and_shifts_are_computed_on_demand():
+    app = ApparatusModel.with_overlap("r", 3, 0.4, dim=6)
+    assert "overlap_matrix" not in vars(app)
+    want = [[a.inner(b) for b in app.pointer_states] for a in app.pointer_states]
+    assert np.array_equal(app.overlap_matrix, np.array(want))
+    assert app.overlap_matrix is app.overlap_matrix
+    # one completion of the ready state serves every shift, bit for bit
+    ready = app.pointer_ready.amplitudes
+    for v_n, p in zip(app.shift_unitaries(), app.pointer_states):
+        assert np.array_equal(v_n, _transport_unitary([ready], [p.amplitudes]))
+    with pytest.raises(TypeError):
+        ApparatusModel(app.space, app.pointer_ready, app.pointer_states, np.eye(3))
 
 
 def test_record_states_reject_impossible_overlap():
@@ -384,8 +401,19 @@ def test_complete_orthonormal_keeps_seeds_and_is_unitary():
         _complete_orthonormal([seeds[0], seeds[0]])
 
 
-def test_chain_csv_emitter():
-    text = chain_csv_text([(1, 0.25, 0.375, 1.0), (2, 0.125, 0.46875, 1.0)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,off_diagonal,system_linear_entropy,global_purity"
-    assert lines[1].startswith("1,0.25")
+def test_chain_csv_emitter(tmp_path):
+    params = {"amplitudes": [0.6, [0.0, 0.48], [0.64, 0.0]], "links": 3, "overlaps": [0.0, 0.3, -0.2]}
+    doc = {"schema": "decolab/scenario/v1", "kind": "chain", "params": params}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
+    # the per-value reference: serialize.fmt on each field of each step
+    system, spec = cli._parse_document(doc)[1][2]
+    states = chain_propagate(spec, system)
+    lines = ["step,off_diagonal,system_linear_entropy,global_purity"]
+    for step in (1, 2, 3):
+        rho = partial_trace(states[step], "system")
+        off, _pops = decoherence_factor(rho, spec.system_basis)
+        fields = (off.max(), linear_entropy(rho), states[step].norm() ** 4)
+        lines.append(",".join([str(step)] + [serialize.fmt(x) for x in fields]))
+    assert (tmp_path / "o" / "chain.csv").read_text() == "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from decolab import serialize
+from decolab import cli, serialize
 from decolab.errors import ValidationError
 from decolab.wigner import (
     GridState,
@@ -14,7 +14,6 @@ from decolab.wigner import (
     gaussian_packet_samples,
     grid_points,
     marginals,
-    marginals_csv_text,
     oscillator_state,
     pauli_kernel_value,
     two_packet_mixture,
@@ -159,14 +158,24 @@ def test_wigner_grid_validates_normalization():
         WignerGrid(w.q_min, w.q_max, w.n_points, 2.0 * w.values)
 
 
-def test_csv_and_binary_emitters():
+def _run_wigner(w, out_dir, monkeypatch):
+    """The runner's artifacts for the grid ``w``: its transform step returns ``w``."""
+    monkeypatch.setattr(cli, "wigner_transform", lambda state: w)
+    out_dir.mkdir()
+    cli._run_wigner(cli._Emitter(str(out_dir)), None)
+    return out_dir
+
+
+def test_csv_and_binary_emitters(tmp_path, monkeypatch):
     w = wigner_transform(oscillator_state(0, n_points=64))
-    lines = "".join(wigner_csv_chunks(w)).strip().split("\n")
+    out = _run_wigner(w, tmp_path / "o", monkeypatch)
+    lines = (out / "wigner.csv").read_text().strip().split("\n")
     assert lines[0] == "q,p,w"
     assert len(lines) == 1 + 64 * 64
 
-    header = marginals_csv_text(w).split("\n")[0]
-    assert header.startswith("q,position_density")
+    lines = (out / "marginals.csv").read_text().strip().split("\n")
+    assert lines[0] == "q,position_density,p,momentum_density"
+    assert len(lines) == 1 + 64
 
     raw, meta_text = wigner_binary(w)
     meta = json.loads(meta_text)
@@ -177,26 +186,26 @@ def test_csv_and_binary_emitters():
 
 
 def _reference_wigner_csv_text(w):
-    """The per-value route: serialize.fmt on every value, then csv_text."""
+    """The per-value route: serialize.fmt on every value, joined line by line."""
     ps = [serialize.fmt(pv) for pv in w.p_grid]
-    rows = []
+    lines = ["q,p,w"]
     for qv, column in zip(w.q_grid, w.values.T):
         q_text = serialize.fmt(qv)
         for p_text, value in zip(ps, column):
-            rows.append([q_text, p_text, serialize.fmt(value)])
-    return serialize.csv_text(["q", "p", "w"], rows)
+            lines.append(",".join([q_text, p_text, serialize.fmt(value)]))
+    return "\n".join(lines) + "\n"
 
 
 def _reference_marginals_csv_text(w):
     pos, mom = marginals(w)
-    rows = [
-        [serialize.fmt(x) for x in (w.q_grid[i], pos[i], w.p_grid[i], mom[i])]
+    lines = ["q,position_density,p,momentum_density"] + [
+        ",".join(serialize.fmt(x) for x in (w.q_grid[i], pos[i], w.p_grid[i], mom[i]))
         for i in range(w.n_points)
     ]
-    return serialize.csv_text(["q", "position_density", "p", "momentum_density"], rows)
+    return "\n".join(lines) + "\n"
 
 
-def test_csv_templates_match_the_per_value_route_byte_for_byte():
+def test_csv_templates_match_the_per_value_route_byte_for_byte(tmp_path, monkeypatch):
     grids = [
         wigner_transform(oscillator_state(3, n_points=64)),
         wigner_transform(two_packet_superposition(2.5, momentum=0.7, n_points=64)),
@@ -208,10 +217,11 @@ def test_csv_templates_match_the_per_value_route_byte_for_byte():
     values[1, 2] = 5e-324
     values[2, 1] = 4.0 / math.pi  # 1 / (dq dp) on a 4-point grid
     odd = WignerGrid(-12.0, 12.0, 4, values)
-    for w in grids + [odd]:
+    for i, w in enumerate(grids + [odd]):
         chunks = list(wigner_csv_chunks(w))
         assert len(chunks) == 1 + w.n_points
-        assert "".join(chunks) == _reference_wigner_csv_text(w)
-        assert marginals_csv_text(w) == _reference_marginals_csv_text(w)
+        out = _run_wigner(w, tmp_path / str(i), monkeypatch)
+        assert (out / "wigner.csv").read_text() == _reference_wigner_csv_text(w)
+        assert (out / "marginals.csv").read_text() == _reference_marginals_csv_text(w)
     text = "".join(wigner_csv_chunks(odd))
     assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text

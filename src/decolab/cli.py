@@ -8,7 +8,8 @@ Commands:
 
 Every artifact is a pure function of (scenario, seed): reruns are
 byte-identical.  Each artifact is written and hashed chunk by chunk as it is
-produced (wigner.csv one q column at a time), and manifest.json records its
+produced (wigner.csv one q column at a time, records.json one record at a
+time), and manifest.json records its
 sha256 and size.  Exit codes: 0 success, 2 schema violation, 3 numerical
 invariant violation during the run (or any other failure, reported in one
 line), 4 I/O failure.
@@ -47,8 +48,9 @@ joint space; charged are:
   the largest n, refused above 2 000 000 terms, and the integer and float
   arrays over them (2 x terms x m values), both filed under params.n_values
   or params.n;
-* wigner: GRID_TEMPORARIES grid-sized arrays of n_points^2 values, and
-  the text of wigner.csv, n_points^2 lines of at most 75 bytes, against
+* wigner: GRID_TEMPORARIES grid-sized arrays of n_points^2 values plus
+  the CSV_BLOCK_BYTES that printing a block of wigner.csv takes, and the
+  text of wigner.csv, n_points^2 lines of at most 75 bytes, against
   MAX_ARTIFACT_BYTES (1 GiB): 2048 points are accepted and 4096 refused,
   both filed under params.n_points;
 * collapse_mc: two values per trial for the draws, and the records' pre
@@ -105,6 +107,7 @@ from .measurement import (
     premeasure,
 )
 from .wigner import (
+    CSV_BLOCK_BYTES,
     marginals,
     oscillator_state,
     two_packet_mixture,
@@ -177,8 +180,8 @@ LOCAL_TEMPORARIES = 5
 # samples or a wavefunction's outer product, and at most four more in the
 # transform, such as the shear's two index arrays (half a complex array
 # each) with the gathered and masked samples, or the sheared samples, their
-# signed copy and the FFT output.  The CSV text is written one q column at
-# a time and takes no grid-sized array.
+# signed copy and the FFT output.  The CSV text takes no grid-sized array:
+# it is printed one block of q columns at a time, charged as CSV_BLOCK_BYTES.
 GRID_TEMPORARIES = 6
 
 
@@ -431,7 +434,8 @@ def _parse_wigner(params, seed, diags):
             f"params.n_points: wigner.csv would take up to {csv_bytes} bytes, "
             f"over the {MAX_ARTIFACT_BYTES >> 30} GiB artifact cap"
         )
-    if diags or not _fits(GRID_TEMPORARIES * n_points * n_points, "params.n_points", diags):
+    grid_values = GRID_TEMPORARIES * n_points * n_points + CSV_BLOCK_BYTES // 16
+    if diags or not _fits(grid_values, "params.n_points", diags):
         return None
     return (_build(diags, "params.state", factory, *args, *q_range, n_points),)
 
@@ -798,16 +802,16 @@ def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, 
     born = np.abs(psi.amplitudes) ** 2  # numpy array abs: may differ from probs in the last place
     header = ["outcome", "born_probability", "count", "frequency"]
     emit.write_text("collapse.csv", serialize.csv_text(header, range(n), born, counts, counts / trials))
-    records = [
+    records = (
         CollapseRecord(int(k), float(probs[k]), psi, basis_state(psi.space, k), seed + i).to_json_obj()
         for i, k in enumerate(outcomes[:limit])
-    ]
-    emit.write_text("records.json", serialize.dumps(records))
+    )
+    emit.write_chunks("records.json", serialize.dumps_list_chunks(records))
 
 
 def _run_wigner(emit: _Emitter, state) -> None:
     w = wigner_transform(state)
-    emit.write_chunks("wigner.csv", map(str.encode, wigner_csv_chunks(w)))
+    emit.write_chunks("wigner.csv", wigner_csv_chunks(w))
     data, meta = wigner_binary(w)
     emit.write_chunks("wigner.bin", (data,))
     emit.write_text("wigner.meta.json", meta)

@@ -152,6 +152,17 @@ def _shear_samples(rho: np.ndarray, n: int) -> np.ndarray:
     return t
 
 
+def _real_part(w: np.ndarray, route: str) -> np.ndarray:
+    """The real part of a route's complex surface, refused if any part of
+    it is not finite or its imaginary residue exceeds IMAG_RESIDUE_ATOL."""
+    if not np.isfinite(w).all():
+        raise ValidationError(f"non-finite value in the {route}")
+    residue = float(np.abs(w.imag).max())
+    if residue > IMAG_RESIDUE_ATOL:
+        raise ValidationError(f"imaginary residue {residue:.3e} in the {route}")
+    return w.real
+
+
 def wigner_transform(state: GridState) -> WignerGrid:
     """Fourier transform of the sheared density samples; exact trace pairing."""
     if state.boundary_magnitude() >= BOUNDARY_FLOOR:
@@ -163,10 +174,7 @@ def wigner_transform(state: GridState) -> WignerGrid:
     t = _shear_samples(rho, n)
     signs = np.where(_offset_indices(n) % 2 == 0, 1.0, -1.0)
     w_complex = (state.dq / math.pi) * n * np.fft.ifft(signs[:, None] * t, axis=0)
-    residue = float(np.abs(w_complex.imag).max())
-    if residue > IMAG_RESIDUE_ATOL:
-        raise ValidationError(f"imaginary residue {residue:.3e} in the transform")
-    return WignerGrid(state.q_min, state.q_max, n, w_complex.real)
+    return WignerGrid(state.q_min, state.q_max, n, _real_part(w_complex, "transform"))
 
 
 def marginals(w: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +236,7 @@ def wigner_via_kernel(state: GridState) -> np.ndarray:
     phases = np.exp(1j * 2.0 * dq * np.outer(p_vals, kk))
     kernel_scale = 1.0 / (2.0 * math.pi * dq)
     w = (phases @ t) * kernel_scale * 2.0 * dq * dq
-    residue = float(np.abs(w.imag).max())
-    if residue > IMAG_RESIDUE_ATOL:
-        raise ValidationError(f"imaginary residue {residue:.3e} in the kernel contraction")
-    return w.real
+    return _real_part(w, "kernel contraction")
 
 
 def oscillator_state(
@@ -296,19 +301,33 @@ def two_packet_mixture(
     return GridState(q_min, q_max, n_points, rho)
 
 
+# Values whose texts wigner_csv_chunks takes from serialize.float_texts at
+# once: whole q columns, as many as fit (one if a column is longer).
+_CSV_BLOCK_VALUES = 8192
+
+# Bytes float_texts holds while it prints one such block, rounded up from
+# the 467 per value measured (tracemalloc, 8192 values of a Wigner grid).
+CSV_BLOCK_BYTES = _CSV_BLOCK_VALUES * 480
+
+
 def wigner_csv_chunks(w: WignerGrid):
     """Long-format (q, p, w) table, q outer loop: the header, then one chunk
-    of text per q column.
+    of bytes per q column.
 
     Each column fills one line template that already holds the q and p
-    texts, with :data:`serialize.FLOAT_FIELD` for w, so q and p are
-    formatted once each rather than once per line.
+    texts, with ``%b`` for w, so q and p are printed once each rather than
+    once per line.  Every text comes from :func:`serialize.float_texts`,
+    the w texts a block of whole q columns at a time.
     """
-    p_lines = [f",{serialize.fmt(p)},{serialize.FLOAT_FIELD}\n" for p in w.p_grid.tolist()]
-    yield "q,p,w\n"
-    for q, column in zip(w.q_grid.tolist(), w.values.T):
-        q_text = serialize.fmt(q)
-        yield (q_text + q_text.join(p_lines)) % tuple(column.tolist())
+    n = w.n_points
+    p_lines = [b"," + p + b",%b\n" for p in serialize.float_texts(w.p_grid).tolist()]
+    q_texts = serialize.float_texts(w.q_grid).tolist()
+    yield b"q,p,w\n"
+    step = max(1, _CSV_BLOCK_VALUES // n)
+    for start in range(0, n, step):
+        texts = serialize.float_texts(w.values[:, start : start + step].T)
+        for q, column in zip(q_texts[start : start + step], texts):
+            yield (q + q.join(p_lines)) % tuple(column.tolist())
 
 
 def wigner_binary(w: WignerGrid) -> tuple[bytes, str]:

@@ -99,6 +99,85 @@ def test_csv_text_picks_each_field_from_the_column_dtype():
         serialize.csv_text(["a", "b"], [1, 2])
 
 
+# ---- float_texts: FLOAT_FIELD for whole arrays ----
+
+
+def _assert_float_texts(x):
+    x = np.asarray(x, dtype=np.float64)
+    got = serialize.float_texts(x)
+    assert got.dtype == np.dtype(f"S{serialize.MAX_FMT_LEN}") and got.shape == x.shape
+    want = [(serialize.FLOAT_FIELD % v).encode() for v in x.ravel().tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.ravel().tolist(), got.ravel().tolist(), want) if g != w]
+    assert not bad, bad[:5]
+
+
+def _tie_family(rng, size):
+    """Odd m in [2**51, 2**53) over 4, 8 and 16, of both signs: exact
+    quarters, eighths and sixteenths, many of them exact 17-digit ties."""
+    m = rng.integers(2**50, 2**52, size=size) * 2 + 1
+    return np.concatenate([s * m / div for div in (4, 8, 16) for s in (1, -1)])
+
+
+def test_float_texts_match_the_float_field_on_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    size = 10**6
+    fields = rng.integers(0, 2047, size=size, dtype=np.uint64)  # every finite exponent
+    bits = (rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)) | (fields << np.uint64(52))
+    bits |= rng.integers(0, 2**52, size=size, dtype=np.uint64)
+    assert np.unique(fields).size == 2047
+    for block in np.split(bits.view(np.float64), 10):  # 10**5 values: about 30 MB of kernel arrays
+        _assert_float_texts(block)
+
+
+def test_float_texts_match_the_float_field_on_ties_and_powers_of_ten():
+    rng = np.random.default_rng(21)
+    _assert_float_texts(_tie_family(rng, 20000))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_float_texts(np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens]))
+    edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 2.2250738585072014e-308,
+             1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 0.1, 1 / 3, 9007199254740993.0]
+    _assert_float_texts(edges)
+    # any shape, empty and zero-dimensional arrays included
+    _assert_float_texts(np.array(edges[:12]).reshape(3, 4))
+    _assert_float_texts(np.zeros(0))
+    _assert_float_texts(np.float64(-2.5))
+
+
+def test_float_texts_exact_route_matches_the_float_field(monkeypatch):
+    # every value rounded in Python integers, not only those near one half
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, size=5000, dtype=np.uint64).view(np.float64)
+    monkeypatch.setattr(serialize, "_FRACTION_ERROR", 2**64 - 1)
+    _assert_float_texts(np.concatenate([bits[np.isfinite(bits)], _tie_family(rng, 500), [5e-324, 1e23]]))
+
+
+def test_float_texts_fraction_word_is_within_its_error_bound():
+    # the table's scaled value is never above V and short of it by less
+    # than _FRACTION_ERROR units of the fraction word's last bit
+    rng = np.random.default_rng(23)
+    x = np.abs(rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64))
+    x = np.concatenate([x[np.isfinite(x) & (x > 0)], np.abs(_tie_family(rng, 100)), [5e-324, 1e22, 1e23]])
+    mantissa, e2 = np.frexp(x)
+    k = np.floor(np.log10(x)).astype(np.int64)
+    d, word = serialize._scaled((mantissa * 2.0**53).astype(np.uint64), e2, k)
+    for v, kv, dv, wv in zip(x.tolist(), k.tolist(), d.tolist(), word.tolist()):
+        num, den = v.as_integer_ratio()
+        exact = (num * 10 ** max(16 - kv, 0) << 64) // (den * 10 ** max(kv - 16, 0))
+        assert 0 <= exact - (dv << 64 | wv) < serialize._FRACTION_ERROR, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_float_texts_property(values):
+    _assert_float_texts(values)
+
+
+def test_float_texts_refuse_non_finite_values():
+    for bad in ([np.inf], [1.0, -np.inf], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            serialize.float_texts(np.array(bad))
+
+
 # ---- validate ----
 
 
@@ -327,6 +406,31 @@ def test_collapse_mc_matches_one_collapse_per_trial(tmp_path):
         csv_text, records_text = _reference_collapse_mc(psi, trials, limit, seed)
         assert (out / "collapse.csv").read_text() == csv_text
         assert (out / "records.json").read_text() == records_text
+
+
+def test_records_json_is_written_one_record_at_a_time(tmp_path):
+    amps = _random_amplitudes(3, seed=4)
+    for limit in (0, 1, 5):
+        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 7, "record_limit": limit}, seed=9)
+        out = tmp_path / f"r{limit}"
+        assert cli.run(_write(tmp_path, f"r{limit}.json", doc), out_dir=str(out)) == 0
+        psi = cli._parse_document(doc)[1][2][0]
+        records = [collapse(psi, computational_basis(psi.space), 9 + i).to_json_obj() for i in range(limit)]
+        assert (out / "records.json").read_bytes() == serialize.dumps(records).encode()
+    # 2000 amplitudes: ten records peak within one record's charge of one
+    # record, where the whole list held them all (17.8 MB against 1.9 MB)
+    amps = _random_amplitudes(2000)
+    peaks = []
+    for limit in (1, 10):
+        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 10, "record_limit": limit})
+        path = _write(tmp_path, f"big{limit}.json", doc)
+        tracemalloc.start()
+        try:
+            assert cli.run(path, out_dir=str(tmp_path / f"big{limit}")) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 * 2000 * cli.RECORD_AMPLITUDE_BYTES, peaks
 
 
 # ---- exit codes ----
@@ -566,6 +670,25 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert code == 0
         assert peak < 16 * sum(charged), (doc["kind"], peak, charged)
+
+
+def test_wigner_charge_covers_the_csv_text_blocks(tmp_path, monkeypatch):
+    # grids of up to 128 points print their whole wigner.csv in one or two
+    # blocks of float texts, each larger than the grid's own arrays
+    charged = []
+    real = cli._fits
+    monkeypatch.setattr(cli, "_fits", lambda entries, field, diags: charged.append(entries) or real(entries, field, diags))
+    for n in (8, 32, 64, 128):
+        charged.clear()
+        path = _write(tmp_path, f"{n}.json", _wigner("mixture", n))
+        tracemalloc.start()
+        try:
+            code = cli.run(path, out_dir=str(tmp_path / str(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * sum(charged), (n, peak, charged)
 
 
 def test_wigner_text_is_bounded_in_the_parse(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from decolab import cli, serialize
+from decolab import cli, serialize, wigner
 from decolab.errors import ValidationError
 from decolab.wigner import (
     GridState,
@@ -152,6 +152,50 @@ def test_kernel_value_delta_structure():
     assert pauli_kernel_value(state, 0.0, dq, dq, -dq) == 0.0
 
 
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_a_nan_in_the_transform_exits_3_before_any_csv(tmp_path, capsys, monkeypatch, part):
+    ifft = np.fft.ifft
+
+    def nan_ifft(a, axis):
+        out = ifft(a, axis=axis)
+        getattr(out, part)[3, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", nan_ifft)
+    doc = {"schema": "decolab/scenario/v1", "kind": "wigner", "seed": 0,
+           "params": {"state": {"kind": "oscillator", "n": 1}, "n_points": 64}}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 3
+    assert "non-finite value in the transform" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "wigner.csv").exists()
+
+
+def test_both_routes_refuse_a_non_finite_value_in_either_part():
+    # scaling spreads a NaN from the real part into the imaginary one, so
+    # the check is also taken on surfaces where only one part is non-finite
+    for part in ("real", "imag"):
+        for bad in (np.nan, np.inf):
+            w = np.zeros((4, 4), dtype=np.complex128)
+            getattr(w, part)[1, 2] = bad
+            with pytest.raises(ValidationError, match="non-finite value in the transform"):
+                wigner._real_part(w, "transform")
+
+
+def test_a_nan_in_the_kernel_contraction_is_refused(monkeypatch):
+    outer = np.outer
+
+    def nan_outer(a, b):
+        out = outer(a, b)
+        out[2, 7] = np.nan
+        return out
+
+    state = two_packet_mixture(2.5, n_points=64)  # density samples: no outer product of psi
+    monkeypatch.setattr(np, "outer", nan_outer)
+    with pytest.raises(ValidationError, match="non-finite value in the kernel contraction"):
+        wigner_via_kernel(state)
+
+
 def test_wigner_grid_validates_normalization():
     w = wigner_transform(oscillator_state(0))
     with pytest.raises(ValidationError):
@@ -220,8 +264,12 @@ def test_csv_templates_match_the_per_value_route_byte_for_byte(tmp_path, monkeyp
     for i, w in enumerate(grids + [odd]):
         chunks = list(wigner_csv_chunks(w))
         assert len(chunks) == 1 + w.n_points
+        assert b"".join(chunks).decode() == _reference_wigner_csv_text(w)
         out = _run_wigner(w, tmp_path / str(i), monkeypatch)
         assert (out / "wigner.csv").read_text() == _reference_wigner_csv_text(w)
         assert (out / "marginals.csv").read_text() == _reference_marginals_csv_text(w)
-    text = "".join(wigner_csv_chunks(odd))
+    text = b"".join(wigner_csv_chunks(odd)).decode()
     assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text
+    # blocks of one q column each, as for grids longer than a block
+    monkeypatch.setattr(wigner, "_CSV_BLOCK_VALUES", 1)
+    assert b"".join(wigner_csv_chunks(grids[0])).decode() == _reference_wigner_csv_text(grids[0])

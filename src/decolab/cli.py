@@ -53,10 +53,11 @@ joint space; charged are:
   text of wigner.csv, n_points^2 lines of at most 75 bytes, against
   MAX_ARTIFACT_BYTES (1 GiB): 2048 points are accepted and 4096 refused,
   both filed under params.n_points;
-* collapse_mc: two values per trial for the draws, and the records' pre
-  and post states plus one more amplitude per outcome, at
-  RECORD_AMPLITUDE_BYTES each, filed under params.record_limit; more than
-  MAX_TRIALS trials are refused under params.trials;
+* collapse_mc: one value per trial for its outcome, one block of the seed
+  replay at REPLAY_SEED_BYTES per seed, and one record's pre and post states
+  (records.json is written one record at a time) plus one more amplitude per
+  outcome, at RECORD_AMPLITUDE_BYTES each, filed under params.amplitudes;
+  more than MAX_TRIALS trials are refused under params.trials;
 * a histories dim above 406 (its projector family holds dim^3 values), a
   Schmidt state above 2^26 amplitudes, or a graham n of 2^26 or more.
 """
@@ -72,7 +73,7 @@ import sys
 import numpy as np
 
 from . import __version__, serialize
-from .dynamics import CollapseRecord, Hamiltonian, born_weights, sample_outcomes
+from .dynamics import _REPLAY_BLOCK, CollapseRecord, Hamiltonian, born_weights, sample_outcomes
 from .entanglement import decoherence_factor, entropy_bits, linear_entropy, schmidt_decompose
 from .errors import DecolabError, SpaceMismatchError, ValidationError
 from .hilbert import (
@@ -155,13 +156,19 @@ MAX_ARTIFACT_BYTES = 1 << 30
 DECODE_BYTES_PER_BYTE = 48
 MAX_SCENARIO_BYTES = MAX_DENSE_BYTES // DECODE_BYTES_PER_BYTE
 
-# collapse_mc trials one scenario may ask for: each seeds its own generator,
-# about 20 s of them at the cap (18 µs each on 2 CPUs, numpy 2.4.6).
+# collapse_mc trials one scenario may ask for: their draws are replayed a
+# block of seeds per array pass, and the cap runs in 0.5-0.7 s as one fresh
+# `decolab run`, about 0.35 s of it start-up (2 CPUs, numpy 2.4.6).
 MAX_TRIALS = 10**6
 
 # Bytes a collapse record amplitude takes while records.json is built: its
 # [re, im] list and its JSON text (451 measured in a joint state, ~420 here).
 RECORD_AMPLITUDE_BYTES = 451
+
+# Bytes one seed of a replay block takes while sample_outcomes draws its
+# outcome: 258 measured under tracemalloc (Python 3.11, numpy 2.4.6),
+# rounded up.
+REPLAY_SEED_BYTES = 320
 
 # Joint-state-sized arrays alive at once besides the states a run keeps,
 # rounded up: a shift step holds two of the permuted tensor, the slices in
@@ -390,11 +397,11 @@ def _parse_collapse_mc(params, seed, diags):
         diags.append(f"params.trials: {trials} trials, over the cap of {MAX_TRIALS}")
     if diags:
         return None
-    # Two complex values per trial hold its draw and the arrays searched from
-    # it.  Each record lists a pre and a post state of n amplitudes; one more
-    # per outcome covers the decoded scenario, the table and collapse.csv.
-    amplitudes = (2 * min(limit, trials) + 1) * system.space.total_dim
-    _fits(2 * trials + amplitudes * RECORD_AMPLITUDE_BYTES // 16, "params.record_limit", diags)
+    # A record lists a pre and a post state of n amplitudes; one more per
+    # outcome covers the decoded scenario, the Born table and collapse.csv.
+    amplitudes = (2 * min(limit, 1) + 1) * system.space.total_dim
+    replay = min(trials, _REPLAY_BLOCK) * REPLAY_SEED_BYTES // 16
+    _fits(trials + replay + amplitudes * RECORD_AMPLITUDE_BYTES // 16, "params.amplitudes", diags)
     return system, trials, limit, seed
 
 

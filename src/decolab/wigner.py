@@ -112,6 +112,8 @@ class WignerGrid:
         v = np.array(self.values, dtype=np.float64, copy=True)
         if v.shape != (n, n):
             raise ValidationError(f"values shape {v.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("non-finite phase-space sample")
         total = float(v.sum() * self.dq * self.dp)
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValidationError(f"phase-space normalization is {total:.8g}, expected 1")

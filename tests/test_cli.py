@@ -650,6 +650,10 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         _wigner("mixture", 256),
         # at the parent: 3.9 s and 339 MiB, a Gram matrix of the basis per trial
         _scenario("collapse_mc", {"amplitudes": _random_amplitudes(2000), "trials": 3, "record_limit": 5}),
+        # ten records of 2000 amplitudes, charged for one at a time
+        _scenario("collapse_mc", {"amplitudes": _random_amplitudes(2000), "trials": 10, "record_limit": 10}),
+        # the outcome array and one block of the seed replay
+        _scenario("collapse_mc", {"amplitudes": _random_amplitudes(3), "trials": 10**5}),
     ]
     charged = []
     real = cli._fits
@@ -705,21 +709,21 @@ def test_wigner_text_is_bounded_in_the_parse(tmp_path, capsys):
 def test_collapse_mc_trials_and_records_are_charged(tmp_path, capsys):
     amps = _random_amplitudes(2000)
     assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6})) == []
-    # records of 2 x 2000 amplitudes: 1.8 MB of JSON lists each; the README limit
-    for limit, ok in ((594, True), (595, False)):
-        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": limit, "record_limit": limit})
-        assert (cli.validate_document(doc) == []) is ok
-    # records are built for the trials only
-    doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 3, "record_limit": 10**9})
-    assert cli.validate_document(doc) == []
-    for params, field in (
-        ({"trials": 10**6 + 1}, "params.trials"),
-        ({"trials": 1000, "record_limit": 1000}, "params.record_limit"),
-    ):
-        path = _write(tmp_path, "c.json", _scenario("collapse_mc", {"amplitudes": amps, **params}))
-        start = time.perf_counter()
-        _both_reject(path, tmp_path / "out", capsys, field)
-        assert time.perf_counter() - start < 1.0
+    # records of 2 x 2000 amplitudes, 1.8 MB of JSON lists each, are written
+    # one at a time, so any number of them fits
+    for limit in (595, 10**6):
+        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6, "record_limit": limit})
+        assert cli.validate_document(doc) == []
+    path = _write(tmp_path, "c.json", _scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6 + 1}))
+    start = time.perf_counter()
+    _both_reject(path, tmp_path / "out", capsys, "params.trials")
+    assert time.perf_counter() - start < 1.0
+    # 800 000 amplitudes: one record's pre and post states are over the cap,
+    # the Born table and collapse.csv alone are not
+    amps = [1.0] + [0.0] * 799_999
+    diags = cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": 1}))
+    assert len(diags) == 1 and diags[0].startswith("params.amplitudes:") and "cap" in diags[0]
+    assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": 0})) == []
 
 
 def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):

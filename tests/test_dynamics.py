@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decolab import dynamics
 from decolab.dynamics import (
     CollapseRecord,
     Hamiltonian,
@@ -14,7 +15,7 @@ from decolab.dynamics import (
     schrodinger_evolve,
     von_neumann_evolve,
 )
-from decolab.errors import ValidationError, ZeroProbabilityError
+from decolab.errors import MIN_BRANCH_PROBABILITY, ValidationError, ZeroProbabilityError
 from decolab.hilbert import (
     StateVector,
     TensorSpace,
@@ -177,6 +178,77 @@ def test_sampler_draws_each_seed_from_its_own_generator():
     assert sample_outcomes(probs, seeds).tolist() == want
     with pytest.raises(ValidationError):
         sample_outcomes(np.array([1e-15, 0.0]), [0])
+
+
+def _generator_draws(seeds):
+    return np.array([np.random.default_rng(s).random() for s in seeds])
+
+
+def _per_seed_outcomes(probs, seeds):
+    keep = np.flatnonzero(probs >= MIN_BRANCH_PROBABILITY)
+    cum = np.cumsum(probs[keep])
+    found = np.searchsorted(cum, _generator_draws(seeds) * cum[-1], side="right")
+    return keep[found.clip(0, keep.size - 1)]
+
+
+SAMPLER_PROBS = np.array([0.2, 0.0, 0.05, 0.5, 0.25])
+
+
+def test_seed_replay_matches_default_rng_bitwise():
+    rng = np.random.default_rng(77)
+    words = [rng.integers(0, 2**32, size=(10_000, k), dtype=np.uint64) for k in (3, 4)]
+    runs = [
+        range(0, 50_000),
+        range(2**32 - 10_000, 2**32 + 10_000),  # two words from 2**32
+        range(2**64 - 5_000, 2**64 + 5_000),  # three from 2**64
+        range(2**128 - 1_000, 2**128),  # the last four-word seeds
+        range(7, 3_000, 3),
+        [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1],
+    ] + [[sum(int(w) << 32 * j for j, w in enumerate(row)) for row in block] for block in words]
+    for seeds in runs:
+        assert dynamics._replay_draws(seeds).tobytes() == _generator_draws(seeds).tobytes(), seeds[0]
+    # a range's words come from array arithmetic, a list's one seed at a time
+    seeds = range(2**64 - 500, 2**64 + 500)
+    assert dynamics._replay_draws(list(seeds)).tobytes() == dynamics._replay_draws(seeds).tobytes()
+
+
+def test_seeds_outside_the_four_word_hash_take_one_generator_each(monkeypatch):
+    for seeds in ([2**128, 2**128 + 5, 2**200], [5, 2**128, 7], range(2**128 - 2, 2**128 + 2)):
+        assert not dynamics._replayable(seeds)
+        assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
+    with pytest.raises(ValueError):
+        sample_outcomes(SAMPLER_PROBS, [3, -1])
+    # blocks of four: the first is replayed, the second holds 2**128
+    monkeypatch.setattr(dynamics, "_REPLAY_BLOCK", 4)
+    seeds = [5, 6, 2**64, 8, 2**128, 9, 10]
+    assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
+
+
+def test_sampler_guard_falls_back_when_the_replay_stream_differs(monkeypatch):
+    calls = []
+
+    def stale(seeds):
+        calls.append(len(seeds))
+        return np.full(len(seeds), 0.999)
+
+    monkeypatch.setattr(dynamics, "_replay_draws", stale)
+    monkeypatch.setattr(dynamics, "_REPLAY_BLOCK", 64)
+    seeds = range(2**32 - 50, 2**32 + 50)
+    assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
+    assert calls == [64, 36]  # every block checked, and refused
+    # one seed: one generator, and no replay
+    calls.clear()
+    assert sample_outcomes(SAMPLER_PROBS, (2**40,)).tolist() == _per_seed_outcomes(SAMPLER_PROBS, [2**40]).tolist()
+    assert calls == []
+
+
+def test_sampler_crosses_replay_blocks_and_takes_empty_seeds():
+    seeds = range(2**64 - 100, 2**64 - 100 + dynamics._REPLAY_BLOCK + 200)
+    want = _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
+    assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == want
+    assert sample_outcomes(SAMPLER_PROBS, list(seeds)).tolist() == want
+    empty = sample_outcomes(SAMPLER_PROBS, range(5, 5))
+    assert empty.dtype == np.intp and empty.shape == (0,)
 
 
 def test_luders_pure_state():

@@ -202,6 +202,18 @@ def test_wigner_grid_validates_normalization():
         WignerGrid(w.q_min, w.q_max, w.n_points, 2.0 * w.values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wigner_grid_refuses_a_non_finite_sample(bad):
+    # a NaN total would pass the normalization test
+    with pytest.raises(ValidationError, match="non-finite"):
+        WignerGrid(-12.0, 12.0, 4, np.full((4, 4), bad))
+    w = wigner_transform(oscillator_state(0))
+    values = w.values.copy()
+    values[3, 5] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        WignerGrid(w.q_min, w.q_max, w.n_points, values)
+
+
 def _run_wigner(w, out_dir, monkeypatch):
     """The runner's artifacts for the grid ``w``: its transform step returns ``w``."""
     monkeypatch.setattr(cli, "wigner_transform", lambda state: w)

@@ -27,17 +27,26 @@ library constructors refuse (such as a pointer overlap outside
 (-1/(n-1), 1) for n outcomes, duplicate subsystem labels or a Hamiltonian
 that is not Hermitian), and any scenario whose memory would exceed
 MAX_DENSE_BYTES (1 GiB of complex128 values), estimated from the parsed
-sizes before anything is allocated.  A controlled shift acts on the state
-tensor one outcome slice at a time, so no kind builds an operator on the
-joint space; charged are:
+sizes before anything is allocated.
 
-* every register kind: the joint states of D amplitudes it keeps (links + 2
-  for chain, 4 for branch_recohere and ledger_branching, 2 for
-  premeasurement and ledger_quantum), JOINT_TEMPORARIES more, and
-  LOCAL_TEMPORARIES times its local operators.  A shift on n outcomes with
-  a register of dimension d holds n shifts of d^2 values and the n x n
-  measured basis; the branch reset is one ((n + 1) env_dim)^2 unitary.
-  The field at fault is params.links, params.env_dim or params.amplitudes;
+The register kinds (premeasurement, chain, branch_recohere, ledger_quantum,
+ledger_branching) run on the branch form sum_n a_n |b_n> (x)_j |x_j(n)>
+(measurement.BranchForm): n coefficients and one n x d_j stack of pointer
+vectors per register, built step by step, with every density, entropy and
+fidelity read off the n x n Gram matrices of the stacks.  Only
+premeasurement forms its n d joint amplitudes, for joint_state.json, and no
+run forms a shift unitary.  Charged are:
+
+* every register kind, as the dense route on the joint state would need it:
+  the joint states of D amplitudes it keeps (links + 2 for chain, 4 for
+  branch_recohere and ledger_branching, 2 for premeasurement and
+  ledger_quantum), JOINT_TEMPORARIES more, and LOCAL_TEMPORARIES times its
+  local operators.  A shift on n outcomes with a register of dimension d
+  holds n shifts of d^2 values and the n x n measured basis; the branch
+  reset is one ((n + 1) env_dim)^2 unitary.  The branch form takes far
+  less, so these charges are conservative; deriving them from its sizes
+  would move the accepted limits.  The field at fault is params.links,
+  params.env_dim or params.amplitudes;
 * histories: the Heisenberg projector families, the H class operators,
   their products with rho and a conjugate copy (3 H dim^2 values, H the
   product of the outcome counts) plus the H x H decoherence functional,
@@ -74,7 +83,7 @@ import numpy as np
 
 from . import __version__, serialize
 from .dynamics import _REPLAY_BLOCK, CollapseRecord, Hamiltonian, born_weights, sample_outcomes
-from .entanglement import decoherence_factor, entropy_bits, linear_entropy, schmidt_decompose
+from .entanglement import entropy_bits, linear_entropy, schmidt_decompose
 from .errors import DecolabError, SpaceMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
@@ -82,7 +91,7 @@ from .hilbert import (
     TensorSpace,
     basis_state,
     computational_basis,
-    partial_trace,
+    partial_trace,  # no runner calls it; perfbench's tracer test reads cli.partial_trace
     random_state,
 )
 from .histories import (
@@ -101,11 +110,12 @@ from .histories import (
 from .ledger import branching_ledger, classical_ledger, quantum_collapse_ledger
 from .measurement import (
     ApparatusModel,
+    BranchForm,
     BranchingModel,
     ChainSpec,
-    branch_and_recohere,
-    chain_propagate,
-    premeasure,
+    branch_forms,
+    chain_forms,
+    premeasure_form,
 )
 from .wigner import (
     CSV_BLOCK_BYTES,
@@ -170,17 +180,19 @@ RECORD_AMPLITUDE_BYTES = 451
 # rounded up.
 REPLAY_SEED_BYTES = 320
 
-# Joint-state-sized arrays alive at once besides the states a run keeps,
-# rounded up: a shift step holds two of the permuted tensor, the slices in
-# the measured basis, their shifts, the rotation back and its copy in the
-# space's order, then that copy and the one a StateVector takes; a partial
-# trace holds a permuted copy and its conjugate.
+# Joint-state-sized arrays the dense route holds at once besides the states
+# it keeps, rounded up (the register charges still count that route): a
+# shift step holds two of the permuted tensor, the slices in the measured
+# basis, their shifts, the rotation back and its copy in the space's order,
+# then that copy and the one a StateVector takes; a partial trace holds a
+# permuted copy and its conjugate.
 JOINT_TEMPORARIES = 4
 
-# Arrays the size of one step's local operators alive while they are built
-# and checked, rounded up: the shifts and the list they are stacked from, or
-# the conjugate copy, product and difference of their unitarity check; the
-# reset unitary's two completed bases, a conjugate copy and their product.
+# Arrays the size of one dense step's local operators alive while they are
+# built and checked, rounded up: the shifts and the list they are stacked
+# from, or the conjugate copy, product and difference of their unitarity
+# check; the reset unitary's two completed bases, a conjugate copy and their
+# product.
 LOCAL_TEMPORARIES = 5
 
 # Grid-sized complex arrays a Wigner run holds at once, rounded up: the
@@ -739,40 +751,46 @@ def _check(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _checked_density(space: TensorSpace, form: BranchForm, where: str = "") -> tuple[DensityOperator, float]:
+    """The system density M of ``form``, checked as a DensityOperator, and
+    the global purity (tr M)^2 = |psi|^4 of its pure joint state, held within
+    1e-10 of 1.  The runs measure in the computational basis, so M, which the
+    form gives in the measured basis, is the density on the system's space."""
+    m = form.system_density()
+    purity = float(np.trace(m).real) ** 2
+    _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r}{where}")
+    return DensityOperator(space, m), purity
+
+
+def _off_diagonal_max(rho: DensityOperator) -> float:
+    """The largest |rho_mn|, m != n (0 for a single outcome)."""
+    off = np.abs(rho.matrix)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
+
+
 def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel) -> None:
-    n = system.space.total_dim
-    basis = computational_basis(system.space)
-    joint = premeasure(system, app, basis)
-    purity = joint.norm() ** 4
-    _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r}")
-    rho_sys = partial_trace(joint, "system")
-    off, _pops = decoherence_factor(rho_sys, basis)
+    _ready, form = premeasure_form(system, app, computational_basis(system.space))
+    rho_sys, purity = _checked_density(system.space, form)
+    joint = StateVector(system.space.concat(app.space), form.joint_amplitudes())
     emit.write_text("joint_state.json", joint.to_json())
     emit.write_text("system_density.json", rho_sys.to_json())
     header = ["off_diagonal_max", "system_linear_entropy", "global_purity"]
-    off_max = off.max() if n > 1 else 0.0
-    text = serialize.csv_text(header, [off_max], [linear_entropy(rho_sys)], [purity])
+    text = serialize.csv_text(header, [_off_diagonal_max(rho_sys)], [linear_entropy(rho_sys)], [purity])
     emit.write_text("summary.csv", text)
 
 
 def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
-    n = system.space.total_dim
-    states = chain_propagate(spec, system)
-    basis = spec.system_basis
+    forms = chain_forms(spec, system)
     steps = range(1, len(spec.links) + 1)
     table = np.zeros((len(steps), 3))  # off-diagonal, linear entropy, purity
     for row, step in zip(table, steps):
-        state = states[step]
-        purity = state.norm() ** 4
-        _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r} at step {step}")
-        rho_sys = partial_trace(state, "system")
-        off, _pops = decoherence_factor(rho_sys, basis)
-        row[:] = off.max() if n > 1 else 0.0, linear_entropy(rho_sys), purity
+        rho_sys, purity = _checked_density(system.space, forms[step], f" at step {step}")
+        row[:] = _off_diagonal_max(rho_sys), linear_entropy(rho_sys), purity
     header = ["step", "off_diagonal", "system_linear_entropy", "global_purity"]
     emit.write_text("chain.csv", serialize.csv_text(header, steps, *table.T))
-    final = states[-1]
-    rho_final = partial_trace(final, "system")
-    _off, pops = decoherence_factor(rho_final, basis)
+    rho_final, _purity = _checked_density(system.space, forms[-1], " after the observer")
+    pops = rho_final.matrix.diagonal().real
     born = np.abs(system.amplitudes) ** 2
     _check(
         float(np.abs(pops - born).max()) <= 1e-10,
@@ -786,19 +804,25 @@ def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
     emit.write_text("summary.json", serialize.dumps(summary))
 
 
+def _ready_fidelity(form: BranchForm, k: int, ready: np.ndarray) -> float:
+    """<ready|rho_k|ready> for register k: sum_n |a_n|^2 |<ready|x_k(n)>|^2
+    prod_{j != k} G_j[n, n], the system's Gram matrix being the identity."""
+    weights = np.abs(form.coefficients) ** 2
+    for j, g in enumerate(form.grams()):
+        if j != k:
+            weights = weights * g.diagonal().real
+    return float(weights @ np.abs(form.stacks[k] @ ready.conj()) ** 2)
+
+
 def _run_branch_recohere(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
-    initial = model.ready_joint(system)
-    states = (initial,) + branch_and_recohere(initial, model)
+    forms = branch_forms(model, system)
     ready = model.apparatus.pointer_ready.amplitudes
-    table = np.zeros((len(states), 3))  # fidelity, linear entropy, purity
-    for step, (row, state) in enumerate(zip(table, states)):
-        purity = state.norm() ** 4
-        _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r} at step {step}")
-        rho_app = partial_trace(state, "apparatus")
-        fidelity = float(np.vdot(ready, rho_app.matrix @ ready).real)
-        row[:] = fidelity, linear_entropy(partial_trace(state, "system")), purity
+    table = np.zeros((len(forms), 3))  # fidelity, linear entropy, purity
+    for step, (row, form) in enumerate(zip(table, forms)):
+        rho_sys, purity = _checked_density(system.space, form, f" at step {step}")
+        row[:] = _ready_fidelity(form, 0, ready), linear_entropy(rho_sys), purity
     header = ["step", "apparatus_fidelity", "system_linear_entropy", "global_purity"]
-    emit.write_text("branch.csv", serialize.csv_text(header, range(len(states)), *table.T))
+    emit.write_text("branch.csv", serialize.csv_text(header, range(len(forms)), *table.T))
 
 
 def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, seed: int) -> None:

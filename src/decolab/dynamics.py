@@ -140,6 +140,12 @@ def born_weights(psi: StateVector, basis=None) -> np.ndarray:
 # temporaries take about 2 MB (cli.REPLAY_SEED_BYTES per seed).
 _REPLAY_BLOCK = 8192
 
+# Fewest seeds a block replays.  A replay pass and its guard generator cost
+# 0.19-0.25 ms whatever the block's size, and a generator per seed about
+# 20 us each; the two routes cross between 10 and 12 seeds (2 CPUs, numpy
+# 2.4.6).  Smaller blocks take one generator per seed.
+_REPLAY_MIN = 12
+
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 
@@ -241,9 +247,9 @@ def _replayable(seeds) -> bool:
 
 def _draws(seeds) -> np.ndarray:
     """np.random.default_rng(s).random() for each of ``seeds``: replayed when
-    there are two or more, all in [0, 2**128), and the first replayed draw
-    equals default_rng's bit for bit; otherwise one generator per seed."""
-    if len(seeds) > 1 and _replayable(seeds):
+    there are _REPLAY_MIN or more, all in [0, 2**128), and the first replayed
+    draw equals default_rng's bit for bit; otherwise one generator per seed."""
+    if len(seeds) >= _REPLAY_MIN and _replayable(seeds):
         draws = _replay_draws(seeds)
         if draws[0] == np.random.default_rng(seeds[0]).random():
             return draws
@@ -255,11 +261,12 @@ def sample_outcomes(probs: np.ndarray, seeds) -> np.ndarray:
     ``probs``, outcomes below MIN_BRANCH_PROBABILITY excluded.
 
     Seed s draws np.random.default_rng(s).random().  The seeds go through in
-    blocks of _REPLAY_BLOCK, and a block of two or more seeds, all integers
-    in [0, 2**128), replays its draws in one array pass (_replay_draws).  Its
-    first draw is checked against default_rng: on a numpy whose stream
-    differs every block fails that check and builds one generator per seed,
-    as does a block holding a seed of 2**128 or more and a call of one seed.
+    blocks of _REPLAY_BLOCK, and a block of _REPLAY_MIN or more seeds, all
+    integers in [0, 2**128), replays its draws in one array pass
+    (_replay_draws).  Its first draw is checked against default_rng: on a
+    numpy whose stream differs every block fails that check and builds one
+    generator per seed, as does a block holding a seed of 2**128 or more and
+    a block of fewer seeds, where one generator per seed is faster.
     """
     keep = np.flatnonzero(probs >= MIN_BRANCH_PROBABILITY)
     if keep.size == 0:

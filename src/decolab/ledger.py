@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import SCHMIDT_CUTOFF, ensemble_entropy, shannon_entropy
-from .errors import MIN_BRANCH_PROBABILITY, ValidationError
-from .hilbert import StateVector, TensorSpace, computational_basis, partial_trace, tensor
-from .measurement import ApparatusModel, BranchingModel, branch_and_recohere, premeasure
+from .entanglement import SCHMIDT_CUTOFF, shannon_entropy
+from .errors import MIN_BRANCH_PROBABILITY, VALIDITY_ATOL, ValidationError
+from .hilbert import StateVector, TensorSpace, computational_basis
+from .measurement import ApparatusModel, BranchForm, BranchingModel, branch_forms, premeasure_form
 
 _AXES = ("system", "memory", "environment")
 
@@ -214,17 +214,17 @@ def classical_ledger(p_system) -> list[LedgerRow]:
     return rows
 
 
-def _marginal_entropies(state: StateVector, labels) -> list[float]:
-    """The marginal entropy of each labelled register, in order.
+def _marginal_entropies(form: BranchForm) -> list[float]:
+    """The marginal entropy of the system, then of each register in order.
 
     A pure global state's marginal spectrum is its squared Schmidt
-    coefficients (singular values above SCHMIDT_CUTOFF), so a product state
-    gives exactly 0 instead of eigenvalue round-off.
+    coefficients (those above SCHMIDT_CUTOFF), read off the branch form's
+    Gram matrices; the ready and ideal registers give exact factors, so a
+    product state gives exactly 0 instead of eigenvalue round-off.
     """
-    amps = state.amplitudes.reshape(state.space.dims)
     out = []
-    for axis in map(state.space.axis, labels):
-        s = np.linalg.svd(np.moveaxis(amps, axis, 0).reshape(amps.shape[axis], -1), compute_uv=False)
+    for k in (None,) + tuple(range(len(form.stacks))):
+        s = form.schmidt_values(k)
         p = s[s > SCHMIDT_CUTOFF] ** 2
         out.append(shannon_entropy(p / p.sum()))
     return out
@@ -253,25 +253,22 @@ def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     removes what it delivered.
 
     Pointer sector j holds the branch phi_j (x) |j>, with phi_j column j of
-    the entangled amplitudes as an n x (n + 1) array.  The sectors are
-    orthogonal, so the mixture's ensemble entropy is the Shannon entropy of
-    p_j = |phi_j|^2, its marginals are the entangled system marginal and
+    the entangled amplitudes a_n x_n as an n x (n + 1) array.  The sectors
+    are orthogonal, so the mixture's ensemble entropy is the Shannon entropy
+    of p_j = |phi_j|^2, its marginals are the entangled system marginal and
     diag(p), and every Luders branch is a pure product state whose
     entropies are exactly 0.
     """
     c = _validated_amplitudes(amplitudes)
-    n = c.size
-    sys_space = TensorSpace((("system", n),))
-    system = StateVector(sys_space, c)
-    app = ApparatusModel.ideal("pointer", n)
-    labels = ("system", "pointer")
-
-    psi0 = tensor(system, app.pointer_ready)
-    psi1 = premeasure(system, app, computational_basis(sys_space))
-    rows = [_pure_row("initial", psi0, labels), _pure_row("entangled", psi1, labels)]
-    p = (np.abs(psi1.amplitudes.reshape(n, n + 1)) ** 2).sum(axis=0)
+    sys_space = TensorSpace((("system", c.size),))
+    app = ApparatusModel.ideal("pointer", c.size)
+    ready, entangled = premeasure_form(StateVector(sys_space, c), app, computational_basis(sys_space))
+    marginals = _pure_entropies("entangled", entangled)
+    rows = [_pure_row("initial", _pure_entropies("initial", ready)), _pure_row("entangled", marginals)]
+    s_sys = marginals[0]
+    (pointer,) = entangled.stacks
+    p = (np.abs(entangled.coefficients[:, None] * pointer) ** 2).sum(axis=0)
     s_mix = shannon_entropy(p)
-    s_sys = ensemble_entropy(partial_trace(psi1, "system"))
     rows.append(LedgerRow("mixture", s_mix, s_sys + s_mix, 0.0, s_mix))
     rows.append(LedgerRow("reduction", 0.0, 0.0, s_mix, 0.0))
     return rows
@@ -288,18 +285,21 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
     """
     c = _validated_amplitudes(amplitudes)
     model = BranchingModel.ideal(c.size, env_dim=env_dim)
-    system = StateVector(model.system_basis[0].space, c)
-    initial = model.ready_joint(system)
-    labels = initial.space.labels
-    step_states = (initial,) + branch_and_recohere(initial, model)
+    forms = branch_forms(model, StateVector(model.system_basis[0].space, c))
     names = ("initial", "apparatus_entangled", "environment_recorded", "apparatus_reset")
-    return [_pure_row(name, state, labels) for name, state in zip(names, step_states)]
+    return [_pure_row(name, _pure_entropies(name, form)) for name, form in zip(names, forms)]
 
 
-def _pure_row(name: str, state: StateVector, labels) -> LedgerRow:
-    """Row of a global state vector, checked to be normalized: its density
-    is pure, so the ensemble entropy is exactly 0 and no information fires."""
-    if not state.is_normalized():
+def _pure_entropies(name: str, form: BranchForm) -> list[float]:
+    """The marginal entropies of a global state in branch form, checked to
+    be normalized (|psi|^2 = tr of its system density)."""
+    if abs(float(np.trace(form.system_density()).real) - 1.0) > VALIDITY_ATOL:
         raise ValidationError(f"step {name!r}: global state lost its normalization")
-    entropies = _marginal_entropies(state, labels)
+    return _marginal_entropies(form)
+
+
+def _pure_row(name: str, entropies: list[float]) -> LedgerRow:
+    """Row of a normalized global state vector with these marginal entropies:
+    its density is pure, so the ensemble entropy is exactly 0 and no
+    information fires."""
     return LedgerRow(name, 0.0, float(sum(entropies)), 0.0, float(sum(entropies[1:])))

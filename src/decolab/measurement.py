@@ -6,11 +6,20 @@ the n-th pointer state.  Chains tensor several such registers onto one
 system and activate them in order, the observer register last.  Everything
 here is globally unitary; apparent irreversibility enters only through
 which registers are later ignored.
+
+Since every step is controlled on the measured basis, each state these
+models produce is sum_n a_n |b_n> (x)_j |x_j(n)>.  ``BranchForm`` stores it
+as n coefficients and one n x d_j stack of pointer vectors per register, and
+``premeasure_form``, ``chain_forms`` and ``branch_forms`` build it step by
+step; the register kinds of the CLI and the ledgers run on it.
+``premeasure``, ``chain_propagate`` and ``branch_and_recohere`` apply the
+shifts to the joint state tensor and are the dense reference for that route.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -330,22 +339,6 @@ class ChainSpec:
             activation_order=tuple(order) if order is not None else None,
         )
 
-    def to_scenario(self) -> dict:
-        return {
-            "system_dim": self.system_space.total_dim,
-            "links": [
-                {
-                    "dim": link.space.total_dim,
-                    "overlap": float(link.overlap_matrix[0, 1].real)
-                    if link.n_outcomes > 1
-                    else 0.0,
-                }
-                for link in self.links
-            ],
-            "observer": {"dim": self.observer.space.total_dim},
-            "order": list(self.activation_order),
-        }
-
 
 def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateVector]:
     """Activate each link in order, then the observer.
@@ -453,3 +446,176 @@ def branch_and_recohere(
     s3 = StateVector(full, apply_local(s2.amplitudes, model.reset_unitary(), reset, full))
     return s1, s2, s3
 
+
+# ---- the branch form: what the register kinds run on ----
+
+
+def _gram_factor(gram: np.ndarray) -> np.ndarray:
+    """L (n x r) with L L^dagger = ``gram``, a positive semidefinite n x n matrix.
+
+    Cholesky with diagonal pivoting: each pivot column is divided out and its
+    row and column of the residual are set to zero, and the loop stops once no
+    residual diagonal entry exceeds n eps times the largest diagonal entry
+    (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 10.3).  The
+    identity and all-ones Gram matrices of ideal and ready registers leave an
+    exactly zero residual, so their factors come out with entries 0 and 1 and
+    with exact rank n and 1, where an eigendecomposition would leave round-off
+    eigenvalues.
+    """
+    res = np.array(gram, dtype=np.complex128)
+    n = res.shape[0]
+    diag = res.diagonal().real  # a view: it follows the residual
+    tol = n * np.finfo(np.float64).eps * diag.max(initial=0.0)
+    cols = []
+    while len(cols) < n:
+        p = int(diag.argmax())
+        if diag[p] <= tol:
+            break
+        col = res[:, p] / math.sqrt(diag[p])
+        res -= col[:, None] * col.conj()
+        res[p, :] = 0.0
+        res[:, p] = 0.0
+        cols.append(col)
+    return np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
+
+
+@dataclass(frozen=True, eq=False)
+class BranchForm:
+    """The state sum_n a_n |b_n> (x)_j |x_j(n)>, stored as its branches.
+
+    Every register step is controlled on the system's measured basis b, so
+    each state the chain, branch and premeasurement models produce has this
+    form.  It keeps the n coefficients a_n = <b_n|psi> and, per register j,
+    the n x d_j stack whose row n is x_j(n): n + sum_j n d_j values where the
+    joint state has n prod_j d_j amplitudes.  Everything the register kinds
+    report comes from the n x n Gram matrices G_j[n, m] = <x_j(n)|x_j(m)>.
+    """
+
+    coefficients: np.ndarray
+    stacks: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        n = self.coefficients.shape[0]
+        for x in self.stacks:
+            if x.ndim != 2 or x.shape[0] != n:
+                raise SpaceMismatchError(f"a stack of shape {x.shape} for {n} coefficients")
+
+    def grams(self) -> list[np.ndarray]:
+        """G_j[n, m] = <x_j(n)|x_j(m)> for each register j, in order."""
+        return [x.conj() @ x.T for x in self.stacks]
+
+    def system_density(self) -> np.ndarray:
+        """(a a^dagger) o prod_j G_j^T: the system density in the measured
+        basis, rho_nm prod_j <x_j(m)|x_j(n)>, the decoherence factor of Joos
+        and Zeh (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2."""
+        a = self.coefficients
+        m = np.outer(a, a.conj())
+        for g in self.grams():
+            m *= g.T
+        return m
+
+    def schmidt_values(self, k: int | None = None) -> np.ndarray:
+        """The Schmidt coefficients of register k (of the system for None)
+        against the rest of the state, from n x n matrices.
+
+        Register k's density is X_k^T Q X_k^* with Q = (a a^dagger) o
+        prod_{j != k} G_j^T, the product running over the system too, whose
+        Gram matrix is the identity.  So Q = diag(w)^2 with w_n = |a_n|
+        prod_{j != k} G_j[n, n]^(1/2), and its nonzero spectrum is that of
+        diag(w) G_k diag(w): the squared singular values of H^dagger diag(w)
+        for G_k = H H^dagger.  The system's density is (a a^dagger) o C with
+        C = prod_j G_j^T = L L^dagger, that is F F^dagger for F = diag(a) L.
+        H and L come from _gram_factor and the rank-one a a^dagger is never
+        factored, so ideal and ready registers give the exact rank.
+        """
+        grams = self.grams()
+        a = self.coefficients
+        if k is None:
+            c = np.ones((a.size, a.size), dtype=np.complex128)
+            for g in grams:
+                c *= g.T
+            return np.linalg.svd(a[:, None] * _gram_factor(c), compute_uv=False)
+        w = np.abs(a)
+        for j, g in enumerate(grams):
+            if j != k:
+                w = w * np.sqrt(g.diagonal().real)
+        return np.linalg.svd(_gram_factor(grams[k]).conj().T * w, compute_uv=False)
+
+    def joint_amplitudes(self) -> np.ndarray:
+        """The n prod_j d_j amplitudes of the joint state, flattened with the
+        system axis (in the measured basis) first and the registers after it
+        in order; a sum of zero terms is stored as +0.0."""
+        out = self.coefficients[:, None]
+        for x in self.stacks:
+            out = (out[:, :, None] * x[:, None, :]).reshape(out.shape[0], -1)
+        return out.reshape(-1) + 0.0
+
+
+def _coefficients(system: StateVector, basis: Sequence[StateVector]) -> np.ndarray:
+    """<b_n|system> over the measured basis, which must be orthonormal and
+    complete on the system's space."""
+    basis = tuple(basis)
+    if system.space != basis[0].space:
+        raise SpaceMismatchError("system state lives off the measured basis's space")
+    _check_orthonormal_complete(basis, system.space)
+    return np.column_stack([b.amplitudes for b in basis]).conj().T @ system.amplitudes
+
+
+def _ready_rows(app: ApparatusModel, n: int) -> np.ndarray:
+    """The stack of a register that still holds its ready state in every branch."""
+    return np.repeat(app.pointer_ready.amplitudes[None, :], n, axis=0)
+
+
+def _pointer_rows(app: ApparatusModel, n: int) -> np.ndarray:
+    """The stack of a register after its step: pointer state n in branch n."""
+    if app.n_outcomes != n:
+        raise ValidationError(f"{n} outcomes but {app.n_outcomes} pointer states")
+    return np.stack([p.amplitudes for p in app.pointer_states])
+
+
+def premeasure_form(
+    system: StateVector, app: ApparatusModel, basis: Sequence[StateVector]
+) -> tuple[BranchForm, BranchForm]:
+    """The ready state and the state after ``premeasure(system, app, basis)``
+    (no post maps), as branch forms."""
+    a = _coefficients(system, basis)
+    return BranchForm(a, (_ready_rows(app, a.size),)), BranchForm(a, (_pointer_rows(app, a.size),))
+
+
+def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm]:
+    """``chain_propagate`` as branch forms: the state before any step and
+    after every step, with one stack per link and the observer's last.  A
+    link's stack goes from its ready state to its pointer states when the
+    activation order reaches it."""
+    a = _coefficients(initial_system, spec.system_basis)
+    registers = spec.links + (spec.observer,)
+    stacks = [_ready_rows(app, a.size) for app in registers]
+    forms = [BranchForm(a, tuple(stacks))]
+    for k in spec.activation_order + (len(spec.links),):
+        stacks[k] = _pointer_rows(registers[k], a.size)
+        forms.append(BranchForm(a, tuple(stacks)))
+    return forms
+
+
+def branch_forms(model: BranchingModel, system: StateVector) -> list[BranchForm]:
+    """``branch_and_recohere`` on ``model.ready_joint(system)`` as branch
+    forms: the ready state and the state after each of the three steps, with
+    the apparatus, env_record and env_reset stacks in that order.
+
+    The reset takes |pointer_n>|ready> to |ready>|record_n> in every branch.
+    It extends to a unitary only if it preserves inner products, that is if
+    the apparatus pointers and the env_reset records have the same Gram
+    matrix; a difference over VALIDITY_ATOL is refused.
+    """
+    a = _coefficients(system, model.system_basis)
+    registers = (model.apparatus, model.env_decohere, model.env_reset)
+    ready = [_ready_rows(reg, a.size) for reg in registers]
+    app, record, reset = (_pointer_rows(reg, a.size) for reg in registers)
+    dev = np.abs(app.conj() @ app.T - reset.conj() @ reset.T).max()
+    if dev > VALIDITY_ATOL:
+        raise ValidationError(
+            f"reset is not an isometry: apparatus pointer and env_reset record "
+            f"Gram matrices differ by {dev:.3e}"
+        )
+    stacks = (tuple(ready), (app, ready[1], ready[2]), (app, record, ready[2]), (ready[0], record, reset))
+    return [BranchForm(a, s) for s in stacks]

@@ -218,8 +218,10 @@ def test_seeds_outside_the_four_word_hash_take_one_generator_each(monkeypatch):
         assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
     with pytest.raises(ValueError):
         sample_outcomes(SAMPLER_PROBS, [3, -1])
-    # blocks of four: the first is replayed, the second holds 2**128
+    # blocks of four, replayed from two seeds: the first is replayed, the
+    # second holds 2**128
     monkeypatch.setattr(dynamics, "_REPLAY_BLOCK", 4)
+    monkeypatch.setattr(dynamics, "_REPLAY_MIN", 2)
     seeds = [5, 6, 2**64, 8, 2**128, 9, 10]
     assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
 
@@ -240,6 +242,20 @@ def test_sampler_guard_falls_back_when_the_replay_stream_differs(monkeypatch):
     calls.clear()
     assert sample_outcomes(SAMPLER_PROBS, (2**40,)).tolist() == _per_seed_outcomes(SAMPLER_PROBS, [2**40]).tolist()
     assert calls == []
+
+
+def test_blocks_on_both_sides_of_the_replay_crossover_draw_the_same_outcomes(monkeypatch):
+    replayed = []
+    real = dynamics._replay_draws
+    monkeypatch.setattr(dynamics, "_replay_draws", lambda seeds: replayed.append(len(seeds)) or real(seeds))
+    k = dynamics._REPLAY_MIN
+    for seeds in (range(2**32 - 6, 2**32 - 6 + k - 1), range(2**32 - 6, 2**32 - 6 + k), range(40, 40 + k + 1)):
+        want = _generator_draws(seeds)
+        assert dynamics._draws(seeds).tobytes() == want.tobytes()
+        assert dynamics._draws(list(seeds)).tobytes() == want.tobytes()
+        assert sample_outcomes(SAMPLER_PROBS, seeds).tolist() == _per_seed_outcomes(SAMPLER_PROBS, seeds).tolist()
+    # below the crossover one generator per seed, from it on the replay
+    assert replayed == [k, k, k, k + 1, k + 1, k + 1]
 
 
 def test_sampler_crosses_replay_blocks_and_takes_empty_seeds():

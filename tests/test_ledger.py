@@ -10,6 +10,7 @@ from decolab.dynamics import luders_project
 from decolab.entanglement import ensemble_entropy, entropy_bits, shannon_entropy
 from decolab import cli, ledger, serialize
 from decolab.errors import CROSS_ATOL, MIN_BRANCH_PROBABILITY, ValidationError
+from decolab.entanglement import SCHMIDT_CUTOFF
 from decolab.hilbert import (
     StateVector,
     TensorSpace,
@@ -19,7 +20,15 @@ from decolab.hilbert import (
     tensor,
 )
 from decolab.histories import ProjectorSet, decohere_projectors
-from decolab.measurement import ApparatusModel, premeasure
+from decolab.measurement import (
+    ApparatusModel,
+    BranchForm,
+    BranchingModel,
+    branch_and_recohere,
+    branch_forms,
+    premeasure,
+    premeasure_form,
+)
 from decolab.ledger import (
     ClassicalJoint,
     LedgerRow,
@@ -252,18 +261,27 @@ def test_pure_product_rows_have_exactly_zero_marginal_entropy():
 
 def test_marginal_entropy_sum_reads_the_schmidt_spectra():
     rng = np.random.default_rng(12)
-    parts = []
-    for label, d in (("a", 3), ("b", 4), ("c", 5)):
+    c = rng.normal(size=4) + 1j * rng.normal(size=4)
+    c /= np.linalg.norm(c)
+    rows = []
+    for d in (3, 4, 5):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        parts.append(StateVector(TensorSpace(((label, d),)), v / np.linalg.norm(v)))
-    product = tensor(tensor(parts[0], parts[1]), parts[2])
-    # a rotated product state: the singular values beyond the first are
-    # round-off, below SCHMIDT_CUTOFF, so the sum is an exact 0
-    assert ledger._marginal_entropies(product, ["a", "b", "c"]) == [0.0, 0.0, 0.0]
-    amps = rng.normal(size=60) + 1j * rng.normal(size=60)
-    psi = StateVector(product.space, amps / np.linalg.norm(amps))
-    got = ledger._marginal_entropies(psi, ["a", "c"])
-    for label, s in zip(("a", "c"), got):
+        rows.append(np.repeat((v / np.linalg.norm(v))[None, :], 4, axis=0))
+    # every branch holds the same rotated register states: a product of the
+    # system with each register, whose Gram matrices are all-ones up to
+    # round-off, so every register's sum is an exact 0
+    product = ledger._marginal_entropies(BranchForm(c, tuple(rows)))
+    assert product[1:] == [0.0, 0.0, 0.0]
+    assert product[0] == 0.0
+    stacks = []
+    for d in (3, 4, 5):
+        x = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        stacks.append(x / np.linalg.norm(x, axis=1, keepdims=True))
+    form = BranchForm(c, tuple(stacks))
+    space = TensorSpace((("system", 4), ("a", 3), ("b", 4), ("c", 5)))
+    psi = StateVector(space, form.joint_amplitudes())
+    got = ledger._marginal_entropies(form)
+    for label, s in zip(space.labels, got):
         want = shannon_entropy(np.clip(partial_trace(psi, label).eigenvalues(), 0.0, None))
         assert abs(s - want) < CROSS_ATOL
 
@@ -277,13 +295,13 @@ def test_quantum_ledger_pure_rows_have_exactly_zero_ensemble_entropy():
 
 
 def test_branching_ledger_refuses_an_unnormalized_state(monkeypatch):
-    real = ledger.branch_and_recohere
+    real = ledger.branch_forms
 
-    def leaky(initial, model):
-        s1, s2, s3 = real(initial, model)
-        return s1, StateVector(s2.space, 1.01 * s2.amplitudes), s3
+    def leaky(model, system):
+        s0, s1, s2, s3 = real(model, system)
+        return s0, s1, BranchForm(1.01 * s2.coefficients, s2.stacks), s3
 
-    monkeypatch.setattr(ledger, "branch_and_recohere", leaky)
+    monkeypatch.setattr(ledger, "branch_forms", leaky)
     with pytest.raises(ValidationError, match="normalization"):
         branching_ledger(np.array([1.0, 1.0]) / np.sqrt(2))
 
@@ -299,6 +317,69 @@ def test_branching_ledger_physical_entropy_grows_then_plateaus():
 def test_branching_ledger_rejects_small_environment():
     with pytest.raises(ValidationError):
         branching_ledger(np.array([1.0, 1.0, 1.0]) / np.sqrt(3), env_dim=2)
+
+
+# ---- the branch form against the dense ledger ----
+
+
+def _dense_marginal_entropies(state, labels):
+    """The marginal entropy of each labelled register of a dense state vector,
+    from the squared singular values above SCHMIDT_CUTOFF of its amplitude
+    tensor with that register's axis first."""
+    amps = state.amplitudes.reshape(state.space.dims)
+    out = []
+    for axis in map(state.space.axis, labels):
+        s = np.linalg.svd(np.moveaxis(amps, axis, 0).reshape(amps.shape[axis], -1), compute_uv=False)
+        p = s[s > SCHMIDT_CUTOFF] ** 2
+        out.append(shannon_entropy(p / p.sum()))
+    return out
+
+
+def _dense_branching_entropies(amplitudes, env_dim):
+    """Each row's marginal entropies (system, apparatus, env_record,
+    env_reset) of the branching ledger, from the joint states of
+    branch_and_recohere."""
+    model = BranchingModel.ideal(len(amplitudes), env_dim=env_dim)
+    initial = model.ready_joint(StateVector(model.system_basis[0].space, amplitudes))
+    states = (initial,) + branch_and_recohere(initial, model)
+    return [_dense_marginal_entropies(state, initial.space.labels) for state in states]
+
+
+def _ledger_deviation(amplitudes, env_dim):
+    """The largest deviation of the branching and quantum ledgers from the
+    dense route; every marginal entropy that is exactly 0 there must be
+    exactly 0 here, and every ensemble entropy of a pure row exactly 0."""
+    c = np.asarray(amplitudes, dtype=complex)
+    model = BranchingModel.ideal(c.size, env_dim=env_dim)
+    system = StateVector(model.system_basis[0].space, c)
+    dense = _dense_branching_entropies(c, env_dim)
+    got = [ledger._marginal_entropies(form) for form in branch_forms(model, system)]
+    app = ApparatusModel.ideal("pointer", c.size)
+    basis = computational_basis(system.space)
+    states = (tensor(system, app.pointer_ready), premeasure(system, app, basis))
+    dense += [_dense_marginal_entropies(state, ("system", "pointer")) for state in states]
+    got += [ledger._marginal_entropies(form) for form in premeasure_form(system, app, basis)]
+    dev = 0.0
+    for want, have in zip(dense, got, strict=True):
+        for w, h in zip(want, have, strict=True):
+            assert h == 0.0 or w != 0.0, (want, have)
+            dev = max(dev, abs(w - h))
+    rows = branching_ledger(c, env_dim=env_dim) + quantum_collapse_ledger(c)[:2]
+    assert [r.s_ensemble for r in rows] == [0.0] * 6
+    for row, want in zip(rows, dense, strict=True):
+        dev = max(dev, abs(row.s_physical - sum(want)), abs(row.s_physical_record_only - sum(want[1:])))
+    return dev
+
+
+def test_ledgers_match_the_dense_route():
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4):
+        for env_dim, zero in ((None, False), (n + 1, True), (n + 5, False)):
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if zero:
+                c[rng.integers(n)] = 0.0
+            c /= np.linalg.norm(c)
+            assert _ledger_deviation(c, env_dim if env_dim else n + 1) < CROSS_ATOL, (n, env_dim)
 
 
 # ---- CSV emitter ----

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from decolab import cli, serialize
+from decolab import cli, measurement, serialize
 from decolab.entanglement import decoherence_factor, linear_entropy
 from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, ValidationError
 from decolab.hilbert import (
+    DensityOperator,
     StateVector,
     TensorSpace,
     basis_state,
@@ -21,14 +22,19 @@ from decolab.hilbert import (
 from decolab.measurement import (
     ApparatusModel,
     BranchingModel,
+    BranchForm,
     ChainSpec,
     _complete_orthonormal,
     _controlled_shift,
+    _gram_factor,
     _transport_unitary,
     branch_and_recohere,
+    branch_forms,
+    chain_forms,
     chain_propagate,
     measurement_unitary,
     premeasure,
+    premeasure_form,
     record_states_with_overlap,
 )
 
@@ -164,17 +170,20 @@ def test_premeasure_post_maps_disturb_system():
     assert np.abs(joint.amplitudes - expected.amplitudes).max() < 1e-12
 
 
-def test_chain_spec_round_trip():
+def test_chain_spec_from_scenario_reads_links_observer_and_order():
     spec = ChainSpec.from_scenario(
         {
             "system_dim": 2,
             "links": [{"overlap": 0.5}, {"overlap": 0.25, "dim": 4}],
             "observer": {"dim": 3},
+            "order": [1, 0],
         }
     )
-    doc = spec.to_scenario()
-    again = ChainSpec.from_scenario(doc)
-    assert again.to_scenario() == doc
+    assert [link.space.total_dim for link in spec.links] == [3, 4]
+    assert [link.overlap_matrix[0, 1] for link in spec.links] == pytest.approx([0.5, 0.25], abs=1e-12)
+    assert spec.observer.space.total_dim == 3
+    assert spec.activation_order == (1, 0)
+    assert ChainSpec.from_scenario({"system_dim": 2, "links": [{}]}).activation_order == (0,)
 
 
 def test_chain_rejects_bad_activation_order():
@@ -409,11 +418,267 @@ def test_chain_csv_emitter(tmp_path):
     assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
     # the per-value reference: serialize.fmt on each field of each step
     system, spec = cli._parse_document(doc)[1][2]
-    states = chain_propagate(spec, system)
+    forms = chain_forms(spec, system)
     lines = ["step,off_diagonal,system_linear_entropy,global_purity"]
     for step in (1, 2, 3):
-        rho = partial_trace(states[step], "system")
-        off, _pops = decoherence_factor(rho, spec.system_basis)
-        fields = (off.max(), linear_entropy(rho), states[step].norm() ** 4)
+        m = forms[step].system_density()
+        off = np.abs(m)
+        np.fill_diagonal(off, 0.0)
+        fields = (off.max(), linear_entropy(DensityOperator(system.space, m)), float(np.trace(m).real) ** 2)
         lines.append(",".join([str(step)] + [serialize.fmt(x) for x in fields]))
     assert (tmp_path / "o" / "chain.csv").read_text() == "\n".join(lines) + "\n"
+
+
+# ---- the branch form against the dense routes ----
+
+
+def _random_system(rng, n, zero=False):
+    """A random system state on n outcomes; ``zero`` sets one amplitude to 0."""
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if zero:
+        c[rng.integers(n)] = 0.0
+    return StateVector(TensorSpace((("system", n),)), c / np.linalg.norm(c))
+
+
+def _random_apparatus(rng, label, n, dim):
+    """A register whose ready and pointer states are random complex unit
+    vectors: complex overlaps, and a ready state off every basis vector."""
+    space = TensorSpace(((label, dim),))
+
+    def unit():
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return StateVector(space, v / np.linalg.norm(v))
+
+    return ApparatusModel(space, unit(), tuple(unit() for _ in range(n)))
+
+
+def _random_chain(rng, n, links, basis=None, extra=2):
+    """``links`` links in a shuffled activation order, with register
+    dimensions from n + 1 to n + 1 + ``extra``: every other link on average
+    has real pointer overlaps of either sign, the rest random complex ready
+    and pointer states."""
+    lower = -1.0 / (n - 1)
+    apps = []
+    for i in range(links):
+        dim = n + 1 + int(rng.integers(0, extra + 1))
+        if rng.random() < 0.5:
+            apps.append(ApparatusModel.with_overlap(f"link{i}", n, float(rng.uniform(0.9 * lower, 0.9)), dim=dim))
+        else:
+            apps.append(_random_apparatus(rng, f"link{i}", n, dim))
+    observer = ApparatusModel.ideal("observer", n, dim=n + 1 + int(rng.integers(0, extra + 1)))
+    if basis is None:
+        basis = computational_basis(TensorSpace((("system", n),)))
+    return ChainSpec(basis, tuple(apps), observer, tuple(int(i) for i in rng.permutation(links)))
+
+
+def _dense_schmidt(state, label):
+    """The Schmidt coefficients of subsystem ``label`` against the rest of ``state``."""
+    amps = state.amplitudes.reshape(state.space.dims)
+    axis = state.space.axis(label)
+    return np.linalg.svd(np.moveaxis(amps, axis, 0).reshape(amps.shape[axis], -1), compute_uv=False)
+
+
+def _form_deviation(state, form, basis, labels):
+    """The largest difference between a dense joint state and its branch form:
+    the system density in the measured basis, its off-diagonal magnitudes and
+    populations (decoherence_factor of partial_trace), its linear entropy,
+    the joint amplitudes, and the Schmidt coefficients of the system and of
+    each register."""
+    cols = np.column_stack([b.amplitudes for b in basis])
+    rho = partial_trace(state, "system")
+    off, pops = decoherence_factor(rho, basis)
+    m = form.system_density()
+    form_off = np.abs(m)
+    np.fill_diagonal(form_off, 0.0)
+    joint = (cols @ form.joint_amplitudes().reshape(cols.shape[0], -1)).reshape(-1)
+    devs = [
+        np.abs(cols.conj().T @ rho.matrix @ cols - m).max(),
+        np.abs(off - form_off).max(),
+        np.abs(pops - m.diagonal().real).max(),
+        abs(linear_entropy(rho) - linear_entropy(DensityOperator(rho.space, cols @ m @ cols.conj().T))),
+        np.abs(joint - state.amplitudes).max(),
+    ]
+    for k, label in enumerate(["system"] + list(labels)):
+        dense = np.sort(_dense_schmidt(state, label))[::-1]
+        got = np.sort(form.schmidt_values(None if k == 0 else k - 1))[::-1]
+        size = max(dense.size, got.size)
+        devs.append(np.abs(np.pad(dense, (0, size - dense.size)) - np.pad(got, (0, size - got.size))).max())
+    return float(max(devs))
+
+
+def _chain_deviation(spec, system):
+    """The largest deviation of chain_forms from chain_propagate, over every step."""
+    labels = [link.space.labels[0] for link in spec.links] + [spec.observer.space.labels[0]]
+    pairs = zip(chain_propagate(spec, system), chain_forms(spec, system), strict=True)
+    return max(_form_deviation(state, form, spec.system_basis, labels) for state, form in pairs)
+
+
+def _branch_deviation(model, system):
+    """The largest deviation of branch_forms from branch_and_recohere, over every step."""
+    initial = model.ready_joint(system)
+    states = (initial,) + branch_and_recohere(initial, model)
+    labels = ("apparatus", "env_record", "env_reset")
+    pairs = zip(states, branch_forms(model, system), strict=True)
+    return max(_form_deviation(state, form, model.system_basis, labels) for state, form in pairs)
+
+
+def test_chain_forms_match_the_dense_chain():
+    rng = np.random.default_rng(1201)
+    for n in (2, 3, 4):
+        for links, zero in ((0, False), (1, True), (2, False), (3, True)):
+            spec = _random_chain(rng, n, links)
+            assert _chain_deviation(spec, _random_system(rng, n, zero)) < CROSS_ATOL, (n, links)
+    # a rotated measured basis: the coefficients are <b_n|psi>
+    sys_space = TensorSpace((("system", 3),))
+    spec = _random_chain(rng, 3, 2, basis=_rotated_basis(sys_space, rng))
+    assert _chain_deviation(spec, _random_system(rng, 3)) < CROSS_ATOL
+
+
+def test_chain_forms_give_the_decoherence_dial():
+    # 0.5 g^k after k links of overlap g, as acceptance criterion 5 states
+    n, g = 2, 0.6
+    links = tuple(ApparatusModel.with_overlap(f"link{i}", n, g) for i in range(10))
+    spec = ChainSpec(computational_basis(TensorSpace((("system", n),))), links, ApparatusModel.ideal("observer", n))
+    forms = chain_forms(spec, _plus(spec.system_space))
+    for k, form in enumerate(forms[:-1]):
+        assert abs(form.system_density()[0, 1] - 0.5 * g**k) < CROSS_ATOL
+    assert np.abs(forms[-1].system_density() - 0.5 * np.eye(2)).max() < CROSS_ATOL
+
+
+def test_branch_forms_match_branch_and_recohere():
+    rng = np.random.default_rng(1202)
+    for n in (2, 3, 4):
+        for env_dim, zero in ((n + 1, False), (n + 4, True)):
+            model = BranchingModel.ideal(n, env_dim=env_dim)
+            assert _branch_deviation(model, _random_system(rng, n, zero)) < CROSS_ATOL, (n, env_dim)
+
+
+def test_premeasure_form_joint_amplitudes_are_the_dense_state_bitwise():
+    # joint_state.json is unchanged: a_n times the pointer entries, as the shift gives them
+    rng = np.random.default_rng(1203)
+    for n in (2, 3, 5):
+        sys_space = TensorSpace((("system", n),))
+        basis = computational_basis(sys_space)
+        for app in (ApparatusModel.ideal("pointer", n), ApparatusModel.with_overlap("pointer", n, 0.3)):
+            system = _random_system(rng, n, zero=n == 3)
+            _ready, form = premeasure_form(system, app, basis)
+            assert form.joint_amplitudes().tobytes() == premeasure(system, app, basis).amplitudes.tobytes()
+
+
+def test_gram_factor_keeps_the_exact_rank_of_ideal_and_ready_registers():
+    for n in (1, 2, 5):
+        ones = _gram_factor(np.ones((n, n)))
+        assert ones.shape == (n, 1) and np.array_equal(ones, np.ones((n, 1)))
+        eye = _gram_factor(np.eye(n))
+        assert np.array_equal(eye, np.eye(n))
+        assert _gram_factor(np.zeros((n, n))).shape == (n, 0)
+    rng = np.random.default_rng(1204)
+    x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    gram = x.conj() @ x.T  # rank 3
+    f = _gram_factor(gram)
+    assert f.shape == (4, 3)
+    assert np.abs(f @ f.conj().T - gram).max() < CROSS_ATOL
+
+
+def test_schmidt_values_of_a_product_form_are_one_exact_value():
+    # every register ready: the system is in a product with all of them
+    rng = np.random.default_rng(1205)
+    system = _random_system(rng, 3)
+    spec = _random_chain(rng, 3, 2)
+    ready = chain_forms(spec, system)[0]
+    for k in (None, 0, 1, 2):
+        s = ready.schmidt_values(k)
+        assert np.count_nonzero(s) == 1 and abs(s.max() - 1.0) < CROSS_ATOL, k
+
+
+def test_branch_reset_with_unequal_grams_is_refused(tmp_path, capsys, monkeypatch):
+    def skewed(n, env_dim=None):
+        model = _ideal_branching(n, env_dim=env_dim)
+        d = model.env_reset.space.total_dim
+        reset = ApparatusModel.with_overlap("env_reset", n, 0.3, dim=d)
+        return BranchingModel(model.system_basis, model.apparatus, model.env_decohere, reset)
+
+    _ideal_branching = BranchingModel.ideal
+    model = skewed(2)
+    with pytest.raises(ValidationError, match="isometry"):
+        branch_forms(model, _plus(model.system_basis[0].space))
+    monkeypatch.setattr(BranchingModel, "ideal", staticmethod(skewed))
+    for kind in ("branch_recohere", "ledger_branching"):
+        doc = {"schema": "decolab/scenario/v1", "kind": kind, "params": {"amplitudes": [0.6, 0.8]}}
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(str(path), out_dir=str(tmp_path / kind)) == 3
+        assert "isometry" in capsys.readouterr().err
+
+
+def test_unnormalized_stacks_match_the_dense_state():
+    # rows of every norm, so each Gram diagonal enters the fidelity and the
+    # Schmidt values
+    rng = np.random.default_rng(1206)
+    n, dims = 3, (4, 2, 5)
+    stacks = tuple(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)) for d in dims)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    form = BranchForm(a / np.sqrt(np.trace(BranchForm(a, stacks).system_density()).real), stacks)
+    space = TensorSpace((("system", n),) + tuple((f"r{k}", d) for k, d in enumerate(dims)))
+    psi = StateVector(space, form.joint_amplitudes())
+    assert np.abs(form.system_density() - partial_trace(psi, "system").matrix).max() < CROSS_ATOL
+    for k, d in enumerate(dims):
+        ready = rng.normal(size=d) + 1j * rng.normal(size=d)
+        want = np.vdot(ready, partial_trace(psi, f"r{k}").matrix @ ready).real
+        assert abs(cli._ready_fidelity(form, k, ready) - want) < CROSS_ATOL * abs(want)
+        dense = np.sort(_dense_schmidt(psi, f"r{k}"))[::-1][:n]
+        assert np.abs(np.sort(form.schmidt_values(k))[::-1] - dense).max() < CROSS_ATOL
+
+
+def test_register_runs_refuse_a_state_that_lost_its_norm(tmp_path, capsys, monkeypatch):
+    def leaky(builder):
+        def build(*args):
+            forms = builder(*args)
+            return [BranchForm(1.01 * f.coefficients, f.stacks) for f in forms]
+        return build
+
+    monkeypatch.setattr(cli, "premeasure_form", leaky(premeasure_form))
+    monkeypatch.setattr(cli, "chain_forms", leaky(chain_forms))
+    monkeypatch.setattr(cli, "branch_forms", leaky(branch_forms))
+    for kind, params in (
+        ("premeasurement", {"amplitudes": [0.6, 0.8]}),
+        ("chain", {"amplitudes": [0.6, 0.8], "links": 2}),
+        ("branch_recohere", {"amplitudes": [0.6, 0.8]}),
+    ):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": kind, "params": params}))
+        assert cli.run(str(path), out_dir=str(tmp_path / kind)) == 3
+        assert "global purity drifted to 1.0406" in capsys.readouterr().err
+
+
+def test_register_runs_apply_no_shift(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("_controlled_shift", "_complete_orthonormal"):
+        monkeypatch.setattr(measurement, name, counted(name, getattr(measurement, name)))
+    monkeypatch.setattr(
+        ApparatusModel, "shift_unitaries", counted("shift_unitaries", ApparatusModel.shift_unitaries)
+    )
+    amps = [0.6, [0.0, 0.48], [0.64, 0.0]]
+    scenarios = {
+        "premeasurement": {"amplitudes": amps, "pointer_overlap": 0.3},
+        "chain": {"amplitudes": amps, "links": 3, "overlaps": [0.2, -0.3, 0.5]},
+        "branch_recohere": {"amplitudes": amps, "env_dim": 6},
+        "ledger_quantum": {"amplitudes": amps},
+        "ledger_branching": {"amplitudes": amps, "env_dim": 6},
+    }
+    for kind, params in scenarios.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": kind, "params": params}))
+        assert cli.run(str(path), out_dir=str(tmp_path / kind)) == 0
+    assert calls == []
+    # the wrappers do count: the dense route goes through them
+    premeasure(_plus(TensorSpace((("system", 2),))), ApparatusModel.ideal("p", 2),
+               computational_basis(TensorSpace((("system", 2),))))
+    assert {"_controlled_shift", "shift_unitaries", "_complete_orthonormal"} <= set(calls)

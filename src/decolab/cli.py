@@ -103,8 +103,6 @@ from .histories import (
     consistency_defect,
     enumerate_histories,
     graham_deviant_norm,
-    history_probability,
-    history_trace_single_sided,
     pauli_master_evolve,
 )
 from .ledger import branching_ledger, classical_ledger, quantum_collapse_ledger
@@ -613,7 +611,11 @@ def _parse_histories(params, seed, diags):
     # The run holds the Heisenberg projector families, the H class operators,
     # their products with rho and a conjugate copy, dim x dim each, and the
     # H x H decoherence functional; the count saturates, since any H past the
-    # cap is refused alike.
+    # cap is refused alike.  The class operators grow from the previous
+    # slice's stack (2 H dim^2 at most), and the history tables take a block
+    # of histories at a time, three arrays of at most
+    # max(histories._TABLE_BATCH, dim^2) values; neither outweighs this share
+    # past a few MiB.
     histories = 1
     for pset in psets:
         histories = min(histories * len(pset), MAX_DENSE_BYTES)
@@ -657,7 +659,7 @@ def _parse_graham(params, seed, diags):
         n_values = []
     if not n_values:
         return born, eps, n_values
-    # The binomial route holds arrays over all n + 1 success counts.
+    # The binomial route holds one float per deviant count, n + 1 at most.
     n = max(n_values)
     if not _fits(n + 1, field, diags):
         return None
@@ -876,16 +878,12 @@ def _run_master(emit: _Emitter, p0: np.ndarray, rates: RateMatrix, times: list[f
 
 def _run_histories(emit: _Emitter, spec: HistorySpec) -> None:
     defect = consistency_defect(spec)
-    names, probs, raws = [], [], []
+    probs, raws = spec.history_tables
     total = 0.0
-    for hist in enumerate_histories(spec):
-        p = history_probability(spec, hist)
+    for p in probs.tolist():
         total += p
-        names.append("|".join(str(h) for h in hist))
-        probs.append(p)
-        raws.append(history_trace_single_sided(spec, hist))
     _check(abs(total - 1.0) <= 1e-10, f"history probabilities sum to {total!r}")
-    raws = np.array(raws, dtype=np.complex128)
+    names = ["|".join(map(str, hist)) for hist in enumerate_histories(spec)]
     header = ["history", "probability", "single_sided_real", "single_sided_imag", "consistency_defect"]
     text = serialize.csv_text(header, names, probs, raws.real, raws.imag, [defect] * len(names))
     emit.write_text("histories.csv", text)

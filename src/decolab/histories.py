@@ -11,9 +11,11 @@ real parts give the consistency defect.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,32 +170,66 @@ class HistorySpec:
         return tuple(len(p) for p in self.projector_sets)
 
     @functools.cached_property
-    def heisenberg_families(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per slice, each projector P in the Heisenberg picture, u^dagger P u."""
+    def heisenberg_families(self) -> tuple[np.ndarray, ...]:
+        """Per slice, the stack of its projectors P in the Heisenberg
+        picture, u^dagger P u."""
         out = []
         for t, pset in zip(self.times, self.projector_sets):
             u = propagator(self.hamiltonian, t - self.t0)
-            out.append(tuple(u.conj().T @ p @ u for p in pset.projectors))
+            family = np.stack([u.conj().T @ p @ u for p in pset.projectors])
+            family.setflags(write=False)
+            out.append(family)
         return tuple(out)
 
     @functools.cached_property
     def class_operators(self) -> np.ndarray:
         """The class operator of every history, stacked in enumeration order."""
-        d = self.initial_state.space.total_dim
-        out = np.empty((math.prod(self.outcome_counts()), d, d), dtype=np.complex128)
-        for a, history in enumerate(enumerate_histories(self)):
-            out[a] = _class_operator(self, history)
+        out = _class_operators(self.heisenberg_families)
         out.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def history_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per history in enumeration order, the two-sided probability
+        trace(C rho C^dagger) and the single-sided trace trace(C rho)."""
+        c = self.class_operators
+        rho = self.initial_state.matrix
+        probabilities = np.empty(len(c))
+        single_sided = np.empty(len(c), dtype=np.complex128)
+        # A block of histories at a time: its products with rho, its conjugate
+        # copy and the two-sided products are the only temporaries, at most
+        # max(_TABLE_BATCH, dim^2) values each.  Each history gets the same
+        # matrix products and diagonal sums as alone, so the tables are bit
+        # for bit the per-history traces.
+        step = max(1, _TABLE_BATCH // rho.size)
+        for lo in range(0, len(c), step):
+            block = c[lo : lo + step]
+            c_rho = block @ rho
+            single_sided[lo : lo + step] = np.trace(c_rho, axis1=1, axis2=2)
+            both = c_rho @ block.conj().transpose(0, 2, 1)
+            probabilities[lo : lo + step] = np.trace(both, axis1=1, axis2=2).real
+        probabilities.setflags(write=False)
+        single_sided.setflags(write=False)
+        return probabilities, single_sided
 
-def _class_operator(spec: HistorySpec, history: Sequence[int]) -> np.ndarray:
-    """C = P_k(t_k) ... P_1(t_1) for one outcome sequence."""
-    chain = None
-    for family, n in zip(spec.heisenberg_families, history):
-        ph = family[n]
-        chain = ph if chain is None else ph @ chain
-    return chain
+
+# The history tables take the products of this many class-operator entries
+# at a time.
+_TABLE_BATCH = 1 << 15
+
+
+def _class_operators(families) -> np.ndarray:
+    """C = P_k(t_k) ... P_1(t_1) for every outcome sequence, in enumeration
+    order: the stacked family of each slice times the stack of the slices
+    before it, one batched product per slice.  Each entry is the matrix
+    product the left fold P_k @ (... @ P_1) takes, so it is bit for bit the
+    same."""
+    stack = families[0]
+    d = stack.shape[-1]
+    for family in families[1:]:
+        # Entry (a, n) is P_n @ C_a: outcome n of this slice after history a.
+        stack = np.matmul(family[None], stack[:, None]).reshape(-1, d, d)
+    return stack
 
 
 def _history_index(spec: HistorySpec, history: Sequence[int]) -> int:
@@ -212,14 +248,12 @@ def _history_index(spec: HistorySpec, history: Sequence[int]) -> int:
 
 def history_probability(spec: HistorySpec, history: Sequence[int]) -> float:
     """Two-sided projected probability of one outcome sequence."""
-    chain = spec.class_operators[_history_index(spec, history)]
-    return float(np.trace(chain @ spec.initial_state.matrix @ chain.conj().T).real)
+    return float(spec.history_tables[0][_history_index(spec, history)])
 
 
 def history_trace_single_sided(spec: HistorySpec, history: Sequence[int]) -> complex:
     """Raw trace(P_k ... P_1 rho); complex unless the family decoheres."""
-    chain = spec.class_operators[_history_index(spec, history)]
-    return complex(np.trace(chain @ spec.initial_state.matrix))
+    return complex(spec.history_tables[1][_history_index(spec, history)])
 
 
 def enumerate_histories(spec: HistorySpec):
@@ -284,27 +318,65 @@ def _multinomial_terms(n: int, m: int) -> int:
     return terms
 
 
+def _deviant_ranges(p1: float, n: int, epsilon: float) -> tuple[range, range]:
+    """The success counts k whose frequency misses p1 by epsilon or more,
+    abs(k / n - p1) >= epsilon, as a head [0, lo) and a tail [hi, n].
+
+    k / n - p1 rounds monotonically in k, so the deviant counts are those at
+    or below -epsilon followed by those at or above epsilon, and two
+    bisections over the same float expression find both ends.
+    """
+    def miss(k):
+        return k / n - p1
+
+    ks = range(n + 1)
+    lo = bisect.bisect_right(ks, -epsilon, key=miss)
+    hi = bisect.bisect_left(ks, epsilon, lo, key=miss)
+    return range(lo), range(hi, n + 1)
+
+
+# The log-domain binomial route fills its weights this many counts at a time.
+_LOG_BLOCK = 1 << 14
+
+
 def _binomial_deviant_weight(p1: float, n: int, epsilon: float) -> float:
-    ks = np.arange(n + 1)
-    deviant = np.abs(ks / n - p1) >= epsilon
-    if not deviant.any():
+    head, tail = _deviant_ranges(p1, n, epsilon)
+    if not head and not tail:
         return 0.0
     if p1 == 0.0 or p1 == 1.0:
         certain = int(round(n * p1))
         return float(abs(certain / n - p1) >= epsilon)
     if n <= _EXACT_N_CAP:
+        # C(n, k) for every k from one recurrence, filled from both ends.
+        comb = [1] * (n + 1)
+        for k in range(n // 2):
+            comb[k + 1] = comb[n - k - 1] = comb[k] * (n - k) // (k + 1)
+        q = 1.0 - p1
         total = 0.0
-        for k in ks[deviant]:
-            total += math.comb(n, int(k)) * p1 ** int(k) * (1.0 - p1) ** int(n - k)
-        return float(total)
-    logs = (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in ks[deviant]])
-        + ks[deviant] * math.log(p1)
-        + (n - ks[deviant]) * math.log1p(-p1)
-    )
+        for k in itertools.chain(head, tail):
+            total += comb[k] * p1**k * q ** (n - k)
+        return total
+    # log C(n, k) p1^k q^(n-k), rounded as lgamma(n+1) - (lgamma(k+1) +
+    # lgamma(n-k+1)) + k log p1 + (n-k) log q, one float64 value per deviant
+    # k and nothing else of that size.
+    log_n, log_p, log_q = math.lgamma(n + 1), math.log(p1), math.log1p(-p1)
+    logs = np.empty(len(head) + len(tail))
+    at = 0
+    for part in (head, tail):
+        for lo in range(part.start, part.stop, _LOG_BLOCK):
+            hi = min(lo + _LOG_BLOCK, part.stop)
+            k = np.arange(lo, hi, dtype=np.float64)
+            pair = np.fromiter(
+                map(operator.add, map(math.lgamma, range(lo + 1, hi + 1)),
+                    map(math.lgamma, range(n - lo + 1, n - hi + 1, -1))),
+                dtype=np.float64, count=hi - lo,
+            )
+            logs[at : at + hi - lo] = log_n - pair + k * log_p + (n - k) * log_q
+            at += hi - lo
     peak = logs.max()
-    return float(math.exp(peak) * np.exp(logs - peak).sum())
+    logs -= peak
+    np.exp(logs, out=logs)
+    return float(math.exp(peak) * logs.sum())
 
 
 def graham_deviant_norm(born_p, n_trials: int, epsilon: float) -> float:
@@ -339,27 +411,41 @@ def graham_deviant_norm(born_p, n_trials: int, epsilon: float) -> float:
     log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     # Each term keeps the rounding of a sum over one composition at a time:
-    # log n!/prod c! adds the lgamma values left to right from 0, each row
-    # product sums on its own, and the terms accumulate in lexicographic
-    # order.  graham.csv stays reproducible to the last bit.
+    # log n!/prod c! adds the lgamma values left to right from 0, each
+    # composition's sum of c log p is numpy's sum over one row, and the
+    # terms accumulate in lexicographic order.  graham.csv stays reproducible
+    # to the last bit.  The blocks are worked on column by column, one
+    # outcome's counts in each row of ``cols``.
     total = 0.0
     for prefix, parts in _composition_blocks(n, m):
-        counts = _compositions(n, m, parts, prefix)
-        deviant = np.abs(counts / n - p).max(axis=1) >= eps
-        possible = ~((counts > 0) & (p == 0.0)).any(axis=1)
-        counts = counts[deviant & possible]
+        cols = _compositions(n, m, parts, prefix).T
+        deviant = (np.abs(cols / n - p[:, None]) >= eps).any(axis=0)
+        possible = ~(cols[p == 0.0] > 0).any(axis=0)
+        cols = cols[:, deviant & possible]
         # lgamma(1) = lgamma(2) = 0, so a part that stays below 2 throughout
-        # the block adds exact zeros: its column is skipped.
+        # the block adds exact zeros: its counts are skipped.
         below = n - sum(prefix) - parts[0]  # bounds every part after the head
         tops = (*prefix, parts[-1]) + (below,) * (m - len(prefix) - 1)
-        log_multinomial = np.zeros(len(counts))
-        for j, top in enumerate(tops):
+        log_multinomial = np.zeros(cols.shape[1])
+        for col, top in zip(cols, tops):
             if top > 1:
-                log_multinomial += lgamma[counts[:, j]]
-        log_w = lgamma[n] - log_multinomial + (counts * log_p).sum(axis=1)
+                log_multinomial += lgamma[col]
+        log_w = lgamma[n] - log_multinomial + _row_sums(cols * log_p[:, None])
         for x in log_w.tolist():
             total += math.exp(x)
     return total
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of ``terms``, each column added in the order numpy's
+    sum takes one contiguous row: left to right below 8 entries, pairwise
+    from 8 on."""
+    if len(terms) >= 8:
+        return np.ascontiguousarray(terms.T).sum(axis=1)
+    out = terms[0].copy()
+    for row in terms[1:]:
+        out += row
+    return out
 
 
 # Compositions are enumerated and weighed in blocks of about this many
@@ -424,8 +510,9 @@ def _compositions(n: int, m: int, parts: range, prefix: tuple = ()) -> np.ndarra
         part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         comp = np.column_stack((np.repeat(comp, width, axis=0), part))
         rest = np.repeat(rest, width) - part
-    out = np.zeros((rest.size, m), dtype=np.int64)
-    out[:, : len(prefix)] = prefix
-    out[:, len(prefix) : len(prefix) + comp.shape[1]] = comp
-    out[:, -1] = rest
-    return out
+    # Stored one part after another, so that each part's column is contiguous.
+    out = np.zeros((m, rest.size), dtype=np.int64)
+    out[: len(prefix)] = np.reshape(prefix, (-1, 1))
+    out[len(prefix) : len(prefix) + comp.shape[1]] = comp.T
+    out[-1] = rest
+    return out.T

@@ -647,6 +647,8 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         _histories(48, 6, projectors={"type": "blocks", "blocks": [list(range(24)), list(range(24, 48))]}),
         # one first part holds 135 751 of the 1 221 759 compositions
         _scenario("graham", {"p": [1.0 / 6] * 6, "epsilon": 0.2, "n": 40}),
+        # the log-domain binomial route: one float per deviant count
+        _scenario("graham", {"p": 0.3, "epsilon": 1e-4, "n": 200_000}),
         _wigner("mixture", 256),
         # at the parent: 3.9 s and 339 MiB, a Gram matrix of the basis per trial
         _scenario("collapse_mc", {"amplitudes": _random_amplitudes(2000), "trials": 3, "record_limit": 5}),

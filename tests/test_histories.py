@@ -374,24 +374,74 @@ def test_propagator_runs_once_per_slice(monkeypatch):
     assert len(calls) == len(spec.times)
 
 
+def _sequential_class_operator(spec, history):
+    """C = P_k(t_k) ... P_1(t_1) for one outcome sequence, as a left fold."""
+    chain = None
+    for family, n in zip(spec.heisenberg_families, history):
+        chain = family[n] if chain is None else family[n] @ chain
+    return chain
+
+
+def _seeded_specs():
+    """Interfering and consistent specs of one to four slices, dim 2-12."""
+    rng = np.random.default_rng(8128)
+    for dim, slices in ((2, 1), (9, 1), (12, 1), (2, 4), (3, 3), (4, 2), (8, 2), (10, 2)):
+        for consistent in (False, True):
+            yield _random_spec(rng, dim, slices, consistent)
+
+
+def test_class_operators_match_the_sequential_fold_bitwise():
+    for spec in _seeded_specs():
+        c = spec.class_operators
+        hists = list(enumerate_histories(spec))
+        assert c.shape == (len(hists),) + spec.initial_state.matrix.shape
+        for a, hist in enumerate(hists):
+            assert c[a].tobytes() == _sequential_class_operator(spec, hist).tobytes()
+
+
+def test_history_tables_match_per_history_traces_bitwise(monkeypatch):
+    for batch in (1, 1 << 15):  # one history per block at 1
+        monkeypatch.setattr(decolab.histories, "_TABLE_BATCH", batch)
+        for spec in _seeded_specs():
+            rho = spec.initial_state.matrix
+            hists = list(enumerate_histories(spec))
+            chains = [_sequential_class_operator(spec, hist) for hist in hists]
+            want_p = np.array([float(np.trace(c @ rho @ c.conj().T).real) for c in chains])
+            want_s = np.array([complex(np.trace(c @ rho)) for c in chains])
+            probabilities, single_sided = spec.history_tables
+            assert probabilities.tobytes() == want_p.tobytes()
+            assert single_sided.tobytes() == want_s.tobytes()
+            lookups = [(history_probability(spec, h), history_trace_single_sided(spec, h)) for h in hists]
+            assert np.array([p for p, _ in lookups]).tobytes() == want_p.tobytes()
+            assert np.array([s for _, s in lookups]).tobytes() == want_s.tobytes()
+
+
 def test_class_operators_are_built_once_per_run(monkeypatch, tmp_path):
-    calls = []
-    build = decolab.histories._class_operator
+    builds, products = [], []
+    build, matmul = decolab.histories._class_operators, np.matmul
 
-    def counting(spec, history):
-        calls.append(history)
-        return build(spec, history)
+    def counting_build(families):
+        builds.append(len(families))
+        return build(families)
 
-    monkeypatch.setattr(decolab.histories, "_class_operator", counting)
+    def counting_matmul(a, b, *args, **kwargs):
+        products.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(decolab.histories, "_class_operators", counting_build)
     doc = {"schema": "decolab/scenario/v1", "kind": "histories", "seed": 0, "params": {
         "dim": 3, "hamiltonian": {"name": "diagonal", "entries": [0.0, 1.0, 2.5]},
-        "times": [0.5, 1.0], "projectors": {"type": "computational"},
+        "times": [0.5, 1.0, 1.5], "projectors": {"type": "computational"},
         "initial": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], 0.0]},
     }}
     path = tmp_path / "h.json"
     path.write_text(json.dumps(doc))
-    assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 0
-    assert len(calls) == 9
+    with monkeypatch.context() as m:
+        m.setattr(decolab.histories.np, "matmul", counting_matmul)
+        assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 0
+    # one build of 27 operators: one batched product for each slice after the first
+    assert builds == [3]
+    assert products == [(1, 3, 3, 3)] * 2
 
 
 # ---- deviant-branch norms ----
@@ -515,6 +565,68 @@ def test_graham_multinomial_matches_composition_loop_bitwise(monkeypatch):
     assert np.abs(_compositions(n, 3, range(n + 1)) / n - p).max(axis=1).tolist().count(eps) > 0
     assert graham_deviant_norm(p, n, eps) == _reference_graham(p, n, eps)
     assert graham_deviant_norm(p, n, eps) > graham_deviant_norm(p, n, np.nextafter(eps, 1.0))
+
+
+def _reference_binomial(p1, n, eps):
+    """Binomial deviant weight, one math.comb per deviant success count."""
+    ks = np.arange(n + 1)
+    deviant = np.abs(ks / n - p1) >= eps
+    if not deviant.any():
+        return 0.0
+    if p1 == 0.0 or p1 == 1.0:
+        return float(abs(round(n * p1) / n - p1) >= eps)
+    total = 0.0
+    for k in ks[deviant].tolist():
+        total += math.comb(n, k) * p1**k * (1.0 - p1) ** (n - k)
+    return total
+
+
+def _reference_log_binomial(p1, n, eps):
+    """Binomial deviant weight from one list of lgamma sums over the deviant counts."""
+    ks = np.arange(n + 1)
+    deviant = ks[np.abs(ks / n - p1) >= eps]
+    logs = (
+        math.lgamma(n + 1)
+        - np.array([math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in deviant.tolist()])
+        + deviant * math.log(p1)
+        + (n - deviant) * math.log1p(-p1)
+    )
+    peak = logs.max()
+    return float(math.exp(peak) * np.exp(logs - peak).sum())
+
+
+def test_graham_binomial_matches_the_comb_loop_bitwise():
+    # 0.25 and 0.5 - 0.25 are hit exactly by relative frequencies k / n
+    # (every n up to 1000 at more pairs is the CI graham soak)
+    for n in range(1, 1001):
+        assert graham_deviant_norm([0.5, 0.5], n, 0.25) == _reference_binomial(0.5, n, 0.25)
+    pairs = ((0.3, 0.05), (0.123, 0.1), (0.999, 0.0005), (0.0, 0.5), (1.0, 0.01))
+    for i, (p1, eps) in enumerate(pairs):
+        for n in (*range(1 + i, 1001, 29), 999, 1000):
+            assert graham_deviant_norm([p1, 1.0 - p1], n, eps) == _reference_binomial(p1, n, eps)
+    assert graham_deviant_norm([0.5, 0.5], 8, 0.25) > graham_deviant_norm([0.5, 0.5], 8, np.nextafter(0.25, 1.0))
+
+
+def test_graham_log_route_matches_the_lgamma_list_bitwise(monkeypatch):
+    # deviant counts on both sides, only below, only above, and at p = 1/2
+    cases = ((0.3, 1e-4, 200_000), (0.9, 0.3, 5000), (0.1, 0.3, 5000), (0.5, 0.05, 4000), (0.37, 0.01, 1001))
+    for p1, eps, n in cases:
+        ref = _reference_log_binomial(p1, n, eps)
+        assert graham_deviant_norm([p1, 1.0 - p1], n, eps) == ref
+        with monkeypatch.context() as mp:
+            mp.setattr(decolab.histories, "_LOG_BLOCK", 7)  # blocks that end off the seams
+            if n < 10_000:
+                assert graham_deviant_norm([p1, 1.0 - p1], n, eps) == ref
+    assert graham_deviant_norm([0.5, 0.5], 4000, 0.6) == 0.0
+
+
+def test_row_sums_add_in_numpy_row_order_bitwise():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 5, 7, 8, 9, 16, 130):
+        for rows in (1, 2, 37):
+            terms = rng.normal(size=(m, rows)) * 10.0 ** rng.integers(-8, 9, size=(m, rows))
+            want = np.ascontiguousarray(terms.T).sum(axis=1)
+            assert decolab.histories._row_sums(terms).tobytes() == want.tobytes()
 
 
 def test_graham_decreases_with_n():

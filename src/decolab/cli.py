@@ -193,12 +193,11 @@ JOINT_TEMPORARIES = 4
 # product.
 LOCAL_TEMPORARIES = 5
 
-# Grid-sized complex arrays a Wigner run holds at once, rounded up: the
-# samples or a wavefunction's outer product, and at most four more in the
-# transform, such as the shear's two index arrays (half a complex array
-# each) with the gathered and masked samples, or the sheared samples, their
-# signed copy and the FFT output.  The CSV text takes no grid-sized array:
-# it is printed one block of q columns at a time, charged as CSV_BLOCK_BYTES.
+# Grid-sized complex arrays a Wigner run holds at once, with room to spare:
+# the samples or a wavefunction's outer product, and two more in the
+# transform, the sheared samples and their FFT output, which it signs and
+# scales in place.  The CSV text takes no grid-sized array: it is printed
+# one block of q columns at a time, charged as CSV_BLOCK_BYTES.
 GRID_TEMPORARIES = 6
 
 

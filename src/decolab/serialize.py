@@ -7,7 +7,11 @@ Every CSV table is written by :func:`csv_text` from typed columns: one
 The one exception is the Wigner CSV, which ``wigner.wigner_csv_chunks``
 produces in byte chunks, one q column each, from :func:`float_texts`: the
 FLOAT_FIELD bytes of a whole float64 array, computed with numpy integer
-arithmetic rather than one ``%`` call per value, so its digits match.
+arithmetic rather than one ``%`` call per value, so its digits match.  It
+takes each value's 17 digits from a 128-bit product with a power of ten,
+splits them into ASCII uint64 words by multiply-shift-mask, and builds a
+scientific-notation text as three uint64 words; only fixed-notation texts
+are gathered byte by byte.
 :func:`dumps_list_chunks` writes a JSON list one item at a time, with the
 bytes :func:`dumps` gives the whole list.
 """
@@ -53,18 +57,25 @@ _POW10_MIN, _POW10_MAX = -293, 341
 _FRACTION_ERROR = 2
 
 _LOW32 = np.uint64(0xFFFFFFFF)
+# The shifts that split 53-bit integers into their two 32-bit halves.
+_HALVES = np.array([[0], [32]], np.uint64)
 _HALF = np.uint64(1 << 63)
 _E16 = np.uint64(10**16)
 _E17 = np.uint64(10**17)
 
-# The two ASCII digits of each of 0 to 99, as one uint16.
-_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+# The decimal exponents of finite doubles, from 5e-324 to 1.8e308.
+_EXP_MIN, _EXP_MAX = -324, 308
 
-# Columns of the source row each text is laid out from: the 17 digits, the
-# bytes of _SOURCE_TAIL, the exponent's sign, three places for its digits
-# (two-digit exponents take the first two), then a NUL for padding.
-_ZERO, _POINT, _MINUS, _E, _EXP_SIGN, _EXP_DIGITS, _NUL = 17, 18, 19, 20, 21, 22, 25
-_SOURCE_TAIL = b"0.-e"
+# The word offsets, in bits, of a text's three little-endian uint64 words.
+_WORD_BITS = np.array([[0], [64], [128]], np.uint64)
+
+# ASCII "0" in each byte of a word of eight digits.
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+
+# Columns of the source row a fixed-notation text is laid out from: the 17
+# digits, then the bytes of _SOURCE_TAIL, the last a NUL for padding.
+_ZERO, _POINT, _MINUS, _NUL = 17, 18, 19, 20
+_SOURCE_TAIL = b"0.-\0"
 
 
 @functools.cache
@@ -91,26 +102,33 @@ def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, n
     """The integer part of V = m * 2**(e2 - 53) * 10**(16 - k) and the 64
     bits below its point, for 53-bit integers m, computed as m * T.
 
-    The product, up to 181 bits, is summed in 32-bit columns.  V is the
-    product shifted right by 53 - e2 - exps, which lies in [119, 132] while
-    V lies in [10**15, 10**18), so the integer part and the fraction word
-    are read from its bits 117 and up (top) and 53 to 116 (rest).
+    The product, up to 181 bits, is summed in 32-bit columns; its lowest
+    column is the low word of one 64-bit partial product, so it never
+    carries and is not kept.  V is the product shifted right by
+    53 - e2 - exps, which lies in [119, 132] while V lies in [10**15, 10**18),
+    so the integer part and the fraction word are read from its bits 117 and
+    up (top) and 53 to 116 (rest).
     """
     limbs, exps = _pow10_table()
-    i = 16 - k - _POW10_MIN
-    t = np.take(limbs, i, axis=1)
-    low, high = t * (m & _LOW32), t * (m >> np.uint64(32))
-    cols = np.zeros((6, m.size), np.uint64)
-    cols[:4] += low & _LOW32
-    cols[1:5] += (low >> np.uint64(32)) + (high & _LOW32)
-    cols[2:] += high >> np.uint64(32)
-    for j in range(5):
+    i = (16 - _POW10_MIN) - k
+    # partial[h, j]: 32-bit half h of m times limb j of T, whose low word
+    # falls in column h + j and high word in column h + j + 1.
+    partial = np.take(limbs, i, axis=1) * ((m >> _HALVES) & _LOW32)[:, None]
+    high = partial >> np.uint64(32)
+    partial &= _LOW32
+    cols = high[0]  # columns 1 to 4
+    cols[:3] += partial[0, 1:]
+    cols += partial[1]
+    cols[1:] += high[1, :3]
+    p5 = high[1, 3]
+    for j in range(3):
         cols[j + 1] += cols[j] >> np.uint64(32)
-        cols[j] &= _LOW32
-    p1, p2, p3, p4, p5 = cols[1:]
+    p5 += cols[3] >> np.uint64(32)
+    cols &= _LOW32
+    p1, p2, p3, p4 = cols
     top = (p3 >> np.uint64(21)) | (p4 << np.uint64(11)) | (p5 << np.uint64(43))
     rest = (p1 >> np.uint64(21)) | (p2 << np.uint64(11)) | (p3 << np.uint64(43))
-    sh = (53 - 117 - e2 - exps[i]).astype(np.uint64)
+    sh = (-64 - e2 - exps[i]).astype(np.uint64)
     return top >> sh, (top << (np.uint64(64) - sh)) | (rest >> sh)
 
 
@@ -148,71 +166,130 @@ def _decimal(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k
 
 
+def _digit_words(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, words): the first of the 17 digits of d, and the other 16 as
+    the little-endian words[0] (digits 2-9) and words[1] (digits 10-17),
+    one digit value 0-9 per byte, the earlier digit in the lower byte.
+
+    Each word is split by multiply-shift-mask (SWAR) into two 4-digit
+    halves in its 32-bit lanes, then 2-digit quarters in 16-bit lanes, then
+    digits: x // 10**4 is (x * 109951163) >> 40 for x < 10**8, a lane's
+    x // 100 is (x * 10486) >> 20 for x < 10**4, and x // 10 is
+    (x * 103) >> 10 for x < 100.  No lane's product reaches the next lane.
+    """
+    first = d // _E16
+    d = d - first * _E16
+    words = np.empty((2, d.size), np.uint64)
+    words[0] = d // np.uint64(10**8)
+    words[1] = d - words[0] * np.uint64(10**8)
+    for mul, shift, mask, base, lane in (
+        (109951163, 40, 0xFFFFFFFF, 10**4, 32),
+        (10486, 20, 0x0000007F0000007F, 100, 16),
+        (103, 10, 0x000F000F000F000F, 10, 8),
+    ):
+        high = ((words * np.uint64(mul)) >> np.uint64(shift)) & np.uint64(mask)
+        words -= high * np.uint64(base)
+        words <<= np.uint64(lane)
+        words |= high
+    return first, words
+
+
+def _significant_digits(words: np.ndarray) -> np.ndarray:
+    """The count of significant digits, 1 to 17, up to the last nonzero one.
+
+    A word whose top nonzero byte is byte b holds a byte of 1 to 9 there, so
+    it has the binary exponent 8b + 1 to 8b + 4, which float conversion
+    cannot round past.
+    """
+    top = (np.frexp(words.astype(np.float64))[1] + 7) >> 3  # b + 1, or 0 for a zero word
+    return np.where(words[1] != 0, 9 + top[1], 1 + top[0])
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """The text of each decimal exponent _EXP_MIN + i, such as "e-05" or
+    "e+308", as a little-endian uint64 padded with NULs."""
+    texts = (b"e%+03d" % k for k in range(_EXP_MIN, _EXP_MAX + 1))
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8").astype(np.uint64)
+
+
+@functools.cache
+def _scientific_marks() -> tuple[np.ndarray, np.ndarray]:
+    """(marks, ends) by code digits * 2 + negative: the three words of the
+    bytes a scientific text adds to its digit values (any minus sign, the
+    "0" of each significant digit and the point after the first, if more
+    follow), and the bit at which its exponent starts."""
+    marks = np.zeros((3, 36), np.uint64)
+    ends = np.zeros(36, np.uint64)
+    for nd in range(1, 18):
+        for neg in range(2):
+            text = b"-" * neg + b"0" + b"." * (nd > 1) + b"0" * (nd - 1)
+            marks[:, nd * 2 + neg] = np.frombuffer(text.ljust(24, b"\0"), "<u8")
+            ends[nd * 2 + neg] = 8 * len(text)
+    return marks, ends
+
+
+def _scientific(first, words, nd, k, negative) -> np.ndarray:
+    """The scientific texts of every row, as three uint64 words each in a
+    (3, n) array: a minus sign if negative, the first digit, the point and
+    the digits up to the last significant one, then the exponent."""
+    marks, ends = _scientific_marks()
+    code = nd * 2 + negative
+    sign = negative.astype(np.uint64) << np.uint64(3)  # 8 bits for a minus sign
+    out = np.empty((3, first.size), np.uint64)
+    # digit values: the first at byte 0, the others from byte 2, all one
+    # byte later after a minus sign; the bytes after the last significant
+    # digit are zero
+    out[0] = first << sign
+    shift = sign + np.uint64(16)
+    out[0] |= words[0] << shift
+    out[1] = words[1] << shift
+    shift = np.uint64(64) - shift
+    out[1] |= words[0] >> shift
+    out[2] = words[1] >> shift
+    out |= np.take(marks, code, axis=1)
+    # the exponent word at bit `end`, across the word boundaries: a shift
+    # count past 63, including a wrapped negative one, gives 0 in numpy
+    end = np.take(ends, code)
+    exponent = np.take(_exponent_words(), k - _EXP_MIN)
+    out |= exponent << (end - _WORD_BITS)
+    out |= exponent >> (_WORD_BITS - end)
+    return out
+
+
 @functools.cache
 def _layouts() -> np.ndarray:
-    """The source column of each output byte, one row per layout code
-    (cls * 17 + digits - 1) * 2 + negative.
-
-    cls is the decimal exponent plus 4 for fixed notation (exponents -4 to
-    16), 21 for scientific notation with a two-digit exponent and 22 with a
-    three-digit one; digits counts the significant digits, 1 to 17.
-    """
-    grids = np.meshgrid(np.arange(23), np.arange(1, 18), np.arange(2), indexing="ij")
-    cls, nd, neg = (g.reshape(-1, 1) for g in grids)
-    sci = cls >= 21
-    x = cls - 4
-    ip = np.where(sci | (x < 0), 1, x + 1)  # places before the point
-    z = np.where(sci | (x >= 0), 0, -x)  # zeros before the first digit
+    """The source column of each output byte of a fixed-notation text, one
+    row per layout code ((k + 4) * 17 + digits - 1) * 2 + negative, for
+    decimal exponents k from -4 to 16 and 1 to 17 significant digits."""
+    grids = np.meshgrid(np.arange(-4, 17), np.arange(1, 18), np.arange(2), indexing="ij")
+    x, nd, neg = (g.reshape(-1, 1) for g in grids)
+    ip = np.where(x < 0, 1, x + 1)  # places before the point
+    z = np.maximum(-x, 0)  # zeros before the first digit
     nf = np.maximum(z + nd - ip, 0)  # places after the point
-    end = ip + nf + (nf > 0)  # the end of the number before any exponent
+    end = ip + nf + (nf > 0)  # the end of the number
     r = np.arange(MAX_FMT_LEN) - neg  # the place in the number, after any minus sign
     digit = r - (r > ip) - z
     idx = np.where(digit < 0, _ZERO, digit)
     idx = np.where(r == ip, _POINT, idx)
     idx = np.where((r >= 0) & (r < end), idx, _NUL)
-    idx = np.where(r < 0, _MINUS, idx)
-    t = r - end  # the place in the exponent's "e-308"
-    return np.where(sci & (t >= 0) & (t < cls - 17), _E + t, idx).astype(np.uint8)
+    return np.where(r < 0, _MINUS, idx).astype(np.uint8)
 
 
-def _source_rows(d: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, digits): the source row of each text, with the _SOURCE_TAIL
-    bytes and the exponent k's sign and digits after the 17 digits of d,
-    and the count of its significant digits, up to the last nonzero one."""
-    n = d.size
+def _fixed(first, words, nd, k, negative) -> np.ndarray:
+    """The fixed-notation texts of rows with decimal exponents -4 to 16, as
+    an (n, MAX_FMT_LEN) uint8 array gathered from per-row source bytes."""
+    n = first.size
     src = np.empty((n, _NUL + 1), np.uint8)
-    # d = first * 10**16 + upper half * 10**8 + lower half; each half splits
-    # into two 4-digit quarters, each quarter into two pairs.
-    upper = d // np.uint64(10**8)
-    first = upper // np.uint64(10**8)
     src[:, 0] = first + np.uint64(ord("0"))
-    halves = np.empty((n, 2), np.uint32)
-    halves[:, 0] = upper - first * np.uint64(10**8)
-    halves[:, 1] = d - upper * np.uint64(10**8)
-    quarters = np.empty((n, 4), np.uint32)
-    quarters[:, 0::2] = halves // 10**4
-    quarters[:, 1::2] = halves - quarters[:, 0::2] * 10**4
-    pairs = np.empty((n, 8), np.intp)
-    pairs[:, 0::2] = quarters // 100
-    pairs[:, 1::2] = quarters - pairs[:, 0::2] * 100
-    digits = np.take(_DIGIT_PAIRS, pairs)
+    digits = np.empty((n, 2), "<u8")
+    digits[...] = words.T
+    digits |= _ASCII_ZEROS
     src[:, 1:17] = digits.view(np.uint8)
-    src[:, _ZERO:_EXP_SIGN] = np.frombuffer(_SOURCE_TAIL, np.uint8)
-    exp = np.abs(k)
-    three = exp >= 100
-    pair = np.take(_DIGIT_PAIRS, exp % 100).view(np.uint8).reshape(n, 2)
-    src[:, _EXP_SIGN] = np.where(k < 0, ord("-"), ord("+"))
-    src[:, _EXP_DIGITS] = np.where(three, exp // 100 + ord("0"), pair[:, 0])
-    src[:, _EXP_DIGITS + 1] = np.where(three, pair[:, 0], pair[:, 1])
-    src[:, _EXP_DIGITS + 2] = pair[:, 1]
-    src[:, _NUL] = 0
-    # Digits 1-8 and 9-16, read as little-endian words less "00000000", hold
-    # each nonzero digit as a byte of 1 to 9, so a word whose top nonzero
-    # byte is byte b has the binary exponent 8b + 1 to 8b + 4, which float
-    # conversion cannot round past.
-    words = digits.view("<u8") ^ np.uint64(0x3030303030303030)
-    top = (np.frexp(words.astype(np.float64))[1] + 7) // 8  # b + 1, or 0 for a zero word
-    return src, np.where(words[:, 1] != 0, 9 + top[:, 1], 1 + top[:, 0])
+    src[:, _ZERO:] = np.frombuffer(_SOURCE_TAIL, np.uint8)
+    code = ((k + 4) * 17 + nd - 1) * 2 + negative
+    index = np.arange(0, src.size, src.shape[1])[:, None] + np.take(_layouts(), code, axis=0)
+    return np.take(src.ravel(), index)
 
 
 def float_texts(values) -> np.ndarray:
@@ -224,7 +301,9 @@ def float_texts(values) -> np.ndarray:
     a 128-bit table of powers of ten, and an exact route near ties (see
     _decimal).  The layout is that of ``%g``: fixed notation for decimal
     exponents -4 to 16, else scientific with an exponent of at least two
-    digits, trailing zeros and a bare point stripped.  Non-finite values
+    digits, trailing zeros and a bare point stripped.  Scientific texts are
+    assembled as uint64 words (_scientific), fixed ones gathered byte by
+    byte (_fixed); a route with no rows is not run.  Non-finite values
     raise ValueError.
     """
     x = np.asarray(values, dtype=np.float64)
@@ -235,12 +314,19 @@ def float_texts(values) -> np.ndarray:
     d, k = _decimal(np.where(zero, 1.0, np.abs(flat)))
     d[zero] = 0
     k[zero] = 0
-    src, nd = _source_rows(d, k)
-    nd[zero] = 1
-    cls = np.where((k < -4) | (k >= 17), 21 + (np.abs(k) >= 100), k + 4)
-    code = (cls * 17 + nd - 1) * 2 + np.signbit(flat)
-    index = np.arange(0, src.size, src.shape[1])[:, None] + np.take(_layouts(), code, axis=0)
-    return np.take(src.ravel(), index).view(f"S{MAX_FMT_LEN}").reshape(x.shape)
+    first, words = _digit_words(d)
+    nd = _significant_digits(words)
+    negative = np.signbit(flat)
+    fixed = (k >= -4) & (k < 17)
+    if fixed.all():
+        out = _fixed(first, words, nd, k, negative)
+    else:
+        out = np.empty((flat.size, 3), "<u8")
+        out[...] = _scientific(first, words, nd, k, negative).T
+        if fixed.any():
+            rows = np.flatnonzero(fixed)
+            out[rows] = _fixed(first[rows], words[:, rows], nd[rows], k[rows], negative[rows]).view("<u8")
+    return out.view(f"S{MAX_FMT_LEN}").reshape(x.shape)
 
 
 def complex_pairs(vec: np.ndarray) -> list[list[float]]:

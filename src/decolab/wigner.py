@@ -109,6 +109,7 @@ class WignerGrid:
 
     def __post_init__(self):
         n = int(self.n_points)
+        _check_grid(self.q_min, self.q_max, n)
         v = np.array(self.values, dtype=np.float64, copy=True)
         if v.shape != (n, n):
             raise ValidationError(f"values shape {v.shape}, expected {(n, n)}")
@@ -120,6 +121,8 @@ class WignerGrid:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "q_min", float(self.q_min))
+        object.__setattr__(self, "q_max", float(self.q_max))
 
     @property
     def dq(self) -> float:
@@ -144,13 +147,19 @@ def _offset_indices(n: int) -> np.ndarray:
 
 
 def _shear_samples(rho: np.ndarray, n: int) -> np.ndarray:
-    """T[k', j] = rho(q_j + x_k, q_j - x_k) with out-of-range samples zero."""
-    kk = _offset_indices(n)
-    j = np.arange(n)
-    ip = j[None, :] + kk[:, None]
-    im = j[None, :] - kk[:, None]
-    valid = (ip >= 0) & (ip < n) & (im >= 0) & (im < n)
-    t = np.where(valid, rho[ip.clip(0, n - 1), im.clip(0, n - 1)], 0.0)
+    """T[k', j] = rho(q_j + x_k, q_j - x_k) with out-of-range samples zero.
+
+    rho[j + k, j - k] lies at j(n + 1) + k(n - 1) in rho.ravel(), so the
+    in-range samples of offset k (j from |k| to n - |k|) are one slice of
+    stride n + 1.
+    """
+    flat = rho.ravel()
+    t = np.zeros((n, n), np.complex128)
+    for row, k in enumerate(_offset_indices(n).tolist()):
+        lo, hi = abs(k), n - abs(k)
+        if lo < hi:
+            start = lo * (n + 1) + k * (n - 1)
+            t[row, lo:hi] = flat[start : start + (hi - lo - 1) * (n + 1) + 1 : n + 1]
     return t
 
 
@@ -174,8 +183,15 @@ def wigner_transform(state: GridState) -> WignerGrid:
     n = state.n_points
     rho = state.density_samples()
     t = _shear_samples(rho, n)
-    signs = np.where(_offset_indices(n) % 2 == 0, 1.0, -1.0)
-    w_complex = (state.dq / math.pi) * n * np.fft.ifft(signs[:, None] * t, axis=0)
+    # Signed and scaled in place, each operand order as in the product
+    # (-1)**k * t and scale * ifft, so that every value is the same complex
+    # product: the transform holds the sheared samples and the FFT output.
+    signs = np.where(_offset_indices(n) % 2 == 0, 1.0, -1.0)[:, None]
+    np.multiply(signs, t, out=t)
+    del signs
+    w_complex = np.fft.ifft(t, axis=0)
+    del t
+    np.multiply((state.dq / math.pi) * n, w_complex, out=w_complex)
     return WignerGrid(state.q_min, state.q_max, n, _real_part(w_complex, "transform"))
 
 
@@ -308,8 +324,10 @@ def two_packet_mixture(
 _CSV_BLOCK_VALUES = 8192
 
 # Bytes float_texts holds while it prints one such block, rounded up from
-# the 467 per value measured (tracemalloc, 8192 values of a Wigner grid).
-CSV_BLOCK_BYTES = _CSV_BLOCK_VALUES * 480
+# the 385 per value measured on a block of fixed-notation values, the
+# kind that takes the byte gather (tracemalloc; the blocks of the
+# benchmark's Wigner grids, over 90% scientific, peak at 237).
+CSV_BLOCK_BYTES = _CSV_BLOCK_VALUES * 400
 
 
 def wigner_csv_chunks(w: WignerGrid):
@@ -318,12 +336,14 @@ def wigner_csv_chunks(w: WignerGrid):
 
     Each column fills one line template that already holds the q and p
     texts, with ``%b`` for w, so q and p are printed once each rather than
-    once per line.  Every text comes from :func:`serialize.float_texts`,
-    the w texts a block of whole q columns at a time.
+    once per line.  Every text comes from :func:`serialize.float_texts`:
+    the p and q texts from one call, the w texts a block of whole q columns
+    at a time.
     """
     n = w.n_points
-    p_lines = [b"," + p + b",%b\n" for p in serialize.float_texts(w.p_grid).tolist()]
-    q_texts = serialize.float_texts(w.q_grid).tolist()
+    axes = serialize.float_texts(np.concatenate([w.p_grid, w.q_grid])).tolist()
+    p_lines = [b"," + p + b",%b\n" for p in axes[:n]]
+    q_texts = axes[n:]
     yield b"q,p,w\n"
     step = max(1, _CSV_BLOCK_VALUES // n)
     for start in range(0, n, step):

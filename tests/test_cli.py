@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -164,6 +165,53 @@ def test_float_texts_fraction_word_is_within_its_error_bound():
         num, den = v.as_integer_ratio()
         exact = (num * 10 ** max(16 - kv, 0) << 64) // (den * 10 ** max(kv - 16, 0))
         assert 0 <= exact - (dv << 64 | wv) < serialize._FRACTION_ERROR, v
+
+
+def _layout_value(rng, exponents, digits):
+    """A positive double whose FLOAT_FIELD text has one of the decimal
+    ``exponents`` and exactly ``digits`` significant digits."""
+    for _ in range(10**4):
+        k = int(rng.choice(exponents))
+        middle = rng.integers(0, 10, max(digits - 2, 0))
+        text = "".join(map(str, [rng.integers(1, 10), *middle, *rng.integers(1, 10, min(digits - 1, 1))]))
+        value = float(f"{text[0]}.{text[1:]}e{k}")
+        printed = Decimal(serialize.FLOAT_FIELD % value).normalize()
+        if len(printed.as_tuple().digits) == digits and printed.adjusted() == k:
+            return value
+    raise AssertionError(f"no double prints {digits} digits at exponents {exponents}")
+
+
+def test_float_texts_match_the_float_field_on_every_layout_code():
+    # one value per layout code: 21 fixed-notation exponents (-4 to 16) and
+    # scientific notation with two- and three-digit exponents, times 1 to 17
+    # significant digits, times the sign
+    rng = np.random.default_rng(24)
+    classes = [[k] for k in range(-4, 17)]
+    classes.append([*range(-99, -4), *range(17, 100)])
+    classes.append([*range(-307, -99), *range(100, 309)])
+    values = []
+    for exponents in classes:
+        for digits in range(1, 18):
+            value = _layout_value(rng, exponents, digits)
+            values += [value, -value]
+    values = np.array(values)
+    assert values.size == 23 * 17 * 2
+    fixed = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e17)
+    assert fixed.sum() == 21 * 17 * 2
+    # both routes in one call, and each alone
+    for x in (values, values[fixed], values[~fixed]):
+        _assert_float_texts(x)
+
+
+def test_float_texts_run_only_the_routes_their_rows_take(monkeypatch):
+    calls = []
+    for route in ("_fixed", "_scientific"):
+        real = getattr(serialize, route)
+        monkeypatch.setattr(serialize, route, lambda *a, real=real, route=route: calls.append(route) or real(*a))
+    for x, routes in (([-12.0], ["_fixed"]), ([1e-20], ["_scientific"]), ([0.5, -1e300], ["_scientific", "_fixed"])):
+        calls.clear()
+        _assert_float_texts(x)
+        assert calls == routes, x
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,42 @@ def test_a_nan_in_the_kernel_contraction_is_refused(monkeypatch):
         wigner_via_kernel(state)
 
 
+def _reference_shear_samples(rho, n):
+    """The index-array route: T[k', j] = rho[j + k, j - k], zero out of range."""
+    kk = wigner._offset_indices(n)
+    j = np.arange(n)
+    ip = j[None, :] + kk[:, None]
+    im = j[None, :] - kk[:, None]
+    valid = (ip >= 0) & (ip < n) & (im >= 0) & (im < n)
+    return np.where(valid, rho[ip.clip(0, n - 1), im.clip(0, n - 1)], 0.0)
+
+
+def test_shear_samples_match_the_index_array_route_bitwise():
+    rng = np.random.default_rng(30)
+    for n in (2**p for p in range(1, 11)):
+        # non-Hermitian samples with signed zeros in either part
+        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho.real[rng.random((n, n)) < 0.1] = -0.0
+        rho.imag[rng.random((n, n)) < 0.1] = -0.0
+        assert wigner._shear_samples(rho, n).tobytes() == _reference_shear_samples(rho, n).tobytes(), n
+
+
+def test_transform_holds_two_grid_arrays():
+    # the sheared samples and their FFT output, signed and scaled in place;
+    # np.fft adds about 1.5 KB of Python objects whatever the size
+    n = 512
+    state = two_packet_mixture(3.0, n_points=n)
+    wigner_transform(state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wigner_transform(state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * n * n + 4096, peak / (16 * n * n)
+
+
 def test_wigner_grid_validates_normalization():
     w = wigner_transform(oscillator_state(0))
     with pytest.raises(ValidationError):
@@ -212,6 +249,16 @@ def test_wigner_grid_refuses_a_non_finite_sample(bad):
     values[3, 5] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         WignerGrid(w.q_min, w.q_max, w.n_points, values)
+
+
+def test_wigner_grid_refuses_a_reversed_or_non_power_of_two_grid():
+    # each of these keeps dq * dp = pi / n, so the normalization alone passes
+    for q_min, q_max, n, match in ((12.0, -12.0, 4, "q_max"), (-12.0, 12.0, 3, "power of two"),
+                                   (12.0, -12.0, 3, "power of two")):
+        with pytest.raises(ValidationError, match=match):
+            WignerGrid(q_min, q_max, n, np.full((n, n), 1.0 / (n * math.pi)))
+    w = WignerGrid(-12, 12, 4, np.full((4, 4), 1.0 / (4 * math.pi)))
+    assert type(w.q_min) is float and type(w.q_max) is float
 
 
 def _run_wigner(w, out_dir, monkeypatch):
@@ -282,6 +329,13 @@ def test_csv_templates_match_the_per_value_route_byte_for_byte(tmp_path, monkeyp
         assert (out / "marginals.csv").read_text() == _reference_marginals_csv_text(w)
     text = b"".join(wigner_csv_chunks(odd)).decode()
     assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text
+    # the p and q texts in one call, then one call per block
+    calls = []
+    real = serialize.float_texts
+    monkeypatch.setattr(serialize, "float_texts", lambda x: calls.append(np.shape(x)) or real(x))
+    assert b"".join(wigner_csv_chunks(grids[2])).decode() == _reference_wigner_csv_text(grids[2])
+    assert calls == [(256,), (64, 128), (64, 128)]
+    monkeypatch.setattr(serialize, "float_texts", real)
     # blocks of one q column each, as for grids longer than a block
     monkeypatch.setattr(wigner, "_CSV_BLOCK_VALUES", 1)
     assert b"".join(wigner_csv_chunks(grids[0])).decode() == _reference_wigner_csv_text(grids[0])

@@ -37,16 +37,16 @@ fidelity read off the n x n Gram matrices of the stacks.  Only
 premeasurement forms its n d joint amplitudes, for joint_state.json, and no
 run forms a shift unitary.  Charged are:
 
-* every register kind, as the dense route on the joint state would need it:
-  the joint states of D amplitudes it keeps (links + 2 for chain, 4 for
-  branch_recohere and ledger_branching, 2 for premeasurement and
-  ledger_quantum), JOINT_TEMPORARIES more, and LOCAL_TEMPORARIES times its
-  local operators.  A shift on n outcomes with a register of dimension d
-  holds n shifts of d^2 values and the n x n measured basis; the branch
-  reset is one ((n + 1) env_dim)^2 unitary.  The branch form takes far
-  less, so these charges are conservative; deriving them from its sizes
-  would move the accepted limits.  The field at fault is params.links,
-  params.env_dim or params.amplitudes;
+* every register kind, from that form (_fits_branches): for n outcomes and
+  registers of widths d_j, (n + 1) d_j values per register from the parse
+  and 3 n d_j in the run, GRAM_TEMPORARIES + 1 n x n arrays,
+  REGISTER_RUN_BYTES plus REGISTER_BYTES per register, and for
+  premeasurement the n (n + 1) amplitudes of joint_state.json at
+  RECORD_AMPLITUDE_BYTES each.  Accepted are premeasurement up to n = 1276
+  and ledger_quantum up to n = 2271 (params.amplitudes), branch_recohere and
+  ledger_branching at n = 2 up to env_dim = 3728131 (params.env_dim), and
+  chain at MAX_LINKS links up to n = 57 (params.links); more links are
+  refused under params.links before any register is built;
 * histories: the Heisenberg projector families, the H class operators,
   their products with rho and a conjugate copy (3 H dim^2 values, H the
   product of the outcome counts) plus the H x H decoherence functional,
@@ -105,14 +105,14 @@ from .histories import (
     graham_deviant_norm,
     pauli_master_evolve,
 )
-from .ledger import branching_ledger, classical_ledger, quantum_collapse_ledger
+from .ledger import _branching_rows, classical_ledger, quantum_collapse_ledger
 from .measurement import (
     ApparatusModel,
     BranchForm,
     BranchingModel,
     ChainSpec,
+    _chain_densities,
     branch_forms,
-    chain_forms,
     premeasure_form,
 )
 from .wigner import (
@@ -178,20 +178,26 @@ RECORD_AMPLITUDE_BYTES = 451
 # rounded up.
 REPLAY_SEED_BYTES = 320
 
-# Joint-state-sized arrays the dense route holds at once besides the states
-# it keeps, rounded up (the register charges still count that route): a
-# shift step holds two of the permuted tensor, the slices in the measured
-# basis, their shifts, the rotation back and its copy in the space's order,
-# then that copy and the one a StateVector takes; a partial trace holds a
-# permuted copy and its conjugate.
-JOINT_TEMPORARIES = 4
+# chain links one scenario may ask for: memory hardly binds them, since the
+# run keeps one n x (n + 1) pointer stack at a time, and the cap runs in
+# 1.1-1.2 s as one fresh `decolab run` at n = 2, about 0.35 s of it start-up
+# (2 CPUs, numpy 2.4.6).
+MAX_LINKS = 5000
 
-# Arrays the size of one dense step's local operators alive while they are
-# built and checked, rounded up: the shifts and the list they are stacked
-# from, or the conjugate copy, product and difference of their unitarity
-# check; the reset unitary's two completed bases, a conjugate copy and their
-# product.
-LOCAL_TEMPORARIES = 5
+# n x n arrays a register run holds at once besides the measured basis,
+# rounded up: the basis's orthonormality check (its columns, their Gram
+# matrix and the difference from the identity) and the coefficients' copy of
+# the columns; a density, its DensityOperator copy, the conjugate transpose
+# and difference of its Hermitian check and the eigvalsh workspace; a
+# ledger's Gram matrices, their pivoted factors and its singular values.
+GRAM_TEMPORARIES = 8
+
+# Bytes a register run takes whatever its size, and per register, rounded up
+# from tracemalloc peaks (Python 3.11, numpy 2.4.6): a run with n = 2 and no
+# link peaks at 16-22 kB, and each chain link adds 1.8 kB, its ApparatusModel,
+# TensorSpace and StateVectors as Python objects and its row of chain.csv.
+REGISTER_RUN_BYTES = 32 * 1024
+REGISTER_BYTES = 2048
 
 # Grid-sized complex arrays a Wigner run holds at once, with room to spare:
 # the samples or a wavefunction's outer product, and two more in the
@@ -283,16 +289,17 @@ def _fits(entries: int, field: str, diags: list[str]) -> bool:
     return False
 
 
-def _fits_registers(kept: int, joint_dim: int, local: int, field: str, diags: list[str]) -> bool:
-    """Whether a register run fits: ``kept`` joint states, their temporaries,
-    and local operators of ``local`` values in all with their checks."""
-    return _fits((kept + JOINT_TEMPORARIES) * joint_dim + LOCAL_TEMPORARIES * local, field, diags)
-
-
-def _shift_values(n: int, d: int) -> int:
-    """Values of a controlled shift applied slice by slice: n shifts of side
-    d and the n x n measured basis."""
-    return n * d * d + n * n
+def _fits_branches(n: int, widths: list[int], field: str, diags: list[str], text: int = 0) -> bool:
+    """Whether a branch-form run on n outcomes fits, with one register of
+    width d_j per entry of ``widths``: the system's n amplitudes and its n x n
+    measured basis, each register's ready and pointer states built in the
+    parse ((n + 1) d_j values), and in the run its ready and pointer stacks
+    and the conjugate copy its Gram matrix takes (3 n d_j), GRAM_TEMPORARIES
+    more n x n arrays, REGISTER_RUN_BYTES plus REGISTER_BYTES per register,
+    and ``text`` amplitudes printed as JSON at RECORD_AMPLITUDE_BYTES each."""
+    values = n + (1 + GRAM_TEMPORARIES) * n * n + (4 * n + 1) * sum(widths)
+    extra = REGISTER_RUN_BYTES + REGISTER_BYTES * len(widths) + RECORD_AMPLITUDE_BYTES * text
+    return _fits(values + extra // 16, field, diags)
 
 
 def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
@@ -336,18 +343,22 @@ def _system_state(params: dict, diags: list[str]) -> StateVector | None:
 
 def _parse_ledger_quantum(params, seed, diags):
     system = _system_state(params, diags)
-    if system is not None:  # the ready and the entangled joint state
+    if system is not None:  # one pointer register of width n + 1
         n = system.space.total_dim
-        _fits_registers(2, n * (n + 1), _shift_values(n, n + 1), "params.amplitudes", diags)
+        _fits_branches(n, [n + 1], "params.amplitudes", diags)
     return (system,)
 
 
 def _parse_premeasurement(params, seed, diags):
-    (system,) = _parse_ledger_quantum(params, seed, diags)
+    system = _system_state(params, diags)
     g = _number(params, "pointer_overlap", "params", diags, default=0.0)
     if diags:
         return None
     n = system.space.total_dim
+    # joint_state.json prints the n (n + 1) joint amplitudes, and
+    # system_density.json, once that text is gone, n^2 entries.
+    if not _fits_branches(n, [n + 1], "params.amplitudes", diags, text=n * (n + 1)):
+        return None
     app = _build(diags, "params.pointer_overlap", ApparatusModel.with_overlap, "pointer", n, g)
     return system, app
 
@@ -355,13 +366,13 @@ def _parse_premeasurement(params, seed, diags):
 def _parse_chain(params, seed, diags):
     system = _system_state(params, diags)
     k = _integer(params, "links", "params", diags, minimum=0)
+    if k is not None and k > MAX_LINKS:
+        diags.append(f"params.links: {k} links, over the cap of {MAX_LINKS}")
     if diags:
         return None
     n = system.space.total_dim
-    # Registers have dimension n + 1; capping the exponent keeps the product
-    # small when links is huge, and any capped value is far over the cap.
-    joint_dim = n * (n + 1) ** min(k + 1, 64)
-    if not _fits_registers(k + 2, joint_dim, _shift_values(n, n + 1), "params.links", diags):
+    # the links and the observer, each of width n + 1
+    if not _fits_branches(n, [n + 1] * (k + 1), "params.links", diags):
         return None
     if params.get("overlaps") is None:
         field = "params.overlap"
@@ -390,10 +401,8 @@ def _parse_branch(params, seed, diags):
     env_dim = _integer(params, "env_dim", "params", diags, minimum=1, default=n + 1)
     if env_dim is None:
         return None
-    # The initial state and three step states; the steps shift the apparatus
-    # and env_record, then reset with a unitary on apparatus x env_reset.
-    local = _shift_values(n, n + 1) + _shift_values(n, env_dim) + ((n + 1) * env_dim) ** 2
-    if not _fits_registers(4, n * (n + 1) * env_dim**2, local, "params.env_dim", diags):
+    # the apparatus, env_record and env_reset registers
+    if not _fits_branches(n, [n + 1, env_dim, env_dim], "params.env_dim", diags):
         return None
     return system, _build(diags, "params.env_dim", BranchingModel.ideal, n, env_dim=env_dim)
 
@@ -752,12 +761,12 @@ def _check(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _checked_density(space: TensorSpace, form: BranchForm, where: str = "") -> tuple[DensityOperator, float]:
-    """The system density M of ``form``, checked as a DensityOperator, and
-    the global purity (tr M)^2 = |psi|^4 of its pure joint state, held within
-    1e-10 of 1.  The runs measure in the computational basis, so M, which the
-    form gives in the measured basis, is the density on the system's space."""
-    m = form.system_density()
+def _checked_density(space: TensorSpace, m: np.ndarray, where: str = "") -> tuple[DensityOperator, float]:
+    """The system density M of a branch form, checked as a DensityOperator,
+    and the global purity (tr M)^2 = |psi|^4 of its pure joint state, held
+    within 1e-10 of 1.  The runs measure in the computational basis, so M,
+    which the form gives in the measured basis, is the density on the
+    system's space."""
     purity = float(np.trace(m).real) ** 2
     _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r}{where}")
     return DensityOperator(space, m), purity
@@ -772,7 +781,7 @@ def _off_diagonal_max(rho: DensityOperator) -> float:
 
 def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel) -> None:
     _ready, form = premeasure_form(system, app, computational_basis(system.space))
-    rho_sys, purity = _checked_density(system.space, form)
+    rho_sys, purity = _checked_density(system.space, form.system_density())
     joint = StateVector(system.space.concat(app.space), form.joint_amplitudes())
     emit.write_text("joint_state.json", joint.to_json())
     emit.write_text("system_density.json", rho_sys.to_json())
@@ -782,15 +791,15 @@ def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel
 
 
 def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
-    forms = chain_forms(spec, system)
+    densities = _chain_densities(spec, system)
     steps = range(1, len(spec.links) + 1)
     table = np.zeros((len(steps), 3))  # off-diagonal, linear entropy, purity
-    for row, step in zip(table, steps):
-        rho_sys, purity = _checked_density(system.space, forms[step], f" at step {step}")
+    for row, step, m in zip(table, steps, densities):
+        rho_sys, purity = _checked_density(system.space, m, f" at step {step}")
         row[:] = _off_diagonal_max(rho_sys), linear_entropy(rho_sys), purity
     header = ["step", "off_diagonal", "system_linear_entropy", "global_purity"]
     emit.write_text("chain.csv", serialize.csv_text(header, steps, *table.T))
-    rho_final, _purity = _checked_density(system.space, forms[-1], " after the observer")
+    rho_final, _purity = _checked_density(system.space, next(densities), " after the observer")
     pops = rho_final.matrix.diagonal().real
     born = np.abs(system.amplitudes) ** 2
     _check(
@@ -820,7 +829,7 @@ def _run_branch_recohere(emit: _Emitter, system: StateVector, model: BranchingMo
     ready = model.apparatus.pointer_ready.amplitudes
     table = np.zeros((len(forms), 3))  # fidelity, linear entropy, purity
     for step, (row, form) in enumerate(zip(table, forms)):
-        rho_sys, purity = _checked_density(system.space, form, f" at step {step}")
+        rho_sys, purity = _checked_density(system.space, form.system_density(), f" at step {step}")
         row[:] = _ready_fidelity(form, 0, ready), linear_entropy(rho_sys), purity
     header = ["step", "apparatus_fidelity", "system_linear_entropy", "global_purity"]
     emit.write_text("branch.csv", serialize.csv_text(header, range(len(forms)), *table.T))
@@ -919,8 +928,7 @@ def _run_ledger_quantum(emit: _Emitter, system: StateVector) -> None:
 
 
 def _run_ledger_branching(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
-    env_dim = model.env_decohere.space.total_dim
-    _write_ledger(emit, branching_ledger(system.amplitudes, env_dim=env_dim))
+    _write_ledger(emit, _branching_rows(model, system.amplitudes))
 
 
 _HANDLERS = {

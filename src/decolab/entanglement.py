@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .errors import ValidationError
 from .hilbert import DensityOperator, StateVector, TensorSpace, _check_orthonormal_complete
 
@@ -145,15 +144,3 @@ def decoherence_factor(rho: DensityOperator, basis) -> tuple[np.ndarray, np.ndar
     np.fill_diagonal(off, 0.0)
     return off, np.real(np.diag(mat)).copy()
 
-
-def entropy_series_text(times, rhos) -> str:
-    """CSV of (t, linear_entropy, ensemble_entropy_nats, ensemble_entropy_bits)."""
-    rhos = list(rhos)
-    nats = np.array([ensemble_entropy(rho) for rho in rhos], dtype=np.float64)
-    return serialize.csv_text(
-        ["t", "linear_entropy", "ensemble_entropy_nats", "ensemble_entropy_bits"],
-        np.asarray(times, dtype=np.float64),
-        [linear_entropy(rho) for rho in rhos],
-        nats,
-        entropy_bits(nats),
-    )

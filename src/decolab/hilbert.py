@@ -1,4 +1,4 @@
-"""State vectors, density operators, and observables on labeled tensor spaces.
+"""State vectors and density operators on labeled tensor spaces.
 
 Subsystems are declared as an ordered list of (label, dimension) pairs.  The
 flattened index runs row-major over that order, first-listed subsystem
@@ -202,19 +202,6 @@ class DensityOperator:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """Hermitian operator on a tensor space."""
-
-    space: TensorSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _check_hermitian(self.matrix, self.space.total_dim, "observable")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
 def _check_hermitian(mat, dim: int, what: str) -> np.ndarray:
     """A (dim, dim) complex128 copy of ``mat``, finite and Hermitian within VALIDITY_ATOL."""
     mat = np.array(mat, dtype=np.complex128, copy=True)
@@ -281,31 +268,6 @@ def _check_orthonormal_complete(basis: Sequence[StateVector], space: TensorSpace
     dev = np.abs(gram - np.eye(d)).max()
     if dev > VALIDITY_ATOL:
         raise ValidationError(f"basis is not orthonormal (deviation {dev:.3e})")
-
-
-def build_observable(basis: Sequence[StateVector], scale: Sequence[float]) -> Observable:
-    """Spectral assembly: sum of eigenvalue times eigenprojector."""
-    if len(basis) != len(scale):
-        raise ValidationError("basis and scale lengths differ")
-    space = basis[0].space
-    for b in basis:
-        _check_same_space(b.space, space)
-    _check_orthonormal_complete(basis, space)
-    mat = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
-    for vec, a in zip(basis, scale):
-        mat += float(a) * np.outer(vec.amplitudes, vec.amplitudes.conj())
-    return Observable(space, mat)
-
-
-def expectation(observable: Observable, state) -> float:
-    """<A> for a pure state, or trace(A rho)/trace(rho) for a density operator."""
-    _check_same_space(observable.space, state.space)
-    if isinstance(state, StateVector):
-        val = np.vdot(state.amplitudes, observable.matrix @ state.amplitudes)
-        return float(val.real)
-    num = np.trace(observable.matrix @ state.matrix)
-    den = np.trace(state.matrix)
-    return float((num / den).real)
 
 
 def _split_axes(space: TensorSpace, keep) -> tuple[list[int], list[int]]:
@@ -403,11 +365,6 @@ def embed_matrix(mat: np.ndarray, sub: TensorSpace, full: TensorSpace) -> np.nda
     t = big.reshape(dims + dims).transpose(perm + [n + p for p in perm])
     d = full.total_dim
     return np.ascontiguousarray(t.reshape(d, d))
-
-
-def embed_observable(observable: Observable, full: TensorSpace) -> Observable:
-    """A acting on its own subsystems, identity on the rest of ``full``."""
-    return Observable(full, embed_matrix(observable.matrix, observable.space, full))
 
 
 def ray_equal(a: StateVector, b: StateVector, atol: float = VALIDITY_ATOL) -> bool:

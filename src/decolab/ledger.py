@@ -284,7 +284,12 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
     vector (checked), whose density has entropy 0 by construction.
     """
     c = _validated_amplitudes(amplitudes)
-    model = BranchingModel.ideal(c.size, env_dim=env_dim)
+    return _branching_rows(BranchingModel.ideal(c.size, env_dim=env_dim), amplitudes)
+
+
+def _branching_rows(model: BranchingModel, amplitudes) -> list[LedgerRow]:
+    """The rows of ``branching_ledger`` on the registers of ``model``."""
+    c = _validated_amplitudes(amplitudes)
     forms = branch_forms(model, StateVector(model.system_basis[0].space, c))
     names = ("initial", "apparatus_entangled", "environment_recorded", "apparatus_reset")
     return [_pure_row(name, _pure_entropies(name, form)) for name, form in zip(names, forms)]

@@ -479,6 +479,19 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """G[n, m] = <x(n)|x(m)> for the rows x(n) of a stack."""
+    return x.conj() @ x.T
+
+
+def _decohere(m: np.ndarray, stacks) -> np.ndarray:
+    """m o prod_j G_j^T over ``stacks`` in order, one Gram matrix at a time;
+    ``m`` is overwritten and returned."""
+    for x in stacks:
+        m *= _gram(x).T
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class BranchForm:
     """The state sum_n a_n |b_n> (x)_j |x_j(n)>, stored as its branches.
@@ -502,17 +515,14 @@ class BranchForm:
 
     def grams(self) -> list[np.ndarray]:
         """G_j[n, m] = <x_j(n)|x_j(m)> for each register j, in order."""
-        return [x.conj() @ x.T for x in self.stacks]
+        return [_gram(x) for x in self.stacks]
 
     def system_density(self) -> np.ndarray:
         """(a a^dagger) o prod_j G_j^T: the system density in the measured
         basis, rho_nm prod_j <x_j(m)|x_j(n)>, the decoherence factor of Joos
         and Zeh (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2."""
         a = self.coefficients
-        m = np.outer(a, a.conj())
-        for g in self.grams():
-            m *= g.T
-        return m
+        return _decohere(np.outer(a, a.conj()), self.stacks)
 
     def schmidt_values(self, k: int | None = None) -> np.ndarray:
         """The Schmidt coefficients of register k (of the system for None)
@@ -595,6 +605,23 @@ def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm
         stacks[k] = _pointer_rows(registers[k], a.size)
         forms.append(BranchForm(a, tuple(stacks)))
     return forms
+
+
+def _chain_densities(spec: ChainSpec, initial_system: StateVector):
+    """The system density in the measured basis after each step of
+    ``chain_propagate``, one step at a time: len(links) + 1 matrices.
+
+    Each step multiplies the running product by the Gram matrix of the one
+    stack it changes, so K links take O(K) work and no form is kept.  A ready
+    register's Gram matrix is all ones, so with the links activated in index
+    order each value is that of ``system_density()`` of the matching
+    ``chain_forms`` entry, up to the sign of a zero."""
+    a = _coefficients(initial_system, spec.system_basis)
+    registers = spec.links + (spec.observer,)
+    m = np.outer(a, a.conj())
+    for k in spec.activation_order + (len(spec.links),):
+        m = _decohere(m.copy(), (_pointer_rows(registers[k], a.size),))
+        yield m
 
 
 def branch_forms(model: BranchingModel, system: StateVector) -> list[BranchForm]:

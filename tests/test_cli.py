@@ -617,13 +617,23 @@ def test_non_utf8_file_is_a_schema_violation(tmp_path, capsys):
     _both_reject(str(path), tmp_path / "out", capsys, "schema: not valid UTF-8")
 
 
-def test_memory_cap_rejects_before_allocating(tmp_path, capsys):
-    # chain n=2 with 14 links keeps 16 joint states of 2 * 3^15 amplitudes (7.3 GB)
-    doc = _scenario("chain", {"amplitudes": [R2, R2], "links": 14})
-    path = _write(tmp_path, "c.json", doc)
-    start = time.perf_counter()
-    _both_reject(path, tmp_path / "out", capsys, "params.links")
-    assert time.perf_counter() - start < 1.0
+def test_memory_cap_rejects_before_allocating(tmp_path, capsys, monkeypatch):
+    # one link over the cap, and n=58 at the cap, whose 5001 registers of
+    # width 59 are charged over 1 GiB: both refused before any register is built
+    built = []
+    for name in ("ideal", "with_overlap"):
+        monkeypatch.setattr(cli.ApparatusModel, name, staticmethod(lambda *args, **kwargs: built.append(args)))
+    for n, links in ((2, 5001), (58, 5000)):
+        doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": links})
+        path = _write(tmp_path, "c.json", doc)
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, "params.links")
+        assert time.perf_counter() - start < 1.0
+    assert built == []
+    monkeypatch.undo()
+    for n in (2, 57):
+        doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": 5000})
+        assert cli.validate_document(doc) == []
     wide = _scenario("wigner", {"state": {"kind": "oscillator"}, "n_points": 16384})
     assert any("params.n_points" in d for d in cli.validate_document(wide))
     # the largest benchmark rung (n=3 with 4 links, D=3072) stays accepted
@@ -705,6 +715,19 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         # the outcome array and one block of the seed replay
         _scenario("collapse_mc", {"amplitudes": _random_amplitudes(3), "trials": 10**5}),
     ]
+    # The register kinds at their limits, where the charge is also at most 4x
+    # the peak: chain n=2 at MAX_LINKS, the branch kinds at n=2 with the
+    # largest env_dim (about 950 MB each).  premeasurement at n=1276 and
+    # ledger_quantum at n=2271 take 25 s and 4 min even untraced, so they
+    # stand in at n=120 and n=300, where the charge/peak ratios (1.30, 1.57)
+    # are already those at the limits (1.29, 1.62).
+    frontier = [
+        _scenario("chain", {"amplitudes": _random_amplitudes(2), "links": 5000, "overlap": 0.4}),
+        _scenario("branch_recohere", {"amplitudes": _random_amplitudes(2), "env_dim": 3728131}),
+        _scenario("ledger_branching", {"amplitudes": _random_amplitudes(2), "env_dim": 3728131}),
+        _scenario("premeasurement", {"amplitudes": _random_amplitudes(120), "pointer_overlap": 0.3}),
+        _scenario("ledger_quantum", {"amplitudes": _random_amplitudes(300)}),
+    ]
     charged = []
     real = cli._fits
 
@@ -713,7 +736,7 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         return real(entries, field, diags)
 
     monkeypatch.setattr(cli, "_fits", recording)
-    for i, doc in enumerate(rungs):
+    for i, doc in enumerate(rungs + frontier):
         charged.clear()
         path = _write(tmp_path, f"{i}.json", doc)
         tracemalloc.start()
@@ -724,6 +747,8 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert code == 0
         assert peak < 16 * sum(charged), (doc["kind"], peak, charged)
+        if i >= len(rungs):
+            assert 16 * sum(charged) <= 4 * peak, (doc["kind"], peak, charged)
 
 
 def test_wigner_charge_covers_the_csv_text_blocks(tmp_path, monkeypatch):
@@ -781,19 +806,26 @@ def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):
     doc = _scenario("premeasurement", {"amplitudes": _random_amplitudes(100), "pointer_overlap": 0.2})
     assert cli.validate_document(doc) == []
     assert cli.run(_write(tmp_path, "p.json", doc), out_dir=str(tmp_path / "o")) == 0
-    # n=5000: the 5000 shifts of side 5001 alone hold 1.25e11 values
+    # n=5000: joint_state.json alone would take 5000 x 5001 amplitudes at
+    # RECORD_AMPLITUDE_BYTES each (11 GB)
     doc = _scenario("premeasurement", {"amplitudes": _random_amplitudes(5000)})
     path = _write(tmp_path, "big.json", doc)
     start = time.perf_counter()
     _both_reject(path, tmp_path / "out", capsys, "params.amplitudes")
     assert time.perf_counter() - start < 1.0
     # the limits the README states
-    for n, ok in ((236, True), (237, False)):
-        doc = _scenario("ledger_quantum", {"amplitudes": [1.0 / math.sqrt(n)] * n})
-        assert (cli.validate_document(doc) == []) is ok
-    for env_dim, ok in ((807, True), (808, False)):
-        doc = _scenario("ledger_branching", {"amplitudes": [R2, R2], "env_dim": env_dim})
-        assert (cli.validate_document(doc) == []) is ok
+    refused = []
+    for kind, n in (("premeasurement", 1276), ("ledger_quantum", 2271)):
+        assert cli.validate_document(_scenario(kind, {"amplitudes": [1.0 / math.sqrt(n)] * n})) == []
+        refused.append((kind, {"amplitudes": [1.0 / math.sqrt(n + 1)] * (n + 1)}, "params.amplitudes"))
+    assert cli.validate_document(_scenario("ledger_branching", {"amplitudes": [R2, R2], "env_dim": 3728131})) == []
+    for kind in ("branch_recohere", "ledger_branching"):
+        refused.append((kind, {"amplitudes": [R2, R2], "env_dim": 3728132}, "params.env_dim"))
+    for kind, params, field in refused:
+        path = _write(tmp_path, f"{kind}.json", _scenario(kind, params))
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, field)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from decolab import serialize
 from decolab.entanglement import (
     decoherence_factor,
     ensemble_entropy,
     entropy_bits,
-    entropy_series_text,
     linear_entropy,
     schmidt_decompose,
     shannon_entropy,
@@ -120,21 +118,3 @@ def test_decoherence_factor_reports_offdiagonals():
     assert off[0, 1] == pytest.approx(0.2)
     assert off[0, 0] == 0.0
     assert np.abs(pops - 0.5).max() < 1e-12
-
-
-def test_entropy_series_csv():
-    sp = TensorSpace((("a", 2),))
-    rhos = [
-        DensityOperator.maximally_mixed(sp),
-        StateVector(sp, np.array([1.0, 0.0], dtype=complex)).density(),
-    ]
-    text = entropy_series_text([0.0, 1.0], rhos)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,linear_entropy,ensemble_entropy_nats,ensemble_entropy_bits"
-    # the per-value route: serialize.fmt on each field
-    for t, rho, line in zip([0.0, 1.0], rhos, lines[1:]):
-        s = ensemble_entropy(rho)
-        assert line == ",".join(map(serialize.fmt, (t, linear_entropy(rho), s, entropy_bits(s))))
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[1]) == pytest.approx(0.5)

@@ -6,17 +6,13 @@ import pytest
 from decolab.errors import CROSS_ATOL, SpaceMismatchError, ValidationError
 from decolab.hilbert import (
     DensityOperator,
-    Observable,
     StateVector,
     TensorSpace,
     apply_local,
     basis_state,
     born_probability,
-    build_observable,
     computational_basis,
     embed_matrix,
-    embed_observable,
-    expectation,
     partial_trace,
     random_state,
     ray_equal,
@@ -147,24 +143,6 @@ def test_born_probability():
     assert born_probability(basis_state(sp, 1), alpha) == pytest.approx(0.64)
 
 
-def test_observable_spectral_build_and_expectation():
-    sp = TensorSpace((("a", 2),))
-    basis = computational_basis(sp)
-    obs = build_observable(basis, [1.0, -1.0])
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    assert np.abs(obs.matrix - z).max() < 1e-15
-    plus = StateVector(sp, np.array([1.0, 1.0]) / np.sqrt(2))
-    assert expectation(obs, plus) == pytest.approx(0.0, abs=1e-15)
-    assert expectation(obs, basis[0].density()) == pytest.approx(1.0)
-
-
-def test_observable_requires_complete_basis():
-    sp = TensorSpace((("a", 3),))
-    basis = computational_basis(sp)
-    with pytest.raises(ValidationError):
-        build_observable(basis[:2], [1.0, 2.0])
-
-
 def test_partial_trace_pure_bell():
     sp = TensorSpace((("a", 2), ("b", 2)))
     bell = StateVector(sp, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -241,15 +219,6 @@ def test_apply_local_rejects_mismatched_operand():
         apply_local(amps, np.eye(2), TensorSpace((("b", 2),)), sp)
     with pytest.raises(SpaceMismatchError):
         apply_local(amps, np.eye(2), sp.subspace(["b"]), sp)
-
-
-def test_embed_observable():
-    sp = TensorSpace((("a", 2), ("b", 2)))
-    sub = sp.subspace(["b"])
-    obs = Observable(sub, np.array([[1, 0], [0, -1]], dtype=complex))
-    lifted = embed_observable(obs, sp)
-    assert lifted.space is sp
-    assert lifted.matrix.shape == (4, 4)
 
 
 def test_json_round_trip_exact():

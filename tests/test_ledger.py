@@ -314,6 +314,23 @@ def test_branching_ledger_physical_entropy_grows_then_plateaus():
     assert values[2] > values[1]
 
 
+def test_cli_ledger_branching_builds_its_registers_once(tmp_path, monkeypatch):
+    # the run takes the model its parse built; branching_ledger builds its own
+    built = []
+    real = BranchingModel.ideal
+    monkeypatch.setattr(BranchingModel, "ideal", staticmethod(lambda *args, **kwargs: built.append(args) or real(*args, **kwargs)))
+    doc = {"schema": "decolab/scenario/v1", "kind": "ledger_branching", "params": {"amplitudes": [0.6, 0.8], "env_dim": 5}}
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
+    assert len(built) == 1
+    rows = branching_ledger(np.array([0.6, 0.8]), env_dim=5)
+    assert len(built) == 2
+    text = (tmp_path / "o" / "ledger.csv").read_text().split("\n")
+    assert [line.split(",")[0] for line in text[1:-1]] == [r.step for r in rows]
+    assert [float(line.split(",")[2]) for line in text[1:-1]] == [r.s_physical for r in rows]
+
+
 def test_branching_ledger_rejects_small_environment():
     with pytest.raises(ValidationError):
         branching_ledger(np.array([1.0, 1.0, 1.0]) / np.sqrt(3), env_dim=2)

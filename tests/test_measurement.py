@@ -26,6 +26,7 @@ from decolab.measurement import (
     ChainSpec,
     _complete_orthonormal,
     _controlled_shift,
+    _chain_densities,
     _gram_factor,
     _transport_unitary,
     branch_and_recohere,
@@ -534,6 +535,34 @@ def test_chain_forms_match_the_dense_chain():
     assert _chain_deviation(spec, _random_system(rng, 3)) < CROSS_ATOL
 
 
+def test_chain_densities_are_the_forms_densities_one_gram_per_step(monkeypatch):
+    # the CLI's chains: links in index order, each density the running product
+    # of one Gram matrix per step, with the values of system_density()
+    rng = np.random.default_rng(1207)
+    grams = []
+    real = measurement._gram
+    monkeypatch.setattr(measurement, "_gram", lambda x: grams.append(x.shape) or real(x))
+    for n in (2, 3, 5):
+        for links in (0, 1, 4, 30):
+            overlaps = rng.uniform(-0.9 / (n - 1), 0.9, size=links)
+            apps = tuple(ApparatusModel.with_overlap(f"link{i}", n, float(g)) for i, g in enumerate(overlaps))
+            spec = ChainSpec(computational_basis(TensorSpace((("system", n),))), apps, ApparatusModel.ideal("observer", n))
+            system = _random_system(rng, n, zero=links == 1)
+            grams.clear()
+            densities = list(_chain_densities(spec, system))
+            assert len(grams) == links + 1
+            forms = chain_forms(spec, system)
+            assert len(densities) == len(forms) - 1
+            for m, form in zip(densities, forms[1:]):
+                assert np.array_equal(m, form.system_density())
+    # a shuffled activation order multiplies in that order: equal within round-off
+    for _ in range(10):
+        spec = _random_chain(rng, 3, 4)
+        system = _random_system(rng, 3)
+        for m, form in zip(_chain_densities(spec, system), chain_forms(spec, system)[1:], strict=True):
+            assert np.abs(m - form.system_density()).max() < CROSS_ATOL
+
+
 def test_chain_forms_give_the_decoherence_dial():
     # 0.5 g^k after k links of overlap g, as acceptance criterion 5 states
     n, g = 2, 0.6
@@ -637,8 +666,11 @@ def test_register_runs_refuse_a_state_that_lost_its_norm(tmp_path, capsys, monke
             return [BranchForm(1.01 * f.coefficients, f.stacks) for f in forms]
         return build
 
+    def leaky_densities(*args):
+        return (1.01**2 * m for m in _chain_densities(*args))
+
     monkeypatch.setattr(cli, "premeasure_form", leaky(premeasure_form))
-    monkeypatch.setattr(cli, "chain_forms", leaky(chain_forms))
+    monkeypatch.setattr(cli, "_chain_densities", leaky_densities)
     monkeypatch.setattr(cli, "branch_forms", leaky(branch_forms))
     for kind, params in (
         ("premeasurement", {"amplitudes": [0.6, 0.8]}),

@@ -66,9 +66,17 @@ run forms a shift unitary.  Charged are:
   replay at REPLAY_SEED_BYTES per seed, and one record's pre and post states
   (records.json is written one record at a time) plus one more amplitude per
   outcome, at RECORD_AMPLITUDE_BYTES each, filed under params.amplitudes;
-  more than MAX_TRIALS trials are refused under params.trials;
-* a histories dim above 406 (its projector family holds dim^3 values), a
-  Schmidt state above 2^26 amplitudes, or a graham n of 2^26 or more.
+  more than MAX_TRIALS trials are refused under params.trials; and the text
+  of records.json, min(record_limit, trials) records of 2 n amplitudes at
+  RECORD_PAIR_TEXT_BYTES each plus RECORD_TEXT_BYTES and the seed's digits,
+  against MAX_ARTIFACT_BYTES, filed under params.record_limit (at 2000
+  amplitudes, 2913 records are accepted and 2914 refused);
+* schmidt: the state's d_A d_B amplitudes at SCHMIDT_STATE_BYTES each and
+  the min(d_A, d_B) (d_A + d_B) amplitudes of schmidt.json's vectors at
+  SCHMIDT_AMPLITUDE_BYTES each, filed under params.dims: 927 x 927 is
+  accepted and 928 x 928 refused;
+* a histories dim above 406 (its projector family holds dim^3 values), or a
+  graham n of 2^26 or more.
 """
 
 from __future__ import annotations
@@ -173,6 +181,26 @@ MAX_TRIALS = 10**6
 # [re, im] list and its JSON text (451 measured in a joint state, ~420 here).
 RECORD_AMPLITUDE_BYTES = 451
 
+# Bytes of records.json text, at most, per amplitude and per record besides
+# its amplitudes and seed.  An amplitude is an [re, im] pair of two floats of
+# up to MAX_FMT_LEN bytes at ten spaces of indent, in brackets at eight, with
+# its commas and line feeds; the rest of a record, its keys, outcome,
+# probability, space, indent and braces, measured 391 bytes at most (floats
+# of 24 bytes, an n of eight digits), rounded up.
+RECORD_PAIR_TEXT_BYTES = 2 * serialize.MAX_FMT_LEN + 44
+RECORD_TEXT_BYTES = 512
+
+# Bytes a schmidt run takes per amplitude of the vectors schmidt.json lists
+# and per amplitude of the state, rounded up from the peak RSS of fresh runs
+# (d_A x d_B = 700 x 700, 983 x 983 and 16 x 60000; Python 3.11, numpy
+# 2.4.6): 525 and 95, besides 40 MiB for the interpreter, so that a run at
+# the limit stays under 1 GiB.  A vector amplitude is its SVD column, its
+# StateVector copy, its [re, im] list and its JSON text, four spaces deeper
+# than a joint state's (482 bytes under tracemalloc, against 449); a state
+# amplitude is the state, its reshaped copy and the SVD's work.
+SCHMIDT_AMPLITUDE_BYTES = 576
+SCHMIDT_STATE_BYTES = 96
+
 # Bytes one seed of a replay block takes while sample_outcomes draws its
 # outcome: 258 measured under tracemalloc (Python 3.11, numpy 2.4.6),
 # rounded up.
@@ -187,9 +215,9 @@ MAX_LINKS = 5000
 # n x n arrays a register run holds at once besides the measured basis,
 # rounded up: the basis's orthonormality check (its columns, their Gram
 # matrix and the difference from the identity) and the coefficients' copy of
-# the columns; a density, its DensityOperator copy, the conjugate transpose
-# and difference of its Hermitian check and the eigvalsh workspace; a
-# ledger's Gram matrices, their pivoted factors and its singular values.
+# the columns; a density, its DensityOperator copy and the eigvalsh
+# workspace, with two to spare (the Hermitian check holds one block of rows);
+# a ledger's Gram matrices, their pivoted factors and its singular values.
 GRAM_TEMPORARIES = 8
 
 # Bytes a register run takes whatever its size, and per register, rounded up
@@ -417,9 +445,18 @@ def _parse_collapse_mc(params, seed, diags):
         return None
     # A record lists a pre and a post state of n amplitudes; one more per
     # outcome covers the decoded scenario, the Born table and collapse.csv.
-    amplitudes = (2 * min(limit, 1) + 1) * system.space.total_dim
+    n = system.space.total_dim
+    amplitudes = (2 * min(limit, 1) + 1) * n
     replay = min(trials, _REPLAY_BLOCK) * REPLAY_SEED_BYTES // 16
     _fits(trials + replay + amplitudes * RECORD_AMPLITUDE_BYTES // 16, "params.amplitudes", diags)
+    # records.json: each record's pre and post states of n amplitudes.
+    record_bytes = 2 * n * RECORD_PAIR_TEXT_BYTES + RECORD_TEXT_BYTES + len(str(seed + trials))
+    text_bytes = min(limit, trials) * record_bytes
+    if text_bytes > MAX_ARTIFACT_BYTES:
+        diags.append(
+            f"params.record_limit: records.json would take up to {text_bytes} bytes, "
+            f"over the {MAX_ARTIFACT_BYTES >> 30} GiB artifact cap"
+        )
     return system, trials, limit, seed
 
 
@@ -473,8 +510,6 @@ def _parse_schmidt(params, seed, diags):
     ):
         diags.append('params.dims: expected [["label", dim], ...] with integer dims >= 1')
         return None
-    if not _fits(math.prod(d[1] for d in dims), "params.dims", diags):
-        return None
     space = _build(diags, "params.dims", TensorSpace, tuple((d[0], d[1]) for d in dims))
     if space is None:
         return None
@@ -486,6 +521,14 @@ def _parse_schmidt(params, seed, diags):
         or len(set(system)) >= len(space.labels)
     ):
         diags.append("params.system: expected a proper nonempty subset of the labels")
+        return None
+    # schmidt.json lists r = min(d_A, d_B) vectors on each side: r (d_A + d_B)
+    # amplitudes, besides the state's d_A d_B.  No state is built before this.
+    d_a = math.prod(space.dim_of(label) for label in set(system))
+    d_b = space.total_dim // d_a
+    vectors = min(d_a, d_b) * (d_a + d_b) * SCHMIDT_AMPLITUDE_BYTES
+    if not _fits((vectors + space.total_dim * SCHMIDT_STATE_BYTES) // 16, "params.dims", diags):
+        return None
     state = params.get("state", {"kind": "random"})
     if isinstance(state, dict) and "amplitudes" in state:
         field = "params.state.amplitudes"

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .errors import (
     MIN_BRANCH_PROBABILITY,
     SpaceMismatchError,
@@ -119,9 +118,6 @@ class CollapseRecord:
             "pre_state": self.pre_state.to_json_obj(),
             "post_state": self.post_state.to_json_obj(),
         }
-
-    def to_json(self) -> str:
-        return serialize.dumps(self.to_json_obj())
 
 
 def born_weights(psi: StateVector, basis=None) -> np.ndarray:

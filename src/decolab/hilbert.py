@@ -7,12 +7,16 @@ flat index 3.  Global phase is physically irrelevant but is stored as given;
 use :func:`ray_equal` for phase-insensitive comparison.
 
 All values are immutable after construction (frozen dataclasses wrapping
-read-only arrays) and safe to share between threads.
+read-only arrays) and safe to share between threads.  States and densities
+are written as JSON (``to_json``) but never read back: scenarios give their
+states as plain amplitude lists.  Every Hermitian check (densities,
+Hamiltonians, projectors and a Wigner grid's density samples) is
+:func:`_check_hermitian`, which takes the deviation one block of rows at a
+time.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -77,15 +81,8 @@ class TensorSpace:
     def flatten(self, multi: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(multi), self.dims))
 
-    def unflatten(self, index: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(index, self.dims))
-
     def to_json_obj(self) -> list:
         return [[label, dim] for label, dim in self.subsystems]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> TensorSpace:
-        return cls(tuple((str(l), int(d)) for l, d in obj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +108,6 @@ class StateVector:
 
     def is_normalized(self, atol: float = VALIDITY_ATOL) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= atol
-
-    def normalized(self) -> StateVector:
-        n = self.norm()
-        if n == 0.0:
-            raise ValidationError("cannot normalize zero-norm state")
-        return StateVector(self.space, self.amplitudes / n)
 
     def inner(self, other: StateVector) -> complex:
         """<self|other> with conjugation on self."""
@@ -144,15 +135,6 @@ class StateVector:
     def to_json(self) -> str:
         return serialize.dumps(self.to_json_obj())
 
-    @classmethod
-    def from_json(cls, data) -> StateVector:
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(
-            TensorSpace.from_json_obj(data["space"]),
-            serialize.pairs_to_complex(data["amplitudes"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -178,11 +160,6 @@ class DensityOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    @classmethod
-    def maximally_mixed(cls, space: TensorSpace) -> DensityOperator:
-        d = space.total_dim
-        return cls(space, np.eye(d, dtype=np.complex128) / d)
-
     def to_json_obj(self) -> dict:
         return {
             "space": self.space.to_json_obj(),
@@ -192,24 +169,25 @@ class DensityOperator:
     def to_json(self) -> str:
         return serialize.dumps(self.to_json_obj())
 
-    @classmethod
-    def from_json(cls, data) -> DensityOperator:
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(
-            TensorSpace.from_json_obj(data["space"]),
-            serialize.pairs_to_matrix(data["matrix"]),
-        )
+
+# Entries per row block of the Hermitian check: it holds one block's
+# conjugate transpose, difference and magnitudes, never the whole matrix's.
+_HERMITIAN_BLOCK = 1 << 16
 
 
 def _check_hermitian(mat, dim: int, what: str) -> np.ndarray:
-    """A (dim, dim) complex128 copy of ``mat``, finite and Hermitian within VALIDITY_ATOL."""
+    """A (dim, dim) complex128 copy of ``mat``, finite and Hermitian within
+    VALIDITY_ATOL.  The deviation is the largest |M - M^dagger| entry, taken
+    one block of rows at a time: the same maximum as over the whole matrix."""
     mat = np.array(mat, dtype=np.complex128, copy=True)
     if mat.shape != (dim, dim):
         raise SpaceMismatchError(f"{what} shape {mat.shape} for dimension {dim}")
     if not np.all(np.isfinite(mat.view(np.float64))):
         raise ValidationError(f"non-finite {what} entry")
-    dev = np.abs(mat - mat.conj().T).max()
+    rows = max(1, _HERMITIAN_BLOCK // dim)
+    dev = 0.0
+    for i in range(0, dim, rows):
+        dev = max(dev, np.abs(mat[i : i + rows] - mat[:, i : i + rows].conj().T).max())
     if dev > VALIDITY_ATOL:
         raise ValidationError(f"{what} is not Hermitian (deviation {dev:.3e})")
     return mat
@@ -251,12 +229,6 @@ def tensor_many(*states: StateVector) -> StateVector:
     for s in states[1:]:
         out = tensor(out, s)
     return out
-
-
-def born_probability(n: StateVector, alpha: StateVector) -> float:
-    """|<n|alpha>|^2 for normalized arguments."""
-    _check_same_space(n.space, alpha.space)
-    return float(abs(n.inner(alpha)) ** 2)
 
 
 def _check_orthonormal_complete(basis: Sequence[StateVector], space: TensorSpace) -> None:

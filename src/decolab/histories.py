@@ -251,11 +251,6 @@ def history_probability(spec: HistorySpec, history: Sequence[int]) -> float:
     return float(spec.history_tables[0][_history_index(spec, history)])
 
 
-def history_trace_single_sided(spec: HistorySpec, history: Sequence[int]) -> complex:
-    """Raw trace(P_k ... P_1 rho); complex unless the family decoheres."""
-    return complex(spec.history_tables[1][_history_index(spec, history)])
-
-
 def enumerate_histories(spec: HistorySpec):
     """All outcome tuples in lexicographic order."""
     return itertools.product(*(range(n) for n in spec.outcome_counts()))

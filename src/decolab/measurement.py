@@ -3,22 +3,23 @@
 A device register starts in a ready state and is driven by a controlled
 shift: the unitary acts as |n> x V_n where V_n carries the ready state to
 the n-th pointer state.  Chains tensor several such registers onto one
-system and activate them in order, the observer register last.  Everything
-here is globally unitary; apparent irreversibility enters only through
-which registers are later ignored.
+system and activate them in index order, the observer register last.
+Everything here is globally unitary; apparent irreversibility enters only
+through which registers are later ignored.
 
-Since every step is controlled on the measured basis, each state these
-models produce is sum_n a_n |b_n> (x)_j |x_j(n)>.  ``BranchForm`` stores it
-as n coefficients and one n x d_j stack of pointer vectors per register, and
+Since every step is controlled on the measured basis, and none is followed
+by a map on the system, each state these models produce is
+sum_n a_n |b_n> (x)_j |x_j(n)>.  ``BranchForm`` stores it as n coefficients
+and one n x d_j stack of pointer vectors per register, and
 ``premeasure_form``, ``chain_forms`` and ``branch_forms`` build it step by
 step; the register kinds of the CLI and the ledgers run on it.
-``premeasure``, ``chain_propagate`` and ``branch_and_recohere`` apply the
-shifts to the joint state tensor and are the dense reference for that route.
+``premeasure`` (which appends the ready device to the bare system),
+``chain_propagate`` and ``branch_and_recohere`` apply the shifts to the
+joint state tensor and are the dense reference for that route.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +35,6 @@ from .hilbert import (
     apply_local,
     basis_state,
     computational_basis,
-    partial_trace,
     tensor,
     tensor_many,
 )
@@ -109,17 +109,6 @@ class ApparatusModel:
                 raise SpaceMismatchError("pointer state lives off the device space")
             if not p.is_normalized():
                 raise ValidationError("pointer state is not normalized")
-
-    @functools.cached_property
-    def overlap_matrix(self) -> np.ndarray:
-        """<pointer_i|pointer_j> for every pair of pointer states."""
-        n = len(self.pointer_states)
-        ov = np.empty((n, n), dtype=np.complex128)
-        for i, a in enumerate(self.pointer_states):
-            for j, b in enumerate(self.pointer_states):
-                ov[i, j] = a.inner(b)
-        ov.setflags(write=False)
-        return ov
 
     @property
     def n_outcomes(self) -> int:
@@ -220,63 +209,16 @@ def _controlled_shift(
     return StateVector(full, out)
 
 
-def _device_ready_weight(joint: StateVector, app: ApparatusModel) -> float:
-    rho_dev = partial_trace(joint, list(app.space.labels))
-    r = app.pointer_ready.amplitudes
-    return float(np.vdot(r, rho_dev.matrix @ r).real)
-
-
 def premeasure(
-    system: StateVector,
-    app: ApparatusModel,
-    basis: Sequence[StateVector],
-    post_maps: Sequence[np.ndarray] | None = None,
+    system: StateVector, app: ApparatusModel, basis: Sequence[StateVector]
 ) -> StateVector:
     """Entangle a device with the system without selecting an outcome.
 
-    ``system`` may be the bare system state (the ready device is appended)
-    or a joint state already containing the device register, which must
-    then actually hold the ready state.  Eigenstates of the measured basis
-    come out as product states with the matching pointer; superpositions
-    come out entangled, component by component.
-
-    ``post_maps`` optionally applies a unitary to the system conditioned on
-    each pointer outcome (a disturbing measurement).  This requires
-    orthogonal pointer states.
+    The ready device is appended to ``system``.  Eigenstates of the measured
+    basis come out as product states with the matching pointer;
+    superpositions come out entangled, component by component.
     """
-    if app.space.labels[0] in system.space.labels:
-        joint = system
-        if _device_ready_weight(joint, app) < 1.0 - VALIDITY_ATOL:
-            raise ValidationError("apparatus is not in its ready state")
-    else:
-        joint = tensor(system, app.pointer_ready)
-    out = _controlled_shift(joint, basis, app)
-    if post_maps is not None:
-        out = _apply_post_maps(out, app, basis, post_maps)
-    return out
-
-
-def _apply_post_maps(joint, app, basis, post_maps):
-    if len(post_maps) != app.n_outcomes:
-        raise ValidationError("one post map per outcome required")
-    ident = np.eye(app.space.total_dim, dtype=np.complex128)
-    pointer_gram = np.abs(app.overlap_matrix - np.eye(app.n_outcomes)).max()
-    if pointer_gram > VALIDITY_ATOL:
-        raise ValidationError("post maps require orthogonal pointer states")
-    sys_space = basis[0].space
-    ds = sys_space.total_dim
-    u = np.zeros((ds * app.space.total_dim,) * 2, dtype=np.complex128)
-    rest = ident.copy()
-    for w, pointer in zip(post_maps, app.pointer_states):
-        w = np.asarray(w, dtype=np.complex128)
-        if np.abs(w.conj().T @ w - np.eye(ds)).max() > VALIDITY_ATOL:
-            raise ValidationError("post map is not unitary")
-        pp = np.outer(pointer.amplitudes, pointer.amplitudes.conj())
-        u += np.kron(w, pp)
-        rest -= pp
-    u += np.kron(np.eye(ds), rest)
-    local = sys_space.concat(app.space)
-    return StateVector(joint.space, apply_local(joint.amplitudes, u, local, joint.space))
+    return _controlled_shift(tensor(system, app.pointer_ready), basis, app)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,18 +228,8 @@ class ChainSpec:
     system_basis: tuple[StateVector, ...]
     links: tuple[ApparatusModel, ...]
     observer: ApparatusModel
-    activation_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        order = self.activation_order
-        if order is None:
-            order = tuple(range(len(self.links)))
-        order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(len(self.links))):
-            raise ValidationError(
-                f"activation order {order} must visit each link exactly once"
-            )
-        object.__setattr__(self, "activation_order", order)
         n = len(self.system_basis)
         for link in self.links + (self.observer,):
             if link.n_outcomes != n:
@@ -318,26 +250,15 @@ class ChainSpec:
 
     @classmethod
     def from_scenario(cls, doc: dict) -> ChainSpec:
-        """Build from a plain dict: system_dim, links (dim/overlap), observer, order."""
+        """Build from a plain dict: system_dim and links, each with an
+        overlap; every register has width system_dim + 1."""
         n = int(doc["system_dim"])
-        sys_space = TensorSpace((("system", n),))
-        basis = computational_basis(sys_space)
-        links = []
-        for i, link_doc in enumerate(doc.get("links", [])):
-            dim = int(link_doc.get("dim", n + 1))
-            g = float(link_doc.get("overlap", 0.0))
-            links.append(ApparatusModel.with_overlap(f"link{i}", n, g, dim=dim))
-        obs_doc = doc.get("observer", {})
-        observer = ApparatusModel.ideal(
-            "observer", n, dim=int(obs_doc.get("dim", n + 1))
+        links = tuple(
+            ApparatusModel.with_overlap(f"link{i}", n, float(link_doc.get("overlap", 0.0)))
+            for i, link_doc in enumerate(doc.get("links", []))
         )
-        order = doc.get("order")
-        return cls(
-            system_basis=basis,
-            links=tuple(links),
-            observer=observer,
-            activation_order=tuple(order) if order is not None else None,
-        )
+        basis = computational_basis(TensorSpace((("system", n),)))
+        return cls(system_basis=basis, links=links, observer=ApparatusModel.ideal("observer", n))
 
 
 def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateVector]:
@@ -354,8 +275,7 @@ def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateV
         joint = tensor(joint, link.pointer_ready)
     joint = tensor(joint, spec.observer.pointer_ready)
     states = [joint]
-    registers = [spec.links[idx] for idx in spec.activation_order] + [spec.observer]
-    for app in registers:
+    for app in spec.links + (spec.observer,):
         states.append(_controlled_shift(states[-1], spec.system_basis, app))
     return states
 
@@ -586,23 +506,22 @@ def _pointer_rows(app: ApparatusModel, n: int) -> np.ndarray:
 def premeasure_form(
     system: StateVector, app: ApparatusModel, basis: Sequence[StateVector]
 ) -> tuple[BranchForm, BranchForm]:
-    """The ready state and the state after ``premeasure(system, app, basis)``
-    (no post maps), as branch forms."""
+    """The ready state and the state after ``premeasure(system, app, basis)``,
+    as branch forms."""
     a = _coefficients(system, basis)
     return BranchForm(a, (_ready_rows(app, a.size),)), BranchForm(a, (_pointer_rows(app, a.size),))
 
 
 def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm]:
     """``chain_propagate`` as branch forms: the state before any step and
-    after every step, with one stack per link and the observer's last.  A
-    link's stack goes from its ready state to its pointer states when the
-    activation order reaches it."""
+    after every step, with one stack per link and the observer's last.  Step
+    k takes register k's stack from its ready state to its pointer states."""
     a = _coefficients(initial_system, spec.system_basis)
     registers = spec.links + (spec.observer,)
     stacks = [_ready_rows(app, a.size) for app in registers]
     forms = [BranchForm(a, tuple(stacks))]
-    for k in spec.activation_order + (len(spec.links),):
-        stacks[k] = _pointer_rows(registers[k], a.size)
+    for k, app in enumerate(registers):
+        stacks[k] = _pointer_rows(app, a.size)
         forms.append(BranchForm(a, tuple(stacks)))
     return forms
 
@@ -613,14 +532,13 @@ def _chain_densities(spec: ChainSpec, initial_system: StateVector):
 
     Each step multiplies the running product by the Gram matrix of the one
     stack it changes, so K links take O(K) work and no form is kept.  A ready
-    register's Gram matrix is all ones, so with the links activated in index
-    order each value is that of ``system_density()`` of the matching
-    ``chain_forms`` entry, up to the sign of a zero."""
+    register's Gram matrix is all ones, so each value is that of
+    ``system_density()`` of the matching ``chain_forms`` entry, up to the
+    sign of a zero."""
     a = _coefficients(initial_system, spec.system_basis)
-    registers = spec.links + (spec.observer,)
     m = np.outer(a, a.conj())
-    for k in spec.activation_order + (len(spec.links),):
-        m = _decohere(m.copy(), (_pointer_rows(registers[k], a.size),))
+    for app in spec.links + (spec.observer,):
+        m = _decohere(m.copy(), (_pointer_rows(app, a.size),))
         yield m
 
 

@@ -334,26 +334,9 @@ def complex_pairs(vec: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(vec, np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
-def pairs_to_complex(pairs) -> np.ndarray:
-    out = np.empty(len(pairs), dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        re, im = pair
-        out[i] = complex(float(re), float(im))
-    return out
-
-
 def matrix_pairs(mat: np.ndarray) -> list[list[list[float]]]:
     m = np.ascontiguousarray(mat, np.complex128)
     return m.view(np.float64).reshape(*m.shape, 2).tolist()
-
-
-def pairs_to_matrix(rows) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, pair in enumerate(row):
-            re, im = pair
-            out[i, j] = complex(float(re), float(im))
-    return out
 
 
 def dumps(obj) -> str:

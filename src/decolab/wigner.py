@@ -12,8 +12,7 @@ trace exactly.  States far narrower or wider than the grid are rejected
 through a boundary-amplitude check instead of silently wrapping.
 
 The transform is also expressible as the trace against a phase-point
-kernel; :func:`pauli_kernel_value` returns that kernel's matrix elements
-(a Kronecker comb standing in for the delta on the midpoint lattice) and
+kernel, a Kronecker comb standing in for the delta on the midpoint lattice;
 :func:`wigner_via_kernel` contracts it directly, without the FFT, as an
 independent route to the same surface.
 """
@@ -26,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .errors import ValidationError, VALIDITY_ATOL
+from .errors import ValidationError
+from .hilbert import _check_hermitian
 
 BOUNDARY_FLOOR = 1e-8
 NORMALIZATION_ATOL = 1e-6
 IMAG_RESIDUE_ATOL = 1e-10
-_GRID_ALIGN_ATOL = 1e-9
 
 
 def _check_grid(q_min: float, q_max: float, n_points: int) -> None:
@@ -58,17 +57,16 @@ class GridState:
     def __post_init__(self):
         n = int(self.n_points)
         _check_grid(self.q_min, self.q_max, n)
-        v = np.array(self.values, dtype=np.complex128, copy=True)
-        if v.shape not in ((n,), (n, n)):
-            raise ValidationError(f"values shape {v.shape} incompatible with {n} grid points")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise ValidationError("non-finite grid sample")
-        if v.ndim == 1:
-            total = float((np.abs(v) ** 2).sum() * self.dq)
-        else:
-            if np.abs(v - v.conj().T).max() > VALIDITY_ATOL:
-                raise ValidationError("density samples are not Hermitian")
+        if np.shape(self.values) == (n, n):
+            v = _check_hermitian(self.values, n, "density sample matrix")
             total = float(np.trace(v).real * self.dq)
+        else:
+            v = np.array(self.values, dtype=np.complex128, copy=True)
+            if v.shape != (n,):
+                raise ValidationError(f"values shape {v.shape} incompatible with {n} grid points")
+            if not np.all(np.isfinite(v.view(np.float64))):
+                raise ValidationError("non-finite grid sample")
+            total = float((np.abs(v) ** 2).sum() * self.dq)
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValidationError(f"grid normalization is {total:.8g}, expected 1")
         v.setflags(write=False)
@@ -80,10 +78,6 @@ class GridState:
     @property
     def dq(self) -> float:
         return (self.q_max - self.q_min) / self.n_points
-
-    @property
-    def q_grid(self) -> np.ndarray:
-        return grid_points(self.q_min, self.q_max, self.n_points)
 
     def density_samples(self) -> np.ndarray:
         """rho(z, z') = psi(z) conj(psi(z')) for pure input, or the matrix itself."""
@@ -200,31 +194,6 @@ def marginals(w: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
     pos = w.values.sum(axis=0) * w.dp
     mom = w.values.sum(axis=1) * w.dq
     return pos, mom
-
-
-def _aligned_index(x: float, origin: float, step: float, what: str) -> int:
-    ratio = (x - origin) / step
-    idx = round(ratio)
-    if abs(ratio - idx) > _GRID_ALIGN_ATOL:
-        raise ValidationError(f"{what} {x} is not on the grid")
-    return int(idx)
-
-
-def pauli_kernel_value(state: GridState, p: float, q: float, z: float, z_prime: float) -> complex:
-    """Matrix element of the phase-point kernel at grid-aligned arguments.
-
-    The delta in q - (z + z') / 2 becomes a Kronecker comb on the midpoint
-    lattice (half the grid step), normalized by 1/dq.  Arguments off their
-    lattices are rejected rather than rounded.
-    """
-    dq = state.dq
-    _aligned_index(z, state.q_min, dq, "z")
-    _aligned_index(z_prime, state.q_min, dq, "z_prime")
-    q_idx2 = _aligned_index(q, state.q_min, dq / 2.0, "q (midpoint lattice)")
-    mid2 = _aligned_index((z + z_prime) / 2.0, state.q_min, dq / 2.0, "midpoint")
-    if q_idx2 != mid2:
-        return 0.0 + 0.0j
-    return complex(np.exp(1j * p * (z - z_prime)) / (2.0 * math.pi * dq))
 
 
 def wigner_via_kernel(state: GridState) -> np.ndarray:

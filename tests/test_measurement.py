@@ -58,10 +58,12 @@ def test_record_states_overlap_matrix():
 
 def test_apparatus_overlaps_and_shifts_are_computed_on_demand():
     app = ApparatusModel.with_overlap("r", 3, 0.4, dim=6)
-    assert "overlap_matrix" not in vars(app)
+    # the model keeps its states only; the overlaps the register kinds read
+    # are the Gram matrix of the pointer stack
+    assert set(vars(app)) == {"space", "pointer_ready", "pointer_states"}
     want = [[a.inner(b) for b in app.pointer_states] for a in app.pointer_states]
-    assert np.array_equal(app.overlap_matrix, np.array(want))
-    assert app.overlap_matrix is app.overlap_matrix
+    gram = measurement._gram(measurement._pointer_rows(app, 3))
+    assert np.abs(gram - np.array(want)).max() < CROSS_ATOL
     # one completion of the ready state serves every shift, bit for bit
     ready = app.pointer_ready.amplitudes
     for v_n, p in zip(app.shift_unitaries(), app.pointer_states):
@@ -129,6 +131,16 @@ def test_premeasure_extends_linearly():
     assert np.abs(pops - [0.36, 0.64]).max() < 1e-12
 
 
+def test_premeasure_rejects_busy_apparatus():
+    # premeasure appends the ready device, so a state that already holds the
+    # device register is refused
+    sys_space = TensorSpace((("system", 2),))
+    app = ApparatusModel.ideal("ptr", 2)
+    joint = premeasure(_plus(sys_space), app, computational_basis(sys_space))
+    with pytest.raises(ValidationError, match="label collision"):
+        premeasure(joint, app, computational_basis(sys_space))
+
+
 def test_premeasure_overlap_controls_offdiagonal():
     sys_space = TensorSpace((("system", 2),))
     basis = computational_basis(sys_space)
@@ -139,64 +151,18 @@ def test_premeasure_overlap_controls_offdiagonal():
         assert off[0, 1] == pytest.approx(0.5 * g, abs=1e-12)
 
 
-def test_premeasure_rejects_busy_apparatus():
-    sys_space = TensorSpace((("system", 2),))
-    app = ApparatusModel.ideal("ptr", 2)
-    joint = premeasure(_plus(sys_space), app, computational_basis(sys_space))
-    with pytest.raises(ValidationError, match="ready state"):
-        premeasure(joint, app, computational_basis(sys_space))
-
-
-def test_premeasure_accepts_prepared_joint():
-    sys_space = TensorSpace((("system", 2),))
-    app = ApparatusModel.ideal("ptr", 2)
-    ready = tensor(_plus(sys_space), app.pointer_ready)
-    joint = premeasure(ready, app, computational_basis(sys_space))
-    direct = premeasure(_plus(sys_space), app, computational_basis(sys_space))
-    assert np.abs(joint.amplitudes - direct.amplitudes).max() < 1e-12
-
-
-def test_premeasure_post_maps_disturb_system():
-    sys_space = TensorSpace((("system", 2),))
-    app = ApparatusModel.ideal("ptr", 2)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    joint = premeasure(
-        basis_state(sys_space, 0),
-        app,
-        computational_basis(sys_space),
-        post_maps=[flip, eye],
-    )
-    expected = tensor(basis_state(sys_space, 1), app.pointer_states[0])
-    assert np.abs(joint.amplitudes - expected.amplitudes).max() < 1e-12
-
-
-def test_chain_spec_from_scenario_reads_links_observer_and_order():
+def test_chain_spec_from_scenario_reads_links_and_observer():
     spec = ChainSpec.from_scenario(
-        {
-            "system_dim": 2,
-            "links": [{"overlap": 0.5}, {"overlap": 0.25, "dim": 4}],
-            "observer": {"dim": 3},
-            "order": [1, 0],
-        }
+        {"system_dim": 2, "links": [{"overlap": 0.5}, {"overlap": 0.25}, {}], "observer": {}}
     )
-    assert [link.space.total_dim for link in spec.links] == [3, 4]
-    assert [link.overlap_matrix[0, 1] for link in spec.links] == pytest.approx([0.5, 0.25], abs=1e-12)
-    assert spec.observer.space.total_dim == 3
-    assert spec.activation_order == (1, 0)
-    assert ChainSpec.from_scenario({"system_dim": 2, "links": [{}]}).activation_order == (0,)
-
-
-def test_chain_rejects_bad_activation_order():
-    with pytest.raises(ValidationError, match="activat"):
-        ChainSpec.from_scenario(
-            {
-                "system_dim": 2,
-                "links": [{"overlap": 0.0}, {"overlap": 0.0}],
-                "observer": {},
-                "order": [0, 0],
-            }
-        )
+    assert [link.space.labels for link in spec.links] == [("link0",), ("link1",), ("link2",)]
+    assert [link.space.total_dim for link in spec.links] == [3, 3, 3]
+    overlaps = [link.pointer_states[0].inner(link.pointer_states[1]) for link in spec.links]
+    assert overlaps == pytest.approx([0.5, 0.25, 0.0], abs=1e-12)
+    ideal = ApparatusModel.ideal("observer", 2)
+    assert spec.observer.space == ideal.space
+    assert all(np.array_equal(p.amplitudes, q.amplitudes) for p, q in zip(spec.observer.pointer_states, ideal.pointer_states))
+    assert ChainSpec.from_scenario({"system_dim": 3}).links == ()
 
 
 def test_chain_offdiagonal_product_of_overlaps():
@@ -238,7 +204,7 @@ def test_chain_observer_registers_outcome():
     # sharp input: a single product component with every register on record 1
     idx = int(np.argmax(np.abs(final.amplitudes)))
     assert abs(abs(final.amplitudes[idx]) - 1.0) < 1e-12
-    multi = final.space.unflatten(idx)
+    multi = np.unravel_index(idx, final.space.dims)
     assert multi[0] == 1
     assert all(m == 2 for m in multi[1:])  # slot 0 is ready, record n sits at n + 1
 
@@ -298,20 +264,17 @@ def test_step_unitaries_are_unitary():
 
 
 def test_chain_propagate_matches_dense_unitaries():
-    spec = ChainSpec.from_scenario(
-        {
-            "system_dim": 3,
-            "links": [{"overlap": 0.4}, {"overlap": 0.7, "dim": 5}, {"overlap": -0.2}],
-            "observer": {"dim": 5},
-            "order": [2, 0, 1],
-        }
+    # registers wider than n + 1, activated in order
+    links = tuple(
+        ApparatusModel.with_overlap(f"link{i}", 3, g, dim=d) for i, (g, d) in enumerate(((0.4, 4), (0.7, 5), (-0.2, 4)))
     )
+    basis = computational_basis(TensorSpace((("system", 3),)))
+    spec = ChainSpec(basis, links, ApparatusModel.ideal("observer", 3, dim=5))
     psi = random_state(spec.system_space, RNG)
     states = chain_propagate(spec, psi)
     full = spec.joint_space()
     amps = states[0].amplitudes
-    registers = [spec.links[i] for i in spec.activation_order] + [spec.observer]
-    for app, state in zip(registers, states[1:]):
+    for app, state in zip(spec.links + (spec.observer,), states[1:]):
         amps = _dense_shift(spec.system_basis, app, full) @ amps
         assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
 
@@ -323,25 +286,6 @@ def test_branch_and_recohere_matches_step_unitaries():
     for u, state in zip(_dense_steps(model), branch_and_recohere(initial, model)):
         amps = u @ amps
         assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
-
-
-def test_premeasure_with_post_maps_on_prepared_joint_matches_dense_route():
-    sys_space = TensorSpace((("system", 2),))
-    app = ApparatusModel.ideal("pointer", 2)
-    other = ApparatusModel.ideal("other", 2, dim=4)
-    psi = random_state(sys_space, RNG)
-    # the device sits after a busy register, away from the system
-    joint = tensor(tensor(psi, random_state(other.space, RNG)), app.pointer_ready)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = premeasure(joint, app, computational_basis(sys_space), post_maps=[np.eye(2), flip])
-    basis = computational_basis(sys_space)
-    amps = _dense_shift(basis, app, joint.space) @ joint.amplitudes
-    # dense disturbance: W_n on the system for pointer n, identity off the pointers
-    local = np.kron(np.eye(2), np.diag([1, 0, 0])).astype(complex)
-    for w, pointer in zip([np.eye(2), flip], app.pointer_states):
-        local += np.kron(w, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
-    amps = embed_matrix(local, sys_space.concat(app.space), joint.space) @ amps
-    assert np.abs(out.amplitudes - amps).max() < CROSS_ATOL
 
 
 def _rotated_basis(space, rng):
@@ -368,11 +312,11 @@ def test_slice_route_matches_dense_shift_in_a_rotated_basis():
     ready = tensor(system, app.pointer_ready)
     dense = _dense_shift(basis, app, ready.space) @ ready.amplitudes
     assert np.abs(joint.amplitudes - dense).max() < CROSS_ATOL
-    links = (ApparatusModel.with_overlap("link0", 3, -0.3), app)
-    spec = ChainSpec(basis, links, ApparatusModel.ideal("observer", 3), (1, 0))
+    links = (app, ApparatusModel.with_overlap("link0", 3, -0.3))
+    spec = ChainSpec(basis, links, ApparatusModel.ideal("observer", 3))
     states = chain_propagate(spec, system)
     amps = states[0].amplitudes
-    for reg, state in zip((app, links[0], spec.observer), states[1:]):
+    for reg, state in zip(links + (spec.observer,), states[1:]):
         amps = _dense_shift(basis, reg, spec.joint_space()) @ amps
         assert np.abs(state.amplitudes - amps).max() < CROSS_ATOL
 
@@ -454,10 +398,9 @@ def _random_apparatus(rng, label, n, dim):
 
 
 def _random_chain(rng, n, links, basis=None, extra=2):
-    """``links`` links in a shuffled activation order, with register
-    dimensions from n + 1 to n + 1 + ``extra``: every other link on average
-    has real pointer overlaps of either sign, the rest random complex ready
-    and pointer states."""
+    """``links`` links with register dimensions from n + 1 to n + 1 +
+    ``extra``: every other link on average has real pointer overlaps of
+    either sign, the rest random complex ready and pointer states."""
     lower = -1.0 / (n - 1)
     apps = []
     for i in range(links):
@@ -469,7 +412,7 @@ def _random_chain(rng, n, links, basis=None, extra=2):
     observer = ApparatusModel.ideal("observer", n, dim=n + 1 + int(rng.integers(0, extra + 1)))
     if basis is None:
         basis = computational_basis(TensorSpace((("system", n),)))
-    return ChainSpec(basis, tuple(apps), observer, tuple(int(i) for i in rng.permutation(links)))
+    return ChainSpec(basis, tuple(apps), observer)
 
 
 def _dense_schmidt(state, label):
@@ -536,8 +479,8 @@ def test_chain_forms_match_the_dense_chain():
 
 
 def test_chain_densities_are_the_forms_densities_one_gram_per_step(monkeypatch):
-    # the CLI's chains: links in index order, each density the running product
-    # of one Gram matrix per step, with the values of system_density()
+    # each density the running product of one Gram matrix per step, with the
+    # values of system_density()
     rng = np.random.default_rng(1207)
     grams = []
     real = measurement._gram
@@ -555,7 +498,8 @@ def test_chain_densities_are_the_forms_densities_one_gram_per_step(monkeypatch):
             assert len(densities) == len(forms) - 1
             for m, form in zip(densities, forms[1:]):
                 assert np.array_equal(m, form.system_density())
-    # a shuffled activation order multiplies in that order: equal within round-off
+    # random complex ready states: every entry of a ready Gram matrix is
+    # |r|^2, 1 only within round-off, and so are the densities
     for _ in range(10):
         spec = _random_chain(rng, 3, 4)
         system = _random_system(rng, 3)

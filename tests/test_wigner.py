@@ -16,7 +16,6 @@ from decolab.wigner import (
     grid_points,
     marginals,
     oscillator_state,
-    pauli_kernel_value,
     two_packet_mixture,
     two_packet_superposition,
     wigner_binary,
@@ -45,6 +44,29 @@ def test_grid_state_requires_normalization():
     q = grid_points(-8.0, 8.0, 128)
     with pytest.raises(ValidationError):
         GridState(-8.0, 8.0, 128, 3.0 * gaussian_packet_samples(0.0, 0.0, 1.0, q))
+
+
+def test_density_samples_take_the_shared_hermitian_check(monkeypatch):
+    n = 1024
+    rho = two_packet_mixture(3.0, n_points=n).values
+    skew = np.array(rho)
+    skew[0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="density sample matrix is not Hermitian"):
+        GridState(-12.0, 12.0, n, skew)
+    # the state's copy, its finiteness mask and one row block of the check:
+    # no grid-sized conjugate transpose or difference
+    tracemalloc.start()
+    try:
+        GridState(-12.0, 12.0, n, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * n * n, peak / (16 * n * n)
+    calls = []
+    real = wigner._check_hermitian
+    monkeypatch.setattr(wigner, "_check_hermitian", lambda *args: calls.append(args[1:]) or real(*args))
+    GridState(-12.0, 12.0, n, rho)
+    assert calls == [(n, "density sample matrix")]
 
 
 def test_constructors_check_the_grid_before_normalizing():
@@ -135,22 +157,6 @@ def test_kernel_pathway_on_density_input():
     w = wigner_transform(state)
     wk = wigner_via_kernel(state)
     assert np.abs(wk - w.values).max() < 1e-10
-
-
-def test_kernel_value_off_lattice_rejected():
-    state = oscillator_state(0)
-    with pytest.raises(ValidationError):
-        pauli_kernel_value(state, 0.0, 0.0, 0.01, 0.0)
-
-
-def test_kernel_value_delta_structure():
-    state = oscillator_state(0)
-    dq = state.dq
-    # matching midpoint: 1/(2 pi dq) at p = 0
-    val = pauli_kernel_value(state, 0.0, 0.0, dq, -dq)
-    assert val == pytest.approx(1.0 / (2 * np.pi * dq))
-    # mismatched midpoint: exactly zero
-    assert pauli_kernel_value(state, 0.0, dq, dq, -dq) == 0.0
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])

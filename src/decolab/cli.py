@@ -222,8 +222,9 @@ GRAM_TEMPORARIES = 8
 
 # Bytes a register run takes whatever its size, and per register, rounded up
 # from tracemalloc peaks (Python 3.11, numpy 2.4.6): a run with n = 2 and no
-# link peaks at 16-22 kB, and each chain link adds 1.8 kB, its ApparatusModel,
-# TensorSpace and StateVectors as Python objects and its row of chain.csv.
+# link peaks at 16-22 kB, and each chain link adds 1.2 kB, its ApparatusModel,
+# TensorSpace, ready StateVector and pointer stack as Python objects and its
+# row of chain.csv.
 REGISTER_RUN_BYTES = 32 * 1024
 REGISTER_BYTES = 2048
 

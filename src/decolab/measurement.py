@@ -2,20 +2,23 @@
 
 A device register starts in a ready state and is driven by a controlled
 shift: the unitary acts as |n> x V_n where V_n carries the ready state to
-the n-th pointer state.  Chains tensor several such registers onto one
-system and activate them in index order, the observer register last.
-Everything here is globally unitary; apparent irreversibility enters only
-through which registers are later ignored.
+the n-th pointer state.  ``ApparatusModel`` holds a register as its ready
+state and one n x d stack of pointer states, row n for outcome n.  Chains
+tensor several such registers onto one system and activate them in index
+order, the observer register last.  Everything here is globally unitary;
+apparent irreversibility enters only through which registers are later
+ignored.
 
 Since every step is controlled on the measured basis, and none is followed
 by a map on the system, each state these models produce is
 sum_n a_n |b_n> (x)_j |x_j(n)>.  ``BranchForm`` stores it as n coefficients
-and one n x d_j stack of pointer vectors per register, and
-``premeasure_form``, ``chain_forms`` and ``branch_forms`` build it step by
-step; the register kinds of the CLI and the ledgers run on it.
-``premeasure`` (which appends the ready device to the bare system),
-``chain_propagate`` and ``branch_and_recohere`` apply the shifts to the
-joint state tensor and are the dense reference for that route.
+and one n x d_j stack per register, the ready state in every row or the
+register's own pointer stack, and ``premeasure_form``, ``chain_forms`` and
+``branch_forms`` build it step by step; the register kinds of the CLI and
+the ledgers run on it.  ``premeasure`` (which appends the ready device to
+the bare system), ``chain_propagate`` and ``branch_and_recohere`` apply the
+shifts to the joint state tensor and are the dense reference for that
+route.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ def _transport_unitary(src: list[np.ndarray], dst: list[np.ndarray]) -> np.ndarr
     return _complete_orthonormal(dst) @ _complete_orthonormal(src).conj().T
 
 
-def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> list[np.ndarray]:
-    """Unit record vectors with constant pairwise inner product ``overlap``.
+def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> np.ndarray:
+    """Unit record vectors with constant pairwise inner product ``overlap``,
+    the rows of an (n_outcomes, dim) stack.
 
     Built from the Cholesky factor of the Gram matrix, supported on basis
     indices 1..n so index 0 stays free for a ready state.
@@ -82,37 +86,38 @@ def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> lis
         )
     gram = np.full((n_outcomes, n_outcomes), float(overlap))
     np.fill_diagonal(gram, 1.0)
-    chol = np.linalg.cholesky(gram)
-    out = []
-    for i in range(n_outcomes):
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[1 : 1 + n_outcomes] = chol[i, :]
-        out.append(vec)
+    out = np.zeros((n_outcomes, dim), dtype=np.complex128)
+    out[:, 1 : 1 + n_outcomes] = np.linalg.cholesky(gram)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class ApparatusModel:
-    """Single device register: ready state plus one pointer state per outcome."""
+    """Single device register: a ready state and the (n, d) stack of its
+    pointer states, row n the pointer of outcome n, held as a read-only copy."""
 
     space: TensorSpace
     pointer_ready: StateVector
-    pointer_states: tuple[StateVector, ...]
+    pointers: np.ndarray
 
     def __post_init__(self):
         if self.pointer_ready.space != self.space:
             raise SpaceMismatchError("ready state lives off the device space")
-        if not self.pointer_ready.is_normalized():
-            raise ValidationError("ready state is not normalized")
-        for p in self.pointer_states:
-            if p.space != self.space:
-                raise SpaceMismatchError("pointer state lives off the device space")
-            if not p.is_normalized():
-                raise ValidationError("pointer state is not normalized")
+        x = np.array(self.pointers, dtype=np.complex128)
+        if x.ndim != 2 or x.shape[1] != self.space.total_dim:
+            raise SpaceMismatchError(
+                f"a pointer stack of shape {x.shape} on a device of dimension {self.space.total_dim}"
+            )
+        # written so that a NaN or infinite norm fails too
+        norms = np.append(np.linalg.norm(x, axis=1), self.pointer_ready.norm()) ** 2
+        if not np.all(np.abs(norms - 1.0) <= VALIDITY_ATOL):
+            raise ValidationError("a pointer or the ready state is not normalized")
+        x.setflags(write=False)
+        object.__setattr__(self, "pointers", x)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.pointer_states)
+        return self.pointers.shape[0]
 
     @classmethod
     def ideal(cls, label: str, n_outcomes: int, dim: int | None = None) -> ApparatusModel:
@@ -121,11 +126,7 @@ class ApparatusModel:
         space = TensorSpace(((label, d),))
         if d < n_outcomes + 1:
             raise ValidationError(f"dimension {d} too small for {n_outcomes} pointers plus ready state")
-        return cls(
-            space=space,
-            pointer_ready=basis_state(space, 0),
-            pointer_states=tuple(basis_state(space, i + 1) for i in range(n_outcomes)),
-        )
+        return cls(space, basis_state(space, 0), np.eye(n_outcomes, d, 1, dtype=np.complex128))
 
     @classmethod
     def with_overlap(
@@ -134,18 +135,13 @@ class ApparatusModel:
         """Pointer states with constant pairwise overlap; 0 recovers ``ideal``."""
         d = dim if dim is not None else n_outcomes + 1
         space = TensorSpace(((label, d),))
-        recs = record_states_with_overlap(n_outcomes, overlap, d)
-        return cls(
-            space=space,
-            pointer_ready=basis_state(space, 0),
-            pointer_states=tuple(StateVector(space, r) for r in recs),
-        )
+        return cls(space, basis_state(space, 0), record_states_with_overlap(n_outcomes, overlap, d))
 
     def shift_unitaries(self) -> list[np.ndarray]:
         """One unitary per outcome, carrying the ready state to that pointer:
         the pointer's completed basis times the adjoint of the ready state's."""
         ready = _complete_orthonormal([self.pointer_ready.amplitudes]).conj().T
-        return [_complete_orthonormal([p.amplitudes]) @ ready for p in self.pointer_states]
+        return [_complete_orthonormal([p]) @ ready for p in self.pointers]
 
 
 def _checked_shifts(
@@ -337,14 +333,8 @@ class BranchingModel:
 
     def reset_unitary(self) -> np.ndarray:
         """Step 3 on apparatus x env_reset: |pointer_n>|ready> -> |ready>|record_n>."""
-        src = [
-            np.kron(p.amplitudes, self.env_reset.pointer_ready.amplitudes)
-            for p in self.apparatus.pointer_states
-        ]
-        dst = [
-            np.kron(self.apparatus.pointer_ready.amplitudes, r.amplitudes)
-            for r in self.env_reset.pointer_states
-        ]
+        src = [np.kron(p, self.env_reset.pointer_ready.amplitudes) for p in self.apparatus.pointers]
+        dst = [np.kron(self.apparatus.pointer_ready.amplitudes, r) for r in self.env_reset.pointers]
         return _transport_unitary(src, dst)
 
 
@@ -496,20 +486,13 @@ def _ready_rows(app: ApparatusModel, n: int) -> np.ndarray:
     return np.repeat(app.pointer_ready.amplitudes[None, :], n, axis=0)
 
 
-def _pointer_rows(app: ApparatusModel, n: int) -> np.ndarray:
-    """The stack of a register after its step: pointer state n in branch n."""
-    if app.n_outcomes != n:
-        raise ValidationError(f"{n} outcomes but {app.n_outcomes} pointer states")
-    return np.stack([p.amplitudes for p in app.pointer_states])
-
-
 def premeasure_form(
     system: StateVector, app: ApparatusModel, basis: Sequence[StateVector]
 ) -> tuple[BranchForm, BranchForm]:
     """The ready state and the state after ``premeasure(system, app, basis)``,
     as branch forms."""
     a = _coefficients(system, basis)
-    return BranchForm(a, (_ready_rows(app, a.size),)), BranchForm(a, (_pointer_rows(app, a.size),))
+    return BranchForm(a, (_ready_rows(app, a.size),)), BranchForm(a, (app.pointers,))
 
 
 def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm]:
@@ -521,7 +504,7 @@ def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm
     stacks = [_ready_rows(app, a.size) for app in registers]
     forms = [BranchForm(a, tuple(stacks))]
     for k, app in enumerate(registers):
-        stacks[k] = _pointer_rows(app, a.size)
+        stacks[k] = app.pointers
         forms.append(BranchForm(a, tuple(stacks)))
     return forms
 
@@ -538,7 +521,7 @@ def _chain_densities(spec: ChainSpec, initial_system: StateVector):
     a = _coefficients(initial_system, spec.system_basis)
     m = np.outer(a, a.conj())
     for app in spec.links + (spec.observer,):
-        m = _decohere(m.copy(), (_pointer_rows(app, a.size),))
+        m = _decohere(m.copy(), (app.pointers,))
         yield m
 
 
@@ -555,8 +538,8 @@ def branch_forms(model: BranchingModel, system: StateVector) -> list[BranchForm]
     a = _coefficients(system, model.system_basis)
     registers = (model.apparatus, model.env_decohere, model.env_reset)
     ready = [_ready_rows(reg, a.size) for reg in registers]
-    app, record, reset = (_pointer_rows(reg, a.size) for reg in registers)
-    dev = np.abs(app.conj() @ app.T - reset.conj() @ reset.T).max()
+    app, record, reset = (reg.pointers for reg in registers)
+    dev = np.abs(_gram(app) - _gram(reset)).max()
     if dev > VALIDITY_ATOL:
         raise ValidationError(
             f"reset is not an isometry: apparatus pointer and env_reset record "

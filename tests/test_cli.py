@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from decolab import cli, serialize
 from decolab.dynamics import collapse
-from decolab.hilbert import computational_basis
+from decolab.hilbert import StateVector, computational_basis
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -639,6 +639,19 @@ def test_memory_cap_rejects_before_allocating(tmp_path, capsys, monkeypatch):
     # the largest benchmark rung (n=3 with 4 links, D=3072) stays accepted
     largest = _scenario("chain", {"amplitudes": [R3, R3, R3], "links": 4})
     assert cli.validate_document(largest) == []
+
+
+def test_chain_parse_builds_one_state_vector_per_register(monkeypatch):
+    # a register is a ready state and one pointer stack: chain n=57 at
+    # MAX_LINKS links builds a StateVector for each ready state, the system
+    # state and the n basis vectors, none per pointer
+    n, links = 57, cli.MAX_LINKS
+    built = []
+    post_init = StateVector.__post_init__
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(1) or post_init(self))
+    doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": links})
+    assert cli.validate_document(doc) == []
+    assert len(built) <= links + n + 2
 
 
 def _histories(dim, slices, **extra):

@@ -7,7 +7,7 @@ import pytest
 
 from decolab import cli, measurement, serialize
 from decolab.entanglement import decoherence_factor, linear_entropy
-from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, ValidationError
+from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, SpaceMismatchError, ValidationError
 from decolab.hilbert import (
     DensityOperator,
     StateVector,
@@ -60,16 +60,39 @@ def test_apparatus_overlaps_and_shifts_are_computed_on_demand():
     app = ApparatusModel.with_overlap("r", 3, 0.4, dim=6)
     # the model keeps its states only; the overlaps the register kinds read
     # are the Gram matrix of the pointer stack
-    assert set(vars(app)) == {"space", "pointer_ready", "pointer_states"}
-    want = [[a.inner(b) for b in app.pointer_states] for a in app.pointer_states]
-    gram = measurement._gram(measurement._pointer_rows(app, 3))
+    assert set(vars(app)) == {"space", "pointer_ready", "pointers"}
+    assert app.pointers.shape == (3, 6) and app.n_outcomes == 3
+    want = [[np.vdot(a, b) for b in app.pointers] for a in app.pointers]
+    gram = measurement._gram(app.pointers)
     assert np.abs(gram - np.array(want)).max() < CROSS_ATOL
     # one completion of the ready state serves every shift, bit for bit
     ready = app.pointer_ready.amplitudes
-    for v_n, p in zip(app.shift_unitaries(), app.pointer_states):
-        assert np.array_equal(v_n, _transport_unitary([ready], [p.amplitudes]))
+    for v_n, p in zip(app.shift_unitaries(), app.pointers):
+        assert np.array_equal(v_n, _transport_unitary([ready], [p]))
     with pytest.raises(TypeError):
-        ApparatusModel(app.space, app.pointer_ready, app.pointer_states, np.eye(3))
+        ApparatusModel(app.space, app.pointer_ready, app.pointers, np.eye(3))
+
+
+def test_apparatus_checks_its_pointer_stack_and_keeps_a_copy():
+    space = TensorSpace((("ptr", 4),))
+    ready = basis_state(space, 0)
+    stack = np.eye(3, 4, 1)
+    for bad in (stack[0], stack[:, :3], np.eye(3, 5, 1)):  # 1-D, too narrow, too wide
+        with pytest.raises(SpaceMismatchError, match="pointer stack"):
+            ApparatusModel(space, ready, bad)
+    off_norm = stack.copy()
+    off_norm[1] *= 1.0 + 1e-6
+    nan_row = stack.copy()
+    nan_row[2, 3] = np.nan
+    for bad in (off_norm, nan_row):
+        with pytest.raises(ValidationError, match="not normalized"):
+            ApparatusModel(space, ready, bad)
+    with pytest.raises(ValidationError, match="not normalized"):
+        ApparatusModel(space, StateVector(space, 0.5 * ready.amplitudes), stack)
+    app = ApparatusModel(space, ready, stack)
+    assert app.pointers.dtype == np.complex128 and not app.pointers.flags.writeable
+    stack[0] = np.array([0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(app.pointers, np.eye(3, 4, 1))
 
 
 def test_record_states_reject_impossible_overlap():
@@ -92,7 +115,7 @@ def test_ideal_apparatus_pointers_orthogonal():
     for i in range(3):
         for j in range(3):
             expected = 1.0 if i == j else 0.0
-            got = app.pointer_states[i].inner(app.pointer_states[j])
+            got = np.vdot(app.pointers[i], app.pointers[j])
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -109,8 +132,8 @@ def test_premeasure_ideal_copies_basis_index():
     app = ApparatusModel.ideal("ptr", 2)
     for n in range(2):
         joint = premeasure(basis_state(sys_space, n), app, computational_basis(sys_space))
-        expected = tensor(basis_state(sys_space, n), app.pointer_states[n])
-        assert np.abs(joint.amplitudes - expected.amplitudes).max() < 1e-12
+        expected = np.kron(basis_state(sys_space, n).amplitudes, app.pointers[n])
+        assert np.abs(joint.amplitudes - expected).max() < 1e-12
 
 
 def test_premeasure_extends_linearly():
@@ -122,7 +145,7 @@ def test_premeasure_extends_linearly():
     psi = StateVector(sys_space, c)
     joint = premeasure(psi, app, basis)
     manual = sum(
-        c[n] * tensor(basis[n], app.pointer_states[n]).amplitudes for n in range(2)
+        c[n] * np.kron(basis[n].amplitudes, app.pointers[n]) for n in range(2)
     )
     assert np.abs(joint.amplitudes - manual).max() < 1e-12
     rho = partial_trace(joint, "system")
@@ -157,11 +180,11 @@ def test_chain_spec_from_scenario_reads_links_and_observer():
     )
     assert [link.space.labels for link in spec.links] == [("link0",), ("link1",), ("link2",)]
     assert [link.space.total_dim for link in spec.links] == [3, 3, 3]
-    overlaps = [link.pointer_states[0].inner(link.pointer_states[1]) for link in spec.links]
+    overlaps = [np.vdot(link.pointers[0], link.pointers[1]) for link in spec.links]
     assert overlaps == pytest.approx([0.5, 0.25, 0.0], abs=1e-12)
     ideal = ApparatusModel.ideal("observer", 2)
     assert spec.observer.space == ideal.space
-    assert all(np.array_equal(p.amplitudes, q.amplitudes) for p, q in zip(spec.observer.pointer_states, ideal.pointer_states))
+    assert np.array_equal(spec.observer.pointers, ideal.pointers)
     assert ChainSpec.from_scenario({"system_dim": 3}).links == ()
 
 
@@ -392,9 +415,9 @@ def _random_apparatus(rng, label, n, dim):
 
     def unit():
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return StateVector(space, v / np.linalg.norm(v))
+        return v / np.linalg.norm(v)
 
-    return ApparatusModel(space, unit(), tuple(unit() for _ in range(n)))
+    return ApparatusModel(space, StateVector(space, unit()), np.array([unit() for _ in range(n)]))
 
 
 def _random_chain(rng, n, links, basis=None, extra=2):

@@ -30,10 +30,10 @@ MAX_DENSE_BYTES (1 GiB of complex128 values), estimated from the parsed
 sizes before anything is allocated.
 
 The register kinds (premeasurement, chain, branch_recohere, ledger_quantum,
-ledger_branching) run on the branch form sum_n a_n |b_n> (x)_j |x_j(n)>
-(measurement.BranchForm): n coefficients and one n x d_j stack of pointer
-vectors per register, built step by step, with every density, entropy and
-fidelity read off the n x n Gram matrices of the stacks.  Only
+ledger_branching) run on the branch form sum_n a_n |n> (x)_j |x_j(n)>
+(measurement.BranchForm): the system's n amplitudes and one n x d_j stack
+of pointer vectors per register, built step by step, with every density,
+entropy and fidelity read off the n x n Gram matrices of the stacks.  Only
 premeasurement forms its n d joint amplitudes, for joint_state.json, and no
 run forms a shift unitary.  Charged are:
 
@@ -125,6 +125,8 @@ from .measurement import (
 )
 from .wigner import (
     CSV_BLOCK_BYTES,
+    _check_points,
+    _check_range,
     marginals,
     oscillator_state,
     two_packet_mixture,
@@ -212,12 +214,12 @@ REPLAY_SEED_BYTES = 320
 # (2 CPUs, numpy 2.4.6).
 MAX_LINKS = 5000
 
-# n x n arrays a register run holds at once besides the measured basis,
-# rounded up: the basis's orthonormality check (its columns, their Gram
-# matrix and the difference from the identity) and the coefficients' copy of
-# the columns; a density, its DensityOperator copy and the eigvalsh
-# workspace, with two to spare (the Hermitian check holds one block of rows);
-# a ledger's Gram matrices, their pivoted factors and its singular values.
+# n x n arrays a register run holds at once, rounded up: a density, its
+# DensityOperator copy and the eigvalsh workspace, with two to spare (the
+# Hermitian check holds one block of rows); a ledger's Gram matrices, their
+# pivoted factors and its singular values.  Four were fitted to a measured
+# basis's orthonormality check and the coefficients' copy of its columns,
+# which no run holds now: that share is slack, kept so that no limit moves.
 GRAM_TEMPORARIES = 8
 
 # Bytes a register run takes whatever its size, and per register, rounded up
@@ -320,12 +322,13 @@ def _fits(entries: int, field: str, diags: list[str]) -> bool:
 
 def _fits_branches(n: int, widths: list[int], field: str, diags: list[str], text: int = 0) -> bool:
     """Whether a branch-form run on n outcomes fits, with one register of
-    width d_j per entry of ``widths``: the system's n amplitudes and its n x n
-    measured basis, each register's ready and pointer states built in the
-    parse ((n + 1) d_j values), and in the run its ready and pointer stacks
-    and the conjugate copy its Gram matrix takes (3 n d_j), GRAM_TEMPORARIES
-    more n x n arrays, REGISTER_RUN_BYTES plus REGISTER_BYTES per register,
-    and ``text`` amplitudes printed as JSON at RECORD_AMPLITUDE_BYTES each."""
+    width d_j per entry of ``widths``: the system's n amplitudes and an n x n
+    share, once its measured basis and now slack, each register's ready and
+    pointer states built in the parse ((n + 1) d_j values), and in the run
+    its ready and pointer stacks and the conjugate copy its Gram matrix takes
+    (3 n d_j), GRAM_TEMPORARIES more n x n arrays, REGISTER_RUN_BYTES plus
+    REGISTER_BYTES per register, and ``text`` amplitudes printed as JSON at
+    RECORD_AMPLITUDE_BYTES each."""
     values = n + (1 + GRAM_TEMPORARIES) * n * n + (4 * n + 1) * sum(widths)
     extra = REGISTER_RUN_BYTES + REGISTER_BYTES * len(widths) + RECORD_AMPLITUDE_BYTES * text
     return _fits(values + extra // 16, field, diags)
@@ -419,7 +422,7 @@ def _parse_chain(params, seed, diags):
         if diags:
             return None
     observer = ApparatusModel.ideal("observer", n)
-    return system, ChainSpec(computational_basis(system.space), tuple(links), observer)
+    return system, ChainSpec(system.space, tuple(links), observer)
 
 
 def _parse_branch(params, seed, diags):
@@ -490,6 +493,8 @@ def _parse_wigner(params, seed, diags):
         diags.append(f"params.state.kind: unknown kind {kind!r}")
     if diags:
         return None
+    _build(diags, "params.n_points", _check_points, n_points)
+    _build(diags, "params.q_max", _check_range, *q_range)
     # wigner.csv: n^2 lines of three values, two commas and a line feed.
     csv_bytes = n_points * n_points * (3 * serialize.MAX_FMT_LEN + 3)
     if csv_bytes > MAX_ARTIFACT_BYTES:
@@ -806,11 +811,9 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _checked_density(space: TensorSpace, m: np.ndarray, where: str = "") -> tuple[DensityOperator, float]:
-    """The system density M of a branch form, checked as a DensityOperator,
-    and the global purity (tr M)^2 = |psi|^4 of its pure joint state, held
-    within 1e-10 of 1.  The runs measure in the computational basis, so M,
-    which the form gives in the measured basis, is the density on the
-    system's space."""
+    """The system density M of a branch form on ``space``, checked as a
+    DensityOperator, and the global purity (tr M)^2 = |psi|^4 of its pure
+    joint state, held within 1e-10 of 1."""
     purity = float(np.trace(m).real) ** 2
     _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r}{where}")
     return DensityOperator(space, m), purity
@@ -824,7 +827,7 @@ def _off_diagonal_max(rho: DensityOperator) -> float:
 
 
 def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel) -> None:
-    _ready, form = premeasure_form(system, app, computational_basis(system.space))
+    _ready, form = premeasure_form(system, app)
     rho_sys, purity = _checked_density(system.space, form.system_density())
     joint = StateVector(system.space.concat(app.space), form.joint_amplitudes())
     emit.write_text("joint_state.json", joint.to_json())

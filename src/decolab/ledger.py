@@ -28,7 +28,7 @@ import numpy as np
 
 from .entanglement import SCHMIDT_CUTOFF, shannon_entropy
 from .errors import MIN_BRANCH_PROBABILITY, VALIDITY_ATOL, ValidationError
-from .hilbert import StateVector, TensorSpace, computational_basis
+from .hilbert import StateVector, TensorSpace
 from .measurement import ApparatusModel, BranchForm, BranchingModel, branch_forms, premeasure_form
 
 _AXES = ("system", "memory", "environment")
@@ -260,9 +260,8 @@ def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     entropies are exactly 0.
     """
     c = _validated_amplitudes(amplitudes)
-    sys_space = TensorSpace((("system", c.size),))
     app = ApparatusModel.ideal("pointer", c.size)
-    ready, entangled = premeasure_form(StateVector(sys_space, c), app, computational_basis(sys_space))
+    ready, entangled = premeasure_form(StateVector(TensorSpace((("system", c.size),)), c), app)
     marginals = _pure_entropies("entangled", entangled)
     rows = [_pure_row("initial", _pure_entropies("initial", ready)), _pure_row("entangled", marginals)]
     s_sys = marginals[0]
@@ -290,7 +289,7 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
 def _branching_rows(model: BranchingModel, amplitudes) -> list[LedgerRow]:
     """The rows of ``branching_ledger`` on the registers of ``model``."""
     c = _validated_amplitudes(amplitudes)
-    forms = branch_forms(model, StateVector(model.system_basis[0].space, c))
+    forms = branch_forms(model, StateVector(model.system_space, c))
     names = ("initial", "apparatus_entangled", "environment_recorded", "apparatus_reset")
     return [_pure_row(name, _pure_entropies(name, form)) for name, form in zip(names, forms)]
 

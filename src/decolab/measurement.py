@@ -9,16 +9,16 @@ order, the observer register last.  Everything here is globally unitary;
 apparent irreversibility enters only through which registers are later
 ignored.
 
-Since every step is controlled on the measured basis, and none is followed
-by a map on the system, each state these models produce is
-sum_n a_n |b_n> (x)_j |x_j(n)>.  ``BranchForm`` stores it as n coefficients
-and one n x d_j stack per register, the ready state in every row or the
-register's own pointer stack, and ``premeasure_form``, ``chain_forms`` and
-``branch_forms`` build it step by step; the register kinds of the CLI and
-the ledgers run on it.  ``premeasure`` (which appends the ready device to
-the bare system), ``chain_propagate`` and ``branch_and_recohere`` apply the
-shifts to the joint state tensor and are the dense reference for that
-route.
+The models measure the system in its computational basis |n>, and no step
+is followed by a map on the system, so each state they produce is
+sum_n a_n |n> (x)_j |x_j(n)>, a_n = <n|psi> the system's amplitudes.
+``BranchForm`` stores it as those n coefficients and one n x d_j stack per
+register, the ready state in every row or the register's own pointer stack,
+and ``premeasure_form``, ``chain_forms`` and ``branch_forms`` build it step
+by step; the register kinds of the CLI and the ledgers run on it.  The dense
+reference for that route applies the shifts to the joint state tensor:
+``premeasure`` (which appends the ready device to the bare system and takes
+any measured basis), ``chain_propagate`` and ``branch_and_recohere``.
 """
 
 from __future__ import annotations
@@ -219,24 +219,20 @@ def premeasure(
 
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """System basis, a row of record registers, and a final observer register."""
+    """System space, a row of record registers, and a final observer register."""
 
-    system_basis: tuple[StateVector, ...]
+    system_space: TensorSpace
     links: tuple[ApparatusModel, ...]
     observer: ApparatusModel
 
     def __post_init__(self):
-        n = len(self.system_basis)
+        n = self.system_space.total_dim
         for link in self.links + (self.observer,):
             if link.n_outcomes != n:
                 raise ValidationError("every register needs one pointer state per outcome")
         labels = [l.space.labels[0] for l in self.links] + [self.observer.space.labels[0]]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"label collision among registers: {labels}")
-
-    @property
-    def system_space(self) -> TensorSpace:
-        return self.system_basis[0].space
 
     def joint_space(self) -> TensorSpace:
         space = self.system_space
@@ -253,8 +249,7 @@ class ChainSpec:
             ApparatusModel.with_overlap(f"link{i}", n, float(link_doc.get("overlap", 0.0)))
             for i, link_doc in enumerate(doc.get("links", []))
         )
-        basis = computational_basis(TensorSpace((("system", n),)))
-        return cls(system_basis=basis, links=links, observer=ApparatusModel.ideal("observer", n))
+        return cls(TensorSpace((("system", n),)), links, ApparatusModel.ideal("observer", n))
 
 
 def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateVector]:
@@ -271,8 +266,9 @@ def chain_propagate(spec: ChainSpec, initial_system: StateVector) -> list[StateV
         joint = tensor(joint, link.pointer_ready)
     joint = tensor(joint, spec.observer.pointer_ready)
     states = [joint]
+    basis = computational_basis(spec.system_space)
     for app in spec.links + (spec.observer,):
-        states.append(_controlled_shift(states[-1], spec.system_basis, app))
+        states.append(_controlled_shift(states[-1], basis, app))
     return states
 
 
@@ -288,13 +284,13 @@ class BranchingModel:
     recoherence of the system ever occurs.
     """
 
-    system_basis: tuple[StateVector, ...]
+    system_space: TensorSpace
     apparatus: ApparatusModel
     env_decohere: ApparatusModel
     env_reset: ApparatusModel
 
     def __post_init__(self):
-        n = len(self.system_basis)
+        n = self.system_space.total_dim
         for reg in (self.apparatus, self.env_decohere, self.env_reset):
             if reg.n_outcomes != n:
                 raise ValidationError("every register needs one pointer state per outcome")
@@ -307,21 +303,16 @@ class BranchingModel:
             raise ValidationError(
                 f"env_dim {d_env} too small: need {n} records plus a ready state"
             )
-        sys_space = TensorSpace((("system", n),))
         return cls(
-            system_basis=computational_basis(sys_space),
+            system_space=TensorSpace((("system", n),)),
             apparatus=ApparatusModel.ideal("apparatus", n),
             env_decohere=ApparatusModel.ideal("env_record", n, dim=d_env),
             env_reset=ApparatusModel.ideal("env_reset", n, dim=d_env),
         )
 
     def joint_space(self) -> TensorSpace:
-        return (
-            self.system_basis[0]
-            .space.concat(self.apparatus.space)
-            .concat(self.env_decohere.space)
-            .concat(self.env_reset.space)
-        )
+        space = self.system_space.concat(self.apparatus.space)
+        return space.concat(self.env_decohere.space).concat(self.env_reset.space)
 
     def ready_joint(self, system: StateVector) -> StateVector:
         return tensor_many(
@@ -350,8 +341,9 @@ def branch_and_recohere(
     full = model.joint_space()
     if initial.space != full:
         raise SpaceMismatchError("initial state lives off the model's joint space")
-    s1 = _controlled_shift(initial, model.system_basis, model.apparatus)
-    s2 = _controlled_shift(s1, model.system_basis, model.env_decohere)
+    basis = computational_basis(model.system_space)
+    s1 = _controlled_shift(initial, basis, model.apparatus)
+    s2 = _controlled_shift(s1, basis, model.env_decohere)
     reset = model.apparatus.space.concat(model.env_reset.space)
     s3 = StateVector(full, apply_local(s2.amplitudes, model.reset_unitary(), reset, full))
     return s1, s2, s3
@@ -404,14 +396,14 @@ def _decohere(m: np.ndarray, stacks) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BranchForm:
-    """The state sum_n a_n |b_n> (x)_j |x_j(n)>, stored as its branches.
+    """The state sum_n a_n |n> (x)_j |x_j(n)>, stored as its branches.
 
-    Every register step is controlled on the system's measured basis b, so
+    Every register step is controlled on the system's basis states |n>, so
     each state the chain, branch and premeasurement models produce has this
-    form.  It keeps the n coefficients a_n = <b_n|psi> and, per register j,
-    the n x d_j stack whose row n is x_j(n): n + sum_j n d_j values where the
-    joint state has n prod_j d_j amplitudes.  Everything the register kinds
-    report comes from the n x n Gram matrices G_j[n, m] = <x_j(n)|x_j(m)>.
+    form.  It keeps the system's amplitudes a_n = <n|psi> and, per register
+    j, the n x d_j stack whose row n is x_j(n): n + sum_j n d_j values where
+    the joint state has n prod_j d_j amplitudes.  Everything the register
+    kinds report comes from the n x n Gram matrices G_j[n, m] = <x_j(n)|x_j(m)>.
     """
 
     coefficients: np.ndarray
@@ -428,9 +420,9 @@ class BranchForm:
         return [_gram(x) for x in self.stacks]
 
     def system_density(self) -> np.ndarray:
-        """(a a^dagger) o prod_j G_j^T: the system density in the measured
-        basis, rho_nm prod_j <x_j(m)|x_j(n)>, the decoherence factor of Joos
-        and Zeh (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2."""
+        """(a a^dagger) o prod_j G_j^T: the system density, rho_nm
+        prod_j <x_j(m)|x_j(n)>, the decoherence factor of Joos and Zeh
+        (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2."""
         a = self.coefficients
         return _decohere(np.outer(a, a.conj()), self.stacks)
 
@@ -463,22 +455,19 @@ class BranchForm:
 
     def joint_amplitudes(self) -> np.ndarray:
         """The n prod_j d_j amplitudes of the joint state, flattened with the
-        system axis (in the measured basis) first and the registers after it
-        in order; a sum of zero terms is stored as +0.0."""
+        system axis first and the registers after it in order; a sum of zero
+        terms is stored as +0.0."""
         out = self.coefficients[:, None]
         for x in self.stacks:
             out = (out[:, :, None] * x[:, None, :]).reshape(out.shape[0], -1)
         return out.reshape(-1) + 0.0
 
 
-def _coefficients(system: StateVector, basis: Sequence[StateVector]) -> np.ndarray:
-    """<b_n|system> over the measured basis, which must be orthonormal and
-    complete on the system's space."""
-    basis = tuple(basis)
-    if system.space != basis[0].space:
-        raise SpaceMismatchError("system state lives off the measured basis's space")
-    _check_orthonormal_complete(basis, system.space)
-    return np.column_stack([b.amplitudes for b in basis]).conj().T @ system.amplitudes
+def _amplitudes(system: StateVector, space: TensorSpace) -> np.ndarray:
+    """a_n = <n|system> for a state on ``space``: a copy, each zero as +0.0."""
+    if system.space != space:
+        raise SpaceMismatchError("system state lives off the model's system space")
+    return system.amplitudes + 0.0
 
 
 def _ready_rows(app: ApparatusModel, n: int) -> np.ndarray:
@@ -486,12 +475,10 @@ def _ready_rows(app: ApparatusModel, n: int) -> np.ndarray:
     return np.repeat(app.pointer_ready.amplitudes[None, :], n, axis=0)
 
 
-def premeasure_form(
-    system: StateVector, app: ApparatusModel, basis: Sequence[StateVector]
-) -> tuple[BranchForm, BranchForm]:
-    """The ready state and the state after ``premeasure(system, app, basis)``,
-    as branch forms."""
-    a = _coefficients(system, basis)
+def premeasure_form(system: StateVector, app: ApparatusModel) -> tuple[BranchForm, BranchForm]:
+    """The ready state and the state after ``premeasure(system, app, basis)``
+    in the computational basis of the system's space, as branch forms."""
+    a = _amplitudes(system, system.space)
     return BranchForm(a, (_ready_rows(app, a.size),)), BranchForm(a, (app.pointers,))
 
 
@@ -499,7 +486,7 @@ def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm
     """``chain_propagate`` as branch forms: the state before any step and
     after every step, with one stack per link and the observer's last.  Step
     k takes register k's stack from its ready state to its pointer states."""
-    a = _coefficients(initial_system, spec.system_basis)
+    a = _amplitudes(initial_system, spec.system_space)
     registers = spec.links + (spec.observer,)
     stacks = [_ready_rows(app, a.size) for app in registers]
     forms = [BranchForm(a, tuple(stacks))]
@@ -510,15 +497,15 @@ def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm
 
 
 def _chain_densities(spec: ChainSpec, initial_system: StateVector):
-    """The system density in the measured basis after each step of
-    ``chain_propagate``, one step at a time: len(links) + 1 matrices.
+    """The system density after each step of ``chain_propagate``, one step
+    at a time: len(links) + 1 matrices.
 
     Each step multiplies the running product by the Gram matrix of the one
     stack it changes, so K links take O(K) work and no form is kept.  A ready
     register's Gram matrix is all ones, so each value is that of
     ``system_density()`` of the matching ``chain_forms`` entry, up to the
     sign of a zero."""
-    a = _coefficients(initial_system, spec.system_basis)
+    a = _amplitudes(initial_system, spec.system_space)
     m = np.outer(a, a.conj())
     for app in spec.links + (spec.observer,):
         m = _decohere(m.copy(), (app.pointers,))
@@ -535,7 +522,7 @@ def branch_forms(model: BranchingModel, system: StateVector) -> list[BranchForm]
     the apparatus pointers and the env_reset records have the same Gram
     matrix; a difference over VALIDITY_ATOL is refused.
     """
-    a = _coefficients(system, model.system_basis)
+    a = _amplitudes(system, model.system_space)
     registers = (model.apparatus, model.env_decohere, model.env_reset)
     ready = [_ready_rows(reg, a.size) for reg in registers]
     app, record, reset = (reg.pointers for reg in registers)

@@ -33,11 +33,19 @@ NORMALIZATION_ATOL = 1e-6
 IMAG_RESIDUE_ATOL = 1e-10
 
 
-def _check_grid(q_min: float, q_max: float, n_points: int) -> None:
+def _check_points(n_points: int) -> None:
     if n_points < 2 or n_points & (n_points - 1):
         raise ValidationError(f"n_points must be a power of two, got {n_points}")
+
+
+def _check_range(q_min: float, q_max: float) -> None:
     if not q_max > q_min:
         raise ValidationError("q_max must exceed q_min")
+
+
+def _check_grid(q_min: float, q_max: float, n_points: int) -> None:
+    _check_points(n_points)
+    _check_range(q_min, q_max)
 
 
 def grid_points(q_min: float, q_max: float, n_points: int) -> np.ndarray:

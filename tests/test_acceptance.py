@@ -130,7 +130,7 @@ def test_criterion_01_unitarity_and_purity():
 
         # branch and recohere cycle
         model = BranchingModel.ideal(2)
-        sys_space = model.system_basis[0].space
+        sys_space = model.system_space
         for _ in range(15):
             initial = model.ready_joint(random_state(sys_space, RNG))
             for state in branch_and_recohere(initial, model):
@@ -231,7 +231,7 @@ def test_criterion_06_recoherence():
     with criterion(6, "apparatus returns to ready while the system stays mixed"):
         for n in (2, 3):
             model = BranchingModel.ideal(n)
-            sys_space = model.system_basis[0].space
+            sys_space = model.system_space
             initial = model.ready_joint(_uniform(sys_space))
             _s1, _s2, s3 = branch_and_recohere(initial, model)
             rho_app = partial_trace(s3, "apparatus")

@@ -358,6 +358,15 @@ def test_run_premeasurement_summary(tmp_path):
     assert float(row["global_purity"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_premeasurement_of_signed_zero_amplitudes_prints_no_negative_zero(tmp_path):
+    # the density's zero entries are products with a_1 = -0.0 - 0.0j
+    doc = _scenario("premeasurement", {"amplitudes": [[0, -1], [-0.0, -0.0]]})
+    out = tmp_path / "out"
+    assert cli.run(_write(tmp_path, "p.json", doc), out_dir=str(out)) == 0
+    for name in ("system_density.json", "joint_state.json"):
+        assert "-0.0" not in (out / name).read_text(), name
+
+
 def test_run_branch_recohere_rows(tmp_path):
     doc = _scenario("branch_recohere", {"amplitudes": [R2, R2]})
     out = tmp_path / "out"
@@ -594,6 +603,8 @@ SCHEMA_DEFECTS = [
     ),
     ("master", {"p0": [0.5, 0.5], "rates": [[0.0, NAN], [1.0, 0.0]], "times": [1.0]}, "params.rates[0][1]"),
     ("collapse_mc", {"amplitudes": [NAN, 1.0], "trials": 10}, "params.amplitudes[0]"),
+    ("wigner", {"state": {"kind": "oscillator"}, "n_points": 100}, "params.n_points: n_points must be a power of two"),
+    ("wigner", {"state": {"kind": "oscillator"}, "q_min": 3, "q_max": -3}, "params.q_max: q_max must exceed q_min"),
 ]
 
 
@@ -642,16 +653,17 @@ def test_memory_cap_rejects_before_allocating(tmp_path, capsys, monkeypatch):
 
 
 def test_chain_parse_builds_one_state_vector_per_register(monkeypatch):
-    # a register is a ready state and one pointer stack: chain n=57 at
-    # MAX_LINKS links builds a StateVector for each ready state, the system
-    # state and the n basis vectors, none per pointer
+    # a register is a ready state and one pointer stack, and the system is
+    # read as its amplitudes: chain n=57 at MAX_LINKS links builds a
+    # StateVector for the system state and one for each ready state, none
+    # per pointer or system basis vector
     n, links = 57, cli.MAX_LINKS
     built = []
     post_init = StateVector.__post_init__
     monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(1) or post_init(self))
     doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": links})
     assert cli.validate_document(doc) == []
-    assert len(built) <= links + n + 2
+    assert len(built) <= links + 2
 
 
 def _histories(dim, slices, **extra):

@@ -357,7 +357,7 @@ def _dense_branching_entropies(amplitudes, env_dim):
     env_reset) of the branching ledger, from the joint states of
     branch_and_recohere."""
     model = BranchingModel.ideal(len(amplitudes), env_dim=env_dim)
-    initial = model.ready_joint(StateVector(model.system_basis[0].space, amplitudes))
+    initial = model.ready_joint(StateVector(model.system_space, amplitudes))
     states = (initial,) + branch_and_recohere(initial, model)
     return [_dense_marginal_entropies(state, initial.space.labels) for state in states]
 
@@ -368,14 +368,13 @@ def _ledger_deviation(amplitudes, env_dim):
     exactly 0 here, and every ensemble entropy of a pure row exactly 0."""
     c = np.asarray(amplitudes, dtype=complex)
     model = BranchingModel.ideal(c.size, env_dim=env_dim)
-    system = StateVector(model.system_basis[0].space, c)
+    system = StateVector(model.system_space, c)
     dense = _dense_branching_entropies(c, env_dim)
     got = [ledger._marginal_entropies(form) for form in branch_forms(model, system)]
     app = ApparatusModel.ideal("pointer", c.size)
-    basis = computational_basis(system.space)
-    states = (tensor(system, app.pointer_ready), premeasure(system, app, basis))
+    states = (tensor(system, app.pointer_ready), premeasure(system, app, computational_basis(system.space)))
     dense += [_dense_marginal_entropies(state, ("system", "pointer")) for state in states]
-    got += [ledger._marginal_entropies(form) for form in premeasure_form(system, app, basis)]
+    got += [ledger._marginal_entropies(form) for form in premeasure_form(system, app)]
     dev = 0.0
     for want, have in zip(dense, got, strict=True):
         for w, h in zip(want, have, strict=True):

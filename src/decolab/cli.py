@@ -75,6 +75,11 @@ run forms a shift unitary.  Charged are:
   the min(d_A, d_B) (d_A + d_B) amplitudes of schmidt.json's vectors at
   SCHMIDT_AMPLITUDE_BYTES each, filed under params.dims: 927 x 927 is
   accepted and 928 x 928 refused;
+* master: for n states and T times, the k = min(T, max(1, 2^16 / n^2)) times
+  of a block at once, k + 1 n x n shares at MASTER_ENTRY_BYTES per entry,
+  and the T (n + 1) values of master.csv at MASTER_VALUE_BYTES each, filed
+  under params.rates: at one time n = 2590 is accepted and 2591 refused, at
+  10^4 times n = 962 and 963;
 * a histories dim above 406 (its projector family holds dim^3 values), or a
   graham n of 2^26 or more.
 """
@@ -106,12 +111,13 @@ from .histories import (
     HistorySpec,
     ProjectorSet,
     RateMatrix,
+    _MASTER_BLOCK,
     _SUBSET_BATCH,
     _multinomial_terms,
     consistency_defect,
     enumerate_histories,
     graham_deviant_norm,
-    pauli_master_evolve,
+    pauli_master_table,
 )
 from .ledger import _branching_rows, classical_ledger, quantum_collapse_ledger
 from .measurement import (
@@ -229,6 +235,18 @@ GRAM_TEMPORARIES = 8
 # row of chain.csv.
 REGISTER_RUN_BYTES = 32 * 1024
 REGISTER_BYTES = 2048
+
+# Bytes a master run takes per rate-matrix entry and time of a block, and
+# per value of master.csv's T x (n + 1) table, rounded up from tracemalloc
+# peaks (Python 3.11, numpy 2.4.6).  A block of k times holds 57-60 B per
+# entry and time in histories._expm_stack (the scaled stack, its powers, the
+# Padé terms and the solve), besides the solve's two LAPACK copies, 16 B that
+# tracemalloc does not see.  One more share per entry covers the decoded
+# rates (32 B as Python floats), the rate matrix and its generator (16 B).
+# The table, its float texts and master.csv take 77-80 B per value from about
+# 4000 values up.
+MASTER_ENTRY_BYTES = 80
+MASTER_VALUE_BYTES = 96
 
 # Grid-sized complex arrays a Wigner run holds at once, with room to spare:
 # the samples or a wavefunction's outer product, and two more in the
@@ -567,6 +585,14 @@ def _parse_master(params, seed, diags):
     if times is not None and min(times) < 0.0:
         diags.append("params.times: negative time rejected for the rate equation")
     if diags:
+        return None
+    # The run takes a block of k times at once, k n x n slices besides the
+    # rates' own share, and master.csv holds the T x (n + 1) table; the rate
+    # matrix is built after the charge.
+    n = len(rates)
+    k = min(len(times), max(1, _MASTER_BLOCK // (n * n)))
+    charge = MASTER_ENTRY_BYTES * (k + 1) * n * n + MASTER_VALUE_BYTES * len(times) * (n + 1)
+    if not _fits(charge // 16, "params.rates", diags):
         return None
     matrix = _build(diags, "params.rates", RateMatrix, np.asarray(rates, dtype=np.float64))
     return p0, matrix, times
@@ -921,12 +947,13 @@ def _run_schmidt(emit: _Emitter, psi: StateVector, system: list[str]) -> None:
 
 
 def _run_master(emit: _Emitter, p0: np.ndarray, rates: RateMatrix, times: list[float]) -> None:
-    table = np.zeros((len(times), rates.size))
-    for row, t in zip(table, times):
-        p = pauli_master_evolve(p0, rates, t)
-        _check(p.min() >= -1e-12, f"occupation {p.min()!r} below zero at t={t}")
-        _check(abs(p.sum() - 1.0) <= 1e-10, f"occupations sum to {p.sum()!r} at t={t}")
-        row[:] = p
+    table = pauli_master_table(p0, rates, times)
+    low, total = table.min(axis=1), table.sum(axis=1)
+    bad = ~(low >= -1e-12) | ~(np.abs(total - 1.0) <= 1e-10)
+    if bad.any():  # the first time at fault, named as the check fails
+        i = int(np.argmax(bad))
+        _check(low[i] >= -1e-12, f"occupation {low[i]!r} below zero at t={times[i]}")
+        _check(abs(total[i] - 1.0) <= 1e-10, f"occupations sum to {total[i]!r} at t={times[i]}")
     header = ["t"] + [f"p{i}" for i in range(rates.size)]
     emit.write_text("master.csv", serialize.csv_text(header, times, *table.T))
 

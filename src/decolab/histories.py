@@ -109,19 +109,28 @@ class RateMatrix:
 
 
 def pauli_master_evolve(p0, rates: RateMatrix, t: float) -> np.ndarray:
-    """Propagate occupation probabilities by the exact matrix exponential.
+    """Propagate occupation probabilities by the exact matrix exponential:
+    row 0 of ``pauli_master_table(p0, rates, [t])``."""
+    return pauli_master_table(p0, rates, [t])[0]
+
+
+def pauli_master_table(p0, rates: RateMatrix, times) -> np.ndarray:
+    """Occupations exp(G t) p0 at each of ``times``, one row per time.
 
     The gain/loss form conserves total probability only when each index
     has equal row and column rate sums; anything else is rejected because
     the result would leave the simplex.  Negative times are rejected: the
-    equation is not time-reversal invariant.
+    equation is not time-reversal invariant.  The exponentials are taken a
+    block of at most max(1, _MASTER_BLOCK // n^2) times at once, and a
+    row's bits depend only on (G, t, p0), not on the other times.
     """
     p = np.asarray(p0, dtype=np.float64).reshape(-1)
     if p.size != rates.size:
         raise SpaceMismatchError(f"{p.size} probabilities for {rates.size} states")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > VALIDITY_ATOL:
         raise ValidationError("initial occupations are not a probability distribution")
-    if t < 0.0:
+    t = np.asarray(times, dtype=np.float64).reshape(-1)
+    if t.size and t.min() < 0.0:
         raise ValidationError("negative time rejected for the rate equation")
     a = rates.matrix
     imbalance = np.abs(a.sum(axis=0) - a.sum(axis=1)).max()
@@ -130,11 +139,80 @@ def pauli_master_evolve(p0, rates: RateMatrix, t: float) -> np.ndarray:
             "rate matrix row and column sums differ; the gain/loss form "
             f"would not conserve probability (imbalance {imbalance:.3e})"
         )
-    # Imported here: scipy.linalg is about half the import time of the
-    # package, and only the master kind needs it.
-    from scipy.linalg import expm
+    g = rates.generator()
+    table = np.empty((t.size, p.size))
+    step = max(1, _MASTER_BLOCK // g.size)
+    for lo in range(0, t.size, step):
+        table[lo : lo + step] = _expm_stack(g * t[lo : lo + step, None, None]) @ p
+    return table
 
-    return expm(rates.generator() * float(t)) @ p
+
+# Values of the (k, n, n) stack pauli_master_table hands _expm_stack at once.
+_MASTER_BLOCK = 1 << 16
+
+# Padé 13 of exp (Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005): the
+# coefficients of p_13(x) = sum_j b_j x^j over b_0, with q_13(x) = p_13(-x),
+# and the largest 1-norm theta_13 at which r_13 = p_13 / q_13 meets exp to
+# double precision.  With b_0 scaled to 1, q_13(0) = I and exp(0) = I exactly.
+_PADE13 = tuple(
+    b / 64764752532480000.0
+    for b in (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+    )
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of a real (k, n, n) stack, by Padé 13 with scaling
+    and squaring.  Each slice is scaled by its own 2^-s, s the least with
+    ||a / 2^s||_1 <= theta_13, and squared s times; every step works slice by
+    slice, so a slice's bits do not depend on the rest of the stack.  Each
+    stack is dropped as soon as it is used: cli.MASTER_ENTRY_BYTES is fitted
+    to the peak this leaves."""
+    norms = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)
+    s = np.zeros(len(a), dtype=np.int64)
+    over = norms > _THETA13
+    s[over] = np.ceil(np.log2(norms[over] / _THETA13))
+    a = np.ldexp(a, -s[:, None, None])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u, v = (_pade_half(a2, a4, a6, j) for j in (1, 0))
+    del a2, a4, a6
+    u = a @ u
+    del a
+    q = v - u
+    v += u
+    del u
+    e = np.linalg.solve(q, v)
+    del q, v
+    for j in range(int(s.max(initial=0))):
+        rows = np.flatnonzero(s > j)
+        m = e[rows]
+        e[rows] = m @ m
+    return e
+
+
+def _pade_half(a2, a4, a6, j: int) -> np.ndarray:
+    """a6 (b_{12+j} a6 + b_{10+j} a4 + b_{8+j} a2) + b_{6+j} a6 + b_{4+j} a4
+    + b_{2+j} a2 + b_j I: the odd part of p_13 over a for j = 1, its even
+    part for j = 0.  Summed in place, one scaled power at a time."""
+    b = _PADE13
+    inner = b[12 + j] * a6
+    inner += b[10 + j] * a4
+    inner += b[8 + j] * a2
+    out = a6 @ inner
+    del inner
+    out += b[6 + j] * a6
+    out += b[4 + j] * a4
+    out += b[2 + j] * a2
+    k, n = out.shape[:2]
+    out.reshape(k, n * n)[:, :: n + 1] += b[j]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -422,9 +422,12 @@ class BranchForm:
     def system_density(self) -> np.ndarray:
         """(a a^dagger) o prod_j G_j^T: the system density, rho_nm
         prod_j <x_j(m)|x_j(n)>, the decoherence factor of Joos and Zeh
-        (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2."""
+        (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2; each zero is
+        stored as +0.0, as in ``joint_amplitudes``."""
         a = self.coefficients
-        return _decohere(np.outer(a, a.conj()), self.stacks)
+        m = _decohere(np.outer(a, a.conj()), self.stacks)
+        m += 0.0
+        return m
 
     def schmidt_values(self, k: int | None = None) -> np.ndarray:
         """The Schmidt coefficients of register k (of the system for None)

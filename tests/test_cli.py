@@ -359,12 +359,14 @@ def test_run_premeasurement_summary(tmp_path):
 
 
 def test_premeasurement_of_signed_zero_amplitudes_prints_no_negative_zero(tmp_path):
-    # the density's zero entries are products with a_1 = -0.0 - 0.0j
-    doc = _scenario("premeasurement", {"amplitudes": [[0, -1], [-0.0, -0.0]]})
-    out = tmp_path / "out"
-    assert cli.run(_write(tmp_path, "p.json", doc), out_dir=str(out)) == 0
-    for name in ("system_density.json", "joint_state.json"):
-        assert "-0.0" not in (out / name).read_text(), name
+    # the density's zero entries are products with a_1 = -0.0 - 0.0j, and
+    # with a negative overlap products such as 0 x (-0.2) = -0.0
+    for overlap in (0.0, -0.2):
+        doc = _scenario("premeasurement", {"amplitudes": [[0, -1], [-0.0, -0.0]], "pointer_overlap": overlap})
+        out = tmp_path / f"out{overlap}"
+        assert cli.run(_write(tmp_path, "p.json", doc), out_dir=str(out)) == 0
+        for name in ("system_density.json", "joint_state.json"):
+            assert "-0.0" not in (out / name).read_text(), (overlap, name)
 
 
 def test_run_branch_recohere_rows(tmp_path):
@@ -558,12 +560,37 @@ def test_python_dash_m_decolab(tmp_path):
         assert res.returncode == code
 
 
-def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    # only the master kind needs scipy.linalg, and it is half the import time
-    code = "import sys, decolab.cli; print('scipy.linalg' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+# One small scenario of each kind, as in the CI emit smoke test.
+SMOKE = {
+    "premeasurement": {"amplitudes": [0.6, [0.0, 0.8]], "pointer_overlap": 0.3},
+    "chain": {"amplitudes": [0.6, [0.0, 0.8]], "links": 3, "overlaps": [0.0, 0.3, -0.2]},
+    "branch_recohere": {"amplitudes": [0.6, [0.0, 0.8]], "env_dim": 4},
+    "collapse_mc": {"amplitudes": [0.6, [0.0, 0.0], [0.0, 0.8]], "trials": 4000, "record_limit": 5},
+    "wigner": {"state": {"kind": "mixture", "center": 3.0}, "n_points": 64, "q_min": -12.0, "q_max": 12.0},
+    "schmidt": {"dims": [["a", 2], ["b", 3]], "system": ["a"], "state": {"kind": "random"}},
+    "master": {"p0": [1.0, 0.0, 0.0], "rates": [[0, 1, 0.5], [1, 0, 2], [0.5, 2, 0]], "times": [0.0, 0.5, 2.0]},
+    "histories": {"dim": 2, "hamiltonian": {"name": "sigma_x"}, "times": [0.3, 0.9], "initial": {"amplitudes": [1.0, 0.0]}},
+    "graham": {"p": [0.2, 0.3, 0.5], "epsilon": 0.1, "n_values": [1, 4, 9]},
+    "ledger_classical": {"p": [0.25, 0.75]},
+    "ledger_quantum": {"amplitudes": [0.6, [0.0, 0.8]]},
+    "ledger_branching": {"amplitudes": [0.6, [0.0, 0.8]], "env_dim": 4},
+}
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
+    # no kind needs scipy: importing the cli and running one scenario of each
+    # kind loads no scipy module
+    assert set(SMOKE) == set(cli.KINDS)
+    paths = [_write(tmp_path, f"{kind}.json", _scenario(kind, params)) for kind, params in SMOKE.items()]
+    code = (
+        "import sys, decolab.cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert decolab.cli.run(path, out_dir=path[:-5]) == 0, path\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 # ---- one parse for validate and run ----
@@ -741,6 +768,10 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         _scenario("collapse_mc", {"amplitudes": _random_amplitudes(3), "trials": 10**5}),
         # schmidt.json's 32 x (32 + 512) vector amplitudes
         _schmidt(32, 512),
+        # one 200 x 200 slice a block, and 20 000 times of 4 states in blocks
+        # of 4096: the kernel's stacks, then master.csv's table
+        _master(200, [0.5, 3.0]),
+        _master(4, [0.01 * i for i in range(20_000)]),
     ]
     # The register kinds at their limits, where the charge is also at most 4x
     # the peak: chain n=2 at MAX_LINKS, the branch kinds at n=2 with the
@@ -880,6 +911,27 @@ def test_schmidt_json_is_charged(tmp_path, capsys):
         doc = _scenario("schmidt", {"dims": [["a", d], ["b", 1], ["c", d]], "system": ["c", "b"]})
         diags = cli.validate_document(doc)
         assert diags == [] if ok else diags[0].startswith("params.dims:"), (d, diags)
+
+
+def _master(n, times, seed=0):
+    rates = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, n))
+    rates = (rates + rates.T) / 2.0
+    np.fill_diagonal(rates, 0.0)
+    return _scenario("master", {"p0": [1.0 / n] * n, "rates": rates.tolist(), "times": times})
+
+
+def test_master_is_charged_by_its_block_and_table(tmp_path, capsys):
+    # at 10^4 times, one n x n slice a block and the 10^4 x (n + 1) table:
+    # n = 962 fits the cap at MASTER_ENTRY_BYTES and MASTER_VALUE_BYTES, and
+    # n = 963 is refused before the rate matrix is built
+    def zero_rates(n):
+        return _scenario("master", {"p0": [1.0] + [0.0] * (n - 1), "rates": [[0] * n] * n, "times": [1.0] * 10**4})
+
+    assert cli.validate_document(zero_rates(962)) == []
+    path = _write(tmp_path, "m.json", zero_rates(963))
+    start = time.perf_counter()
+    _both_reject(path, tmp_path / "out", capsys, "params.rates")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):

@@ -32,6 +32,7 @@ from decolab.histories import (
     graham_deviant_norm,
     history_probability,
     pauli_master_evolve,
+    pauli_master_table,
 )
 
 RNG = np.random.default_rng(60601)
@@ -133,6 +134,89 @@ def test_master_equation_semigroup():
     one = pauli_master_evolve(pauli_master_evolve(p0, rates, 0.6), rates, 0.9)
     two = pauli_master_evolve(p0, rates, 1.5)
     assert np.abs(one - two).max() < 1e-12
+
+
+def _balanced_rates(rng, i):
+    """Seeded balanced rates over n = 2-8 states, between 1e-3 and 1e3:
+    symmetric for even i, one cycle of a single rate for odd i."""
+    n = int(rng.integers(2, 9))
+    if i % 2 == 0:
+        r = 10.0 ** rng.uniform(-3, 3, size=(n, n))
+        r = (r + r.T) / 2
+        np.fill_diagonal(r, 0.0)
+    else:
+        r = np.zeros((n, n))
+        r[np.arange(n), (np.arange(n) + 1) % n] = 10.0 ** rng.uniform(-3, 3)
+    return RateMatrix(r)
+
+
+def _master_deviation(rates, p0, times):
+    """The largest deviation of pauli_master_table from scipy.linalg.expm
+    over ``times``, in units of eps max(1, ||G t||_1)."""
+    from scipy.linalg import expm
+
+    g = rates.generator()
+    worst = 0.0
+    for t, row in zip(times, pauli_master_table(p0, rates, times)):
+        want = expm(g * t) @ p0
+        scale = np.finfo(float).eps * max(1.0, np.abs(g * t).sum(axis=0).max())
+        worst = max(worst, float(np.abs(row - want).max()) / scale)
+    return worst
+
+
+def test_master_table_at_time_zero_and_at_zero_rates_is_p0_bitwise():
+    for i in range(40):
+        rates = _balanced_rates(RNG, i)
+        p0 = RNG.dirichlet(np.ones(rates.size))
+        p0[i % rates.size] = 0.0
+        p0 /= p0.sum()
+        times = [0.0, 0.3, 0.0, 17.0]
+        table = pauli_master_table(p0, rates, times)
+        assert table[0].tobytes() == table[2].tobytes() == p0.tobytes()
+        still = pauli_master_table(p0, RateMatrix(np.zeros((rates.size, rates.size))), times)
+        assert all(row.tobytes() == p0.tobytes() for row in still)
+
+
+def test_master_table_rows_do_not_depend_on_their_block(monkeypatch):
+    # n states take 64 // n^2 times a block at _MASTER_BLOCK = 64 (one for
+    # n > 5), so 30 times span several blocks; t up to 1e3 takes scaling
+    # exponents from 0 to about 20
+    rng = np.random.default_rng(7)
+    exponents = set()
+    for i in range(6):
+        rates = _balanced_rates(rng, i)
+        p0 = rng.dirichlet(np.ones(rates.size))
+        times = [0.0] + list(10.0 ** rng.uniform(-3, 3, size=29))
+        norms = np.abs(rates.generator()).sum(axis=0).max() * np.array(times) / decolab.histories._THETA13
+        exponents.update(np.ceil(np.log2(norms[norms > 1.0])))
+        whole = pauli_master_table(p0, rates, times)
+        with monkeypatch.context() as m:
+            m.setattr(decolab.histories, "_MASTER_BLOCK", 64)
+            blocked = pauli_master_table(p0, rates, times)
+        assert blocked.tobytes() == whole.tobytes()
+        for t, row in zip(times, whole):
+            assert pauli_master_table(p0, rates, [t])[0].tobytes() == row.tobytes()
+            assert pauli_master_evolve(p0, rates, t).tobytes() == row.tobytes()
+    assert len(exponents) > 5, exponents
+
+
+def test_master_table_matches_scipy_expm():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for i in range(200):
+        rates = _balanced_rates(rng, i)
+        p0 = rng.dirichlet(np.ones(rates.size))
+        worst = max(worst, _master_deviation(rates, p0, 10.0 ** rng.uniform(-3, 2, size=4)))
+    assert worst <= 64.0, worst
+
+
+def test_master_table_checks_its_inputs():
+    rates = RateMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValidationError, match="negative time"):
+        pauli_master_table([0.5, 0.5], rates, [1.0, -0.1])
+    with pytest.raises(ValidationError, match="probability distribution"):
+        pauli_master_table([0.5, 0.6], rates, [1.0])
+    assert pauli_master_table([0.5, 0.5], rates, []).shape == (0, 2)
 
 
 # ---- histories ----

@@ -30,23 +30,24 @@ MAX_DENSE_BYTES (1 GiB of complex128 values), estimated from the parsed
 sizes before anything is allocated.
 
 The register kinds (premeasurement, chain, branch_recohere, ledger_quantum,
-ledger_branching) run on the branch form sum_n a_n |n> (x)_j |x_j(n)>
-(measurement.BranchForm): the system's n amplitudes and one n x d_j stack
-of pointer vectors per register, built step by step, with every density,
-entropy and fidelity read off the n x n Gram matrices of the stacks.  Only
-premeasurement forms its n d joint amplitudes, for joint_state.json, and no
-run forms a shift unitary.  Charged are:
+ledger_branching) run on one decoherence factor per register
+(measurement.Decoherence): every register they model has pointer states of
+one constant overlap c_j, 1 while it is ready, so the system density is
+(1 - gamma) diag(p) + gamma a a^dagger with gamma = prod_j c_j and p = |a|^2,
+and every value they write follows from the n amplitudes in O(n).  No run
+builds a register model, and only premeasurement forms its pointer rows and
+n x n density, for joint_state.json and system_density.json.  Charged are:
 
-* every register kind, from that form (_fits_branches): for n outcomes and
-  registers of widths d_j, (n + 1) d_j values per register from the parse
-  and 3 n d_j in the run, GRAM_TEMPORARIES + 1 n x n arrays,
-  REGISTER_RUN_BYTES plus REGISTER_BYTES per register, and for
-  premeasurement the n (n + 1) amplitudes of joint_state.json at
-  RECORD_AMPLITUDE_BYTES each.  Accepted are premeasurement up to n = 1276
-  and ledger_quantum up to n = 2271 (params.amplitudes), branch_recohere and
-  ledger_branching at n = 2 up to env_dim = 3728131 (params.env_dim), and
-  chain at MAX_LINKS links up to n = 57 (params.links); more links are
-  refused under params.links before any register is built;
+* every register kind, from its n amplitudes (_fits_registers, filed under
+  params.amplitudes and checked before they are parsed):
+  REGISTER_AMPLITUDE_BYTES each, REGISTER_RUN_BYTES, REGISTER_BYTES per
+  chain link, for chain the 2 n floats of summary.json at JSON_FLOAT_BYTES
+  each, and for premeasurement the n (n + 1) amplitudes of joint_state.json
+  at RECORD_AMPLITUDE_BYTES each and PREMEASURE_SQUARES n x n arrays.
+  Accepted are ledger_quantum, branch_recohere and ledger_branching up to
+  n = 3355340 at any env_dim, chain at MAX_LINKS links up to n = 1673670,
+  and premeasurement up to n = 1275; more links are refused under
+  params.links;
 * histories: the Heisenberg projector families, the H class operators,
   their products with rho and a conjugate copy (3 H dim^2 values, H the
   product of the outcome counts) plus the H x H decoherence functional,
@@ -96,7 +97,7 @@ import numpy as np
 
 from . import __version__, serialize
 from .dynamics import _REPLAY_BLOCK, CollapseRecord, Hamiltonian, born_weights, sample_outcomes
-from .entanglement import entropy_bits, linear_entropy, schmidt_decompose
+from .entanglement import entropy_bits, schmidt_decompose
 from .errors import DecolabError, SpaceMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
@@ -119,16 +120,8 @@ from .histories import (
     graham_deviant_norm,
     pauli_master_table,
 )
-from .ledger import _branching_rows, classical_ledger, quantum_collapse_ledger
-from .measurement import (
-    ApparatusModel,
-    BranchForm,
-    BranchingModel,
-    ChainSpec,
-    _chain_densities,
-    branch_forms,
-    premeasure_form,
-)
+from .ledger import branching_ledger, classical_ledger, quantum_collapse_ledger
+from .measurement import BRANCH_CYCLE, Decoherence, check_register, record_states_with_overlap
 from .wigner import (
     CSV_BLOCK_BYTES,
     _check_points,
@@ -215,26 +208,34 @@ SCHMIDT_STATE_BYTES = 96
 REPLAY_SEED_BYTES = 320
 
 # chain links one scenario may ask for: memory hardly binds them, since the
-# run keeps one n x (n + 1) pointer stack at a time, and the cap runs in
-# 1.1-1.2 s as one fresh `decolab run` at n = 2, about 0.35 s of it start-up
-# (2 CPUs, numpy 2.4.6).
+# run holds one overlap and one row of chain.csv per link, and the cap runs
+# in 0.2-0.4 s as one fresh `decolab run` at n = 2, nearly all of it
+# start-up (2 CPUs, numpy 2.4.6).
 MAX_LINKS = 5000
 
-# n x n arrays a register run holds at once, rounded up: a density, its
-# DensityOperator copy and the eigvalsh workspace, with two to spare (the
-# Hermitian check holds one block of rows); a ledger's Gram matrices, their
-# pivoted factors and its singular values.  Four were fitted to a measured
-# basis's orthonormality check and the coefficients' copy of its columns,
-# which no run holds now: that share is slack, kept so that no limit moves.
-GRAM_TEMPORARIES = 8
-
-# Bytes a register run takes whatever its size, and per register, rounded up
-# from tracemalloc peaks (Python 3.11, numpy 2.4.6): a run with n = 2 and no
-# link peaks at 16-22 kB, and each chain link adds 1.2 kB, its ApparatusModel,
-# TensorSpace, ready StateVector and pointer stack as Python objects and its
-# row of chain.csv.
+# Bytes a register run takes whatever its size, per chain link, and per
+# amplitude, rounded up from tracemalloc peaks of whole runs (Python 3.11,
+# numpy 2.4.6).  A run with n = 2 and no link peaks at 12-17 kB, and each
+# link adds about 300 B: its overlap and its row of chain.csv.  An amplitude
+# takes up to 242 B when it is written as an [re, im] pair of 17-digit
+# floats: the file's text, the decoded pair, and the parsed amplitudes and
+# the closed form's arrays, which alone take 50-70 B.
 REGISTER_RUN_BYTES = 32 * 1024
-REGISTER_BYTES = 2048
+REGISTER_BYTES = 512
+REGISTER_AMPLITUDE_BYTES = 320
+
+# Bytes a float printed by the indented JSON encoder takes while its text is
+# built (serialize.dumps): the Python float, its repr and the joined text,
+# 128 B measured for 17-digit floats, rounded up.
+JSON_FLOAT_BYTES = 160
+
+# n x n complex arrays a premeasurement run is charged besides the text of
+# joint_state.json: the density and its DensityOperator copy, the Gram
+# matrix, the pointer rows and joint amplitudes, and eigvalsh's workspace,
+# with room for what tracemalloc does not see (a fresh run at n = 1276
+# peaked at 919 MiB).
+PREMEASURE_SQUARES = 13
+
 
 # Bytes a master run takes per rate-matrix entry and time of a block, and
 # per value of master.csv's T x (n + 1) table, rounded up from tracemalloc
@@ -338,18 +339,18 @@ def _fits(entries: int, field: str, diags: list[str]) -> bool:
     return False
 
 
-def _fits_branches(n: int, widths: list[int], field: str, diags: list[str], text: int = 0) -> bool:
-    """Whether a branch-form run on n outcomes fits, with one register of
-    width d_j per entry of ``widths``: the system's n amplitudes and an n x n
-    share, once its measured basis and now slack, each register's ready and
-    pointer states built in the parse ((n + 1) d_j values), and in the run
-    its ready and pointer stacks and the conjugate copy its Gram matrix takes
-    (3 n d_j), GRAM_TEMPORARIES more n x n arrays, REGISTER_RUN_BYTES plus
-    REGISTER_BYTES per register, and ``text`` amplitudes printed as JSON at
-    RECORD_AMPLITUDE_BYTES each."""
-    values = n + (1 + GRAM_TEMPORARIES) * n * n + (4 * n + 1) * sum(widths)
-    extra = REGISTER_RUN_BYTES + REGISTER_BYTES * len(widths) + RECORD_AMPLITUDE_BYTES * text
-    return _fits(values + extra // 16, field, diags)
+def _fits_registers(
+    n: int, diags: list[str], links: int = 0, floats: int = 0, text: int = 0, square: int = 0
+) -> bool:
+    """Whether a register run on n amplitudes fits, filed under
+    params.amplitudes: REGISTER_RUN_BYTES, REGISTER_BYTES per chain link,
+    REGISTER_AMPLITUDE_BYTES per amplitude, ``floats`` floats printed by the
+    indented JSON encoder at JSON_FLOAT_BYTES each, ``text`` amplitudes
+    printed as JSON at RECORD_AMPLITUDE_BYTES each, and ``square`` n x n
+    arrays."""
+    extra = REGISTER_RUN_BYTES + REGISTER_BYTES * links + REGISTER_AMPLITUDE_BYTES * n
+    extra += JSON_FLOAT_BYTES * floats + RECORD_AMPLITUDE_BYTES * text
+    return _fits(square * n * n + extra // 16, "params.amplitudes", diags)
 
 
 def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
@@ -391,39 +392,45 @@ def _system_state(params: dict, diags: list[str]) -> StateVector | None:
     return StateVector(TensorSpace((("system", amps.size),)), amps)
 
 
+def _amplitude_count(params: dict) -> int:
+    """How many entries params.amplitudes lists, 0 for a value that is no
+    list: read before they are parsed, so that the charge comes first."""
+    raw = params.get("amplitudes")
+    return len(raw) if isinstance(raw, list) else 0
+
+
 def _parse_ledger_quantum(params, seed, diags):
-    system = _system_state(params, diags)
-    if system is not None:  # one pointer register of width n + 1
-        n = system.space.total_dim
-        _fits_branches(n, [n + 1], "params.amplitudes", diags)
-    return (system,)
+    if not _fits_registers(_amplitude_count(params), diags):
+        return None
+    return (_parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes"),)
 
 
 def _parse_premeasurement(params, seed, diags):
+    # joint_state.json prints the n (n + 1) joint amplitudes, and
+    # system_density.json, once that text is gone, the n^2 entries of the
+    # density.
+    n = _amplitude_count(params)
+    if not _fits_registers(n, diags, text=n * (n + 1), square=PREMEASURE_SQUARES):
+        return None
     system = _system_state(params, diags)
     g = _number(params, "pointer_overlap", "params", diags, default=0.0)
     if diags:
         return None
-    n = system.space.total_dim
-    # joint_state.json prints the n (n + 1) joint amplitudes, and
-    # system_density.json, once that text is gone, n^2 entries.
-    if not _fits_branches(n, [n + 1], "params.amplitudes", diags, text=n * (n + 1)):
-        return None
-    app = _build(diags, "params.pointer_overlap", ApparatusModel.with_overlap, "pointer", n, g)
-    return system, app
+    pointers = _build(diags, "params.pointer_overlap", record_states_with_overlap, n, g, n + 1)
+    return system, g, pointers
 
 
 def _parse_chain(params, seed, diags):
-    system = _system_state(params, diags)
     k = _integer(params, "links", "params", diags, minimum=0)
     if k is not None and k > MAX_LINKS:
         diags.append(f"params.links: {k} links, over the cap of {MAX_LINKS}")
     if diags:
         return None
-    n = system.space.total_dim
-    # the links and the observer, each of width n + 1
-    if not _fits_branches(n, [n + 1] * (k + 1), "params.links", diags):
+    # summary.json prints two floats per amplitude
+    n = _amplitude_count(params)
+    if not _fits_registers(n, diags, links=k, floats=2 * n):
         return None
+    amps = _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
     if params.get("overlaps") is None:
         field = "params.overlap"
         overlaps = [_number(params, "overlap", "params", diags, default=0.0)] * k
@@ -434,27 +441,24 @@ def _parse_chain(params, seed, diags):
             diags.append(f"{field}: expected one overlap per link, got {len(overlaps)} for {k}")
     if diags:
         return None
-    links = []
-    for i, g in enumerate(overlaps):
-        links.append(_build(diags, field, ApparatusModel.with_overlap, f"link{i}", n, g))
+    for g in overlaps:  # every link has width n + 1, as the observer has
+        _build(diags, field, check_register, n, g, n + 1)
         if diags:
             return None
-    observer = ApparatusModel.ideal("observer", n)
-    return system, ChainSpec(system.space, tuple(links), observer)
+    return amps, np.array(overlaps, dtype=np.float64)
 
 
 def _parse_branch(params, seed, diags):
-    system = _system_state(params, diags)
-    if system is None:
+    if not _fits_registers(_amplitude_count(params), diags):
         return None
-    n = system.space.total_dim
-    env_dim = _integer(params, "env_dim", "params", diags, minimum=1, default=n + 1)
-    if env_dim is None:
+    amps = _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
+    if amps is None:
         return None
-    # the apparatus, env_record and env_reset registers
-    if not _fits_branches(n, [n + 1, env_dim, env_dim], "params.env_dim", diags):
-        return None
-    return system, _build(diags, "params.env_dim", BranchingModel.ideal, n, env_dim=env_dim)
+    # the env registers hold ideal records, so their width costs nothing
+    env_dim = _integer(params, "env_dim", "params", diags, minimum=1, default=amps.size + 1)
+    if env_dim is not None:
+        _build(diags, "params.env_dim", check_register, amps.size, 0.0, env_dim)
+    return (amps,)
 
 
 def _parse_collapse_mc(params, seed, diags):
@@ -836,45 +840,35 @@ def _check(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _checked_density(space: TensorSpace, m: np.ndarray, where: str = "") -> tuple[DensityOperator, float]:
-    """The system density M of a branch form on ``space``, checked as a
-    DensityOperator, and the global purity (tr M)^2 = |psi|^4 of its pure
-    joint state, held within 1e-10 of 1."""
-    purity = float(np.trace(m).real) ** 2
-    _check(abs(purity - 1.0) <= 1e-10, f"global purity drifted to {purity!r}{where}")
-    return DensityOperator(space, m), purity
-
-
-def _off_diagonal_max(rho: DensityOperator) -> float:
-    """The largest |rho_mn|, m != n (0 for a single outcome)."""
-    off = np.abs(rho.matrix)
-    np.fill_diagonal(off, 0.0)
-    return float(off.max())
-
-
-def _run_premeasurement(emit: _Emitter, system: StateVector, app: ApparatusModel) -> None:
-    _ready, form = premeasure_form(system, app)
-    rho_sys, purity = _checked_density(system.space, form.system_density())
-    joint = StateVector(system.space.concat(app.space), form.joint_amplitudes())
+def _run_premeasurement(emit: _Emitter, system: StateVector, overlap: float, pointers: np.ndarray) -> None:
+    dec = Decoherence.from_amplitudes(system.amplitudes)
+    dec.check(overlap)
+    # The joint amplitudes a_n x(n) and the density (a a^dagger) o G^T, G
+    # the Gram matrix of the pointer states x(n); each zero as +0.0.
+    a = system.amplitudes
+    m = np.outer(a, a.conj())
+    m *= (pointers.conj() @ pointers.T).T
+    m += 0.0
+    rho_sys = DensityOperator(system.space, m)
+    pointer_space = TensorSpace((("pointer", pointers.shape[1]),))
+    joint = StateVector(system.space.concat(pointer_space), (a[:, None] * pointers).reshape(-1) + 0.0)
     emit.write_text("joint_state.json", joint.to_json())
     emit.write_text("system_density.json", rho_sys.to_json())
     header = ["off_diagonal_max", "system_linear_entropy", "global_purity"]
-    text = serialize.csv_text(header, [_off_diagonal_max(rho_sys)], [linear_entropy(rho_sys)], [purity])
-    emit.write_text("summary.csv", text)
+    row = [dec.off_diagonal_max(overlap)], [dec.linear_entropy(overlap)], [dec.trace**2]
+    emit.write_text("summary.csv", serialize.csv_text(header, *row))
 
 
-def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
-    densities = _chain_densities(spec, system)
-    steps = range(1, len(spec.links) + 1)
-    table = np.zeros((len(steps), 3))  # off-diagonal, linear entropy, purity
-    for row, step, m in zip(table, steps, densities):
-        rho_sys, purity = _checked_density(system.space, m, f" at step {step}")
-        row[:] = _off_diagonal_max(rho_sys), linear_entropy(rho_sys), purity
+def _run_chain(emit: _Emitter, amplitudes: np.ndarray, overlaps: np.ndarray) -> None:
+    dec = Decoherence.from_amplitudes(amplitudes)
+    # step k after link k, then the observer's ideal records: gamma 0
+    gammas = np.cumprod(overlaps)
+    dec.check(np.append(gammas, 0.0), first_step=1)
     header = ["step", "off_diagonal", "system_linear_entropy", "global_purity"]
-    emit.write_text("chain.csv", serialize.csv_text(header, steps, *table.T))
-    rho_final, _purity = _checked_density(system.space, next(densities), " after the observer")
-    pops = rho_final.matrix.diagonal().real
-    born = np.abs(system.amplitudes) ** 2
+    columns = dec.off_diagonal_max(gammas), dec.linear_entropy(gammas), np.full(gammas.size, dec.trace**2)
+    emit.write_text("chain.csv", serialize.csv_text(header, range(1, gammas.size + 1), *columns))
+    pops = dec.populations
+    born = np.abs(amplitudes) ** 2
     _check(
         float(np.abs(pops - born).max()) <= 1e-10,
         "final populations deviate from the squared amplitudes",
@@ -887,25 +881,16 @@ def _run_chain(emit: _Emitter, system: StateVector, spec: ChainSpec) -> None:
     emit.write_text("summary.json", serialize.dumps(summary))
 
 
-def _ready_fidelity(form: BranchForm, k: int, ready: np.ndarray) -> float:
-    """<ready|rho_k|ready> for register k: sum_n |a_n|^2 |<ready|x_k(n)>|^2
-    prod_{j != k} G_j[n, n], the system's Gram matrix being the identity."""
-    weights = np.abs(form.coefficients) ** 2
-    for j, g in enumerate(form.grams()):
-        if j != k:
-            weights = weights * g.diagonal().real
-    return float(weights @ np.abs(form.stacks[k] @ ready.conj()) ** 2)
-
-
-def _run_branch_recohere(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
-    forms = branch_forms(model, system)
-    ready = model.apparatus.pointer_ready.amplitudes
-    table = np.zeros((len(forms), 3))  # fidelity, linear entropy, purity
-    for step, (row, form) in enumerate(zip(table, forms)):
-        rho_sys, purity = _checked_density(system.space, form.system_density(), f" at step {step}")
-        row[:] = _ready_fidelity(form, 0, ready), linear_entropy(rho_sys), purity
+def _run_branch_recohere(emit: _Emitter, amplitudes: np.ndarray) -> None:
+    dec = Decoherence.from_amplitudes(amplitudes)
+    gammas = np.array([math.prod(overlaps) for overlaps in BRANCH_CYCLE])
+    dec.check(gammas)
+    # <ready|rho_apparatus|ready>: sum p while the apparatus is ready, and 0
+    # once it points, its pointer states being orthogonal to the ready state
+    fidelity = [dec.trace if overlaps[0] == 1.0 else 0.0 for overlaps in BRANCH_CYCLE]
     header = ["step", "apparatus_fidelity", "system_linear_entropy", "global_purity"]
-    emit.write_text("branch.csv", serialize.csv_text(header, range(len(forms)), *table.T))
+    columns = fidelity, dec.linear_entropy(gammas), np.full(gammas.size, dec.trace**2)
+    emit.write_text("branch.csv", serialize.csv_text(header, range(gammas.size), *columns))
 
 
 def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, seed: int) -> None:
@@ -997,12 +982,12 @@ def _run_ledger_classical(emit: _Emitter, p: np.ndarray) -> None:
     _write_ledger(emit, classical_ledger(p))
 
 
-def _run_ledger_quantum(emit: _Emitter, system: StateVector) -> None:
-    _write_ledger(emit, quantum_collapse_ledger(system.amplitudes))
+def _run_ledger_quantum(emit: _Emitter, amplitudes: np.ndarray) -> None:
+    _write_ledger(emit, quantum_collapse_ledger(amplitudes))
 
 
-def _run_ledger_branching(emit: _Emitter, system: StateVector, model: BranchingModel) -> None:
-    _write_ledger(emit, _branching_rows(model, system.amplitudes))
+def _run_ledger_branching(emit: _Emitter, amplitudes: np.ndarray) -> None:
+    _write_ledger(emit, branching_ledger(amplitudes))
 
 
 _HANDLERS = {

@@ -22,14 +22,14 @@ exactly the bit the two conventions disagree about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import SCHMIDT_CUTOFF, shannon_entropy
-from .errors import MIN_BRANCH_PROBABILITY, VALIDITY_ATOL, ValidationError
-from .hilbert import StateVector, TensorSpace
-from .measurement import ApparatusModel, BranchForm, BranchingModel, branch_forms, premeasure_form
+from .errors import MIN_BRANCH_PROBABILITY, ValidationError
+from .measurement import BRANCH_CYCLE, Decoherence, check_register
 
 _AXES = ("system", "memory", "environment")
 
@@ -214,22 +214,6 @@ def classical_ledger(p_system) -> list[LedgerRow]:
     return rows
 
 
-def _marginal_entropies(form: BranchForm) -> list[float]:
-    """The marginal entropy of the system, then of each register in order.
-
-    A pure global state's marginal spectrum is its squared Schmidt
-    coefficients (those above SCHMIDT_CUTOFF), read off the branch form's
-    Gram matrices; the ready and ideal registers give exact factors, so a
-    product state gives exactly 0 instead of eigenvalue round-off.
-    """
-    out = []
-    for k in (None,) + tuple(range(len(form.stacks))):
-        s = form.schmidt_values(k)
-        p = s[s > SCHMIDT_CUTOFF] ** 2
-        out.append(shannon_entropy(p / p.sum()))
-    return out
-
-
 def _validated_amplitudes(c) -> np.ndarray:
     c = np.asarray(c, dtype=np.complex128).reshape(-1)
     if c.size < 2:
@@ -242,6 +226,36 @@ def _validated_amplitudes(c) -> np.ndarray:
     return c / nrm
 
 
+def _spectrum_entropy(c: np.ndarray) -> float:
+    """The entropy of the spectrum p = |c|^2 that an ideal register, and
+    the system it decohered, carry in a pure global state: the squares of
+    the |c_n| above SCHMIDT_CUTOFF, largest first, normalized, as the
+    Schmidt coefficients of the joint state give it."""
+    s = np.sort(np.abs(c))[::-1]
+    p = s[s > SCHMIDT_CUTOFF] ** 2
+    return shannon_entropy(p / p.sum())
+
+
+def _pure_rows(c: np.ndarray, h: float, steps) -> list[LedgerRow]:
+    """The rows of a normalized global state vector sum_n c_n |n> (x)_j
+    |x_j(n)>, one per (name, overlaps) step, with one overlap per register.
+
+    Every register is ideal (overlap 0) or ready (overlap 1), so each
+    marginal spectrum is p = |c|^2, of entropy ``h``, or {1} for a ready
+    register and for a system that no register decohered, of entropy
+    exactly 0.  The state is pure, so the ensemble entropy is exactly 0 and
+    no information fires.  Its normalization, the same at every step, is
+    checked once.
+    """
+    steps = list(steps)
+    Decoherence.from_amplitudes(c).check([math.prod(overlaps) for _, overlaps in steps])
+    rows = []
+    for name, overlaps in steps:
+        marginals = [0.0 if math.prod(overlaps) == 1.0 else h] + [0.0 if g == 1.0 else h for g in overlaps]
+        rows.append(LedgerRow(name, 0.0, float(sum(marginals)), 0.0, float(sum(marginals[1:]))))
+    return rows
+
+
 def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     """Measurement cycle with a stochastic reduction.
 
@@ -252,22 +266,17 @@ def quantum_collapse_ledger(amplitudes) -> list[LedgerRow]:
     rises to the classical starting value), then reading one outcome
     removes what it delivered.
 
-    Pointer sector j holds the branch phi_j (x) |j>, with phi_j column j of
-    the entangled amplitudes a_n x_n as an n x (n + 1) array.  The sectors
-    are orthogonal, so the mixture's ensemble entropy is the Shannon entropy
-    of p_j = |phi_j|^2, its marginals are the entangled system marginal and
-    diag(p), and every Luders branch is a pure product state whose
-    entropies are exactly 0.
+    An ideal pointer register of width n + 1 records the system.  Pointer
+    sector j + 1 holds the branch c_j |j> (x) |j + 1> and sector 0 nothing.
+    The sectors are orthogonal, so the mixture's ensemble entropy is the
+    Shannon entropy of p = |c|^2, its marginals are the entangled system
+    marginal and diag(p), and every Luders branch is a pure product state
+    whose entropies are exactly 0.
     """
     c = _validated_amplitudes(amplitudes)
-    app = ApparatusModel.ideal("pointer", c.size)
-    ready, entangled = premeasure_form(StateVector(TensorSpace((("system", c.size),)), c), app)
-    marginals = _pure_entropies("entangled", entangled)
-    rows = [_pure_row("initial", _pure_entropies("initial", ready)), _pure_row("entangled", marginals)]
-    s_sys = marginals[0]
-    (pointer,) = entangled.stacks
-    p = (np.abs(entangled.coefficients[:, None] * pointer) ** 2).sum(axis=0)
-    s_mix = shannon_entropy(p)
+    s_sys = _spectrum_entropy(c)
+    rows = _pure_rows(c, s_sys, (("initial", (1.0,)), ("entangled", (0.0,))))
+    s_mix = shannon_entropy(np.abs(c) ** 2)
     rows.append(LedgerRow("mixture", s_mix, s_sys + s_mix, 0.0, s_mix))
     rows.append(LedgerRow("reduction", 0.0, 0.0, s_mix, 0.0))
     return rows
@@ -280,30 +289,11 @@ def branching_ledger(amplitudes, env_dim: int | None = None) -> list[LedgerRow]:
     moves from zero; only the marginal sum grows as correlations are
     declared irrelevant.  No information row ever fires because nothing is
     read out.  The zero is exact: every row's state is a normalized state
-    vector (checked), whose density has entropy 0 by construction.
+    vector (checked), whose density has entropy 0 by construction.  The
+    environment registers, of width ``env_dim`` (n + 1 by default), hold
+    ideal records, so their width changes no entropy.
     """
     c = _validated_amplitudes(amplitudes)
-    return _branching_rows(BranchingModel.ideal(c.size, env_dim=env_dim), amplitudes)
-
-
-def _branching_rows(model: BranchingModel, amplitudes) -> list[LedgerRow]:
-    """The rows of ``branching_ledger`` on the registers of ``model``."""
-    c = _validated_amplitudes(amplitudes)
-    forms = branch_forms(model, StateVector(model.system_space, c))
+    check_register(c.size, 0.0, c.size + 1 if env_dim is None else env_dim)
     names = ("initial", "apparatus_entangled", "environment_recorded", "apparatus_reset")
-    return [_pure_row(name, _pure_entropies(name, form)) for name, form in zip(names, forms)]
-
-
-def _pure_entropies(name: str, form: BranchForm) -> list[float]:
-    """The marginal entropies of a global state in branch form, checked to
-    be normalized (|psi|^2 = tr of its system density)."""
-    if abs(float(np.trace(form.system_density()).real) - 1.0) > VALIDITY_ATOL:
-        raise ValidationError(f"step {name!r}: global state lost its normalization")
-    return _marginal_entropies(form)
-
-
-def _pure_row(name: str, entropies: list[float]) -> LedgerRow:
-    """Row of a normalized global state vector with these marginal entropies:
-    its density is pure, so the ensemble entropy is exactly 0 and no
-    information fires."""
-    return LedgerRow(name, 0.0, float(sum(entropies)), 0.0, float(sum(entropies[1:])))
+    return _pure_rows(c, _spectrum_entropy(c), zip(names, BRANCH_CYCLE))

@@ -11,19 +11,19 @@ ignored.
 
 The models measure the system in its computational basis |n>, and no step
 is followed by a map on the system, so each state they produce is
-sum_n a_n |n> (x)_j |x_j(n)>, a_n = <n|psi> the system's amplitudes.
-``BranchForm`` stores it as those n coefficients and one n x d_j stack per
-register, the ready state in every row or the register's own pointer stack,
-and ``premeasure_form``, ``chain_forms`` and ``branch_forms`` build it step
-by step; the register kinds of the CLI and the ledgers run on it.  The dense
-reference for that route applies the shifts to the joint state tensor:
-``premeasure`` (which appends the ready device to the bare system and takes
-any measured basis), ``chain_propagate`` and ``branch_and_recohere``.
+sum_n a_n |n> (x)_j |x_j(n)>, a_n = <n|psi> the system's amplitudes.  Every
+register a scenario builds has pointer states of one constant overlap c_j
+(0 for ideal records, 1 while it is ready), so its system density is
+(1 - gamma) diag(|a|^2) + gamma a a^dagger with gamma = prod_j c_j: the
+closed form ``Decoherence`` that the register kinds of the CLI and the
+ledgers run on, in O(n) work.  The dense reference for that route applies
+the shifts to the joint state tensor: ``premeasure`` (which appends the
+ready device to the bare system and takes any measured basis),
+``chain_propagate`` and ``branch_and_recohere``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,13 +67,9 @@ def _transport_unitary(src: list[np.ndarray], dst: list[np.ndarray]) -> np.ndarr
     return _complete_orthonormal(dst) @ _complete_orthonormal(src).conj().T
 
 
-def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> np.ndarray:
-    """Unit record vectors with constant pairwise inner product ``overlap``,
-    the rows of an (n_outcomes, dim) stack.
-
-    Built from the Cholesky factor of the Gram matrix, supported on basis
-    indices 1..n so index 0 stays free for a ready state.
-    """
+def check_register(n_outcomes: int, overlap: float, dim: int) -> None:
+    """Refuse a register of width ``dim`` whose n_outcomes records cannot
+    have the constant pairwise overlap ``overlap`` beside a ready state."""
     if dim < n_outcomes + 1:
         raise ValidationError(f"dimension {dim} too small for {n_outcomes} records plus ready state")
     # Two or more records with overlap 1 coincide: their Gram matrix is
@@ -84,6 +80,16 @@ def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> np.
             f"overlap {overlap} outside the positive-definite range "
             f"(-1/(n-1), 1) for n = {n_outcomes} records"
         )
+
+
+def record_states_with_overlap(n_outcomes: int, overlap: float, dim: int) -> np.ndarray:
+    """Unit record vectors with constant pairwise inner product ``overlap``,
+    the rows of an (n_outcomes, dim) stack.
+
+    Built from the Cholesky factor of the Gram matrix, supported on basis
+    indices 1..n so index 0 stays free for a ready state.
+    """
+    check_register(n_outcomes, overlap, dim)
     gram = np.full((n_outcomes, n_outcomes), float(overlap))
     np.fill_diagonal(gram, 1.0)
     out = np.zeros((n_outcomes, dim), dtype=np.complex128)
@@ -123,9 +129,8 @@ class ApparatusModel:
     def ideal(cls, label: str, n_outcomes: int, dim: int | None = None) -> ApparatusModel:
         """Orthonormal pointer states on basis indices 1..n, ready at 0."""
         d = dim if dim is not None else n_outcomes + 1
+        check_register(n_outcomes, 0.0, d)
         space = TensorSpace(((label, d),))
-        if d < n_outcomes + 1:
-            raise ValidationError(f"dimension {d} too small for {n_outcomes} pointers plus ready state")
         return cls(space, basis_state(space, 0), np.eye(n_outcomes, d, 1, dtype=np.complex128))
 
     @classmethod
@@ -286,12 +291,12 @@ class BranchingModel:
 
     system_space: TensorSpace
     apparatus: ApparatusModel
-    env_decohere: ApparatusModel
+    env_record: ApparatusModel
     env_reset: ApparatusModel
 
     def __post_init__(self):
         n = self.system_space.total_dim
-        for reg in (self.apparatus, self.env_decohere, self.env_reset):
+        for reg in (self.apparatus, self.env_record, self.env_reset):
             if reg.n_outcomes != n:
                 raise ValidationError("every register needs one pointer state per outcome")
 
@@ -299,26 +304,22 @@ class BranchingModel:
     def ideal(cls, amplitude_count: int, env_dim: int | None = None) -> BranchingModel:
         n = amplitude_count
         d_env = env_dim if env_dim is not None else n + 1
-        if d_env < n + 1:
-            raise ValidationError(
-                f"env_dim {d_env} too small: need {n} records plus a ready state"
-            )
         return cls(
             system_space=TensorSpace((("system", n),)),
             apparatus=ApparatusModel.ideal("apparatus", n),
-            env_decohere=ApparatusModel.ideal("env_record", n, dim=d_env),
+            env_record=ApparatusModel.ideal("env_record", n, dim=d_env),
             env_reset=ApparatusModel.ideal("env_reset", n, dim=d_env),
         )
 
     def joint_space(self) -> TensorSpace:
         space = self.system_space.concat(self.apparatus.space)
-        return space.concat(self.env_decohere.space).concat(self.env_reset.space)
+        return space.concat(self.env_record.space).concat(self.env_reset.space)
 
     def ready_joint(self, system: StateVector) -> StateVector:
         return tensor_many(
             system,
             self.apparatus.pointer_ready,
-            self.env_decohere.pointer_ready,
+            self.env_record.pointer_ready,
             self.env_reset.pointer_ready,
         )
 
@@ -343,197 +344,85 @@ def branch_and_recohere(
         raise SpaceMismatchError("initial state lives off the model's joint space")
     basis = computational_basis(model.system_space)
     s1 = _controlled_shift(initial, basis, model.apparatus)
-    s2 = _controlled_shift(s1, basis, model.env_decohere)
+    s2 = _controlled_shift(s1, basis, model.env_record)
     reset = model.apparatus.space.concat(model.env_reset.space)
     s3 = StateVector(full, apply_local(s2.amplitudes, model.reset_unitary(), reset, full))
     return s1, s2, s3
 
 
-# ---- the branch form: what the register kinds run on ----
 
 
-def _gram_factor(gram: np.ndarray) -> np.ndarray:
-    """L (n x r) with L L^dagger = ``gram``, a positive semidefinite n x n matrix.
+# ---- the closed form: what the register kinds run on ----
 
-    Cholesky with diagonal pivoting: each pivot column is divided out and its
-    row and column of the residual are set to zero, and the loop stops once no
-    residual diagonal entry exceeds n eps times the largest diagonal entry
-    (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 10.3).  The
-    identity and all-ones Gram matrices of ideal and ready registers leave an
-    exactly zero residual, so their factors come out with entries 0 and 1 and
-    with exact rank n and 1, where an eigendecomposition would leave round-off
-    eigenvalues.
-    """
-    res = np.array(gram, dtype=np.complex128)
-    n = res.shape[0]
-    diag = res.diagonal().real  # a view: it follows the residual
-    tol = n * np.finfo(np.float64).eps * diag.max(initial=0.0)
-    cols = []
-    while len(cols) < n:
-        p = int(diag.argmax())
-        if diag[p] <= tol:
-            break
-        col = res[:, p] / math.sqrt(diag[p])
-        res -= col[:, None] * col.conj()
-        res[p, :] = 0.0
-        res[:, p] = 0.0
-        cols.append(col)
-    return np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    """G[n, m] = <x(n)|x(m)> for the rows x(n) of a stack."""
-    return x.conj() @ x.T
-
-
-def _decohere(m: np.ndarray, stacks) -> np.ndarray:
-    """m o prod_j G_j^T over ``stacks`` in order, one Gram matrix at a time;
-    ``m`` is overwritten and returned."""
-    for x in stacks:
-        m *= _gram(x).T
-    return m
+# The overlap of each register of the branch cycle across branches, in the
+# order apparatus, env_record, env_reset, for the ready state and after each
+# step of ``branch_and_recohere``: 1 while the register is ready in every
+# branch, 0 once it holds an ideal record.
+BRANCH_CYCLE = ((1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
-class BranchForm:
-    """The state sum_n a_n |n> (x)_j |x_j(n)>, stored as its branches.
+class Decoherence:
+    """The system density of sum_n a_n |n> (x)_j |x_j(n)> in closed form.
 
-    Every register step is controlled on the system's basis states |n>, so
-    each state the chain, branch and premeasurement models produce has this
-    form.  It keeps the system's amplitudes a_n = <n|psi> and, per register
-    j, the n x d_j stack whose row n is x_j(n): n + sum_j n d_j values where
-    the joint state has n prod_j d_j amplitudes.  Everything the register
-    kinds report comes from the n x n Gram matrices G_j[n, m] = <x_j(n)|x_j(m)>.
+    Every register the register kinds model, ``ApparatusModel.ideal`` or
+    ``with_overlap`` on the dense routes, has the Gram matrix
+    G_j = (1 - c_j) I + c_j J: c_j = 0 for ideal records, and c_j = 1 while
+    the register is ready in every branch.  The system density is (a a^dagger) o prod_j G_j^T, and a
+    Hadamard product of such matrices is another one, with c the product of
+    the c's, so
+
+        rho = (1 - gamma) diag(p) + gamma a a^dagger,  gamma = prod_j c_j,
+
+    with p = |a|^2 and gamma the decoherence factor of Joos and Zeh (Z. Phys.
+    B 59, 223 (1985)).  This keeps the sums of the n >= 2 amplitudes that
+    rho's values need; each method takes one gamma or an array of them.
     """
 
-    coefficients: np.ndarray
-    stacks: tuple[np.ndarray, ...]
+    populations: np.ndarray  # p, the diagonal of rho for every gamma
+    trace: float  # sum p
+    square_sum: float  # sum p^2
+    top_pair: float  # the product of the two largest |a_n|
+    support: int  # the number of nonzero amplitudes
 
-    def __post_init__(self):
-        n = self.coefficients.shape[0]
-        for x in self.stacks:
-            if x.ndim != 2 or x.shape[0] != n:
-                raise SpaceMismatchError(f"a stack of shape {x.shape} for {n} coefficients")
+    @classmethod
+    def from_amplitudes(cls, amplitudes) -> Decoherence:
+        a = np.asarray(amplitudes).reshape(-1)
+        mags = np.abs(a)
+        p = (a * a.conj()).real
+        top = np.partition(mags, mags.size - 2)[-2:]
+        return cls(p, float(p.sum()), float(p @ p), float(top[0] * top[1]), int(np.count_nonzero(mags)))
 
-    def grams(self) -> list[np.ndarray]:
-        """G_j[n, m] = <x_j(n)|x_j(m)> for each register j, in order."""
-        return [_gram(x) for x in self.stacks]
+    def off_diagonal_max(self, gamma):
+        """The largest |rho_nm|, n != m: |gamma| times the two largest |a_n|."""
+        return np.abs(gamma) * self.top_pair
 
-    def system_density(self) -> np.ndarray:
-        """(a a^dagger) o prod_j G_j^T: the system density, rho_nm
-        prod_j <x_j(m)|x_j(n)>, the decoherence factor of Joos and Zeh
-        (Z. Phys. B 59, 223 (1985)).  Its trace is |psi|^2; each zero is
-        stored as +0.0, as in ``joint_amplitudes``."""
-        a = self.coefficients
-        m = _decohere(np.outer(a, a.conj()), self.stacks)
-        m += 0.0
-        return m
+    def purity(self, gamma):
+        """tr rho^2 = sum p^2 + gamma^2 ((sum p)^2 - sum p^2)."""
+        return self.square_sum + gamma * gamma * (self.trace * self.trace - self.square_sum)
 
-    def schmidt_values(self, k: int | None = None) -> np.ndarray:
-        """The Schmidt coefficients of register k (of the system for None)
-        against the rest of the state, from n x n matrices.
+    def linear_entropy(self, gamma):
+        """tr rho - tr rho^2, clipped at 0 as ``entanglement.linear_entropy`` is."""
+        return np.maximum(0.0, self.trace - self.purity(gamma))
 
-        Register k's density is X_k^T Q X_k^* with Q = (a a^dagger) o
-        prod_{j != k} G_j^T, the product running over the system too, whose
-        Gram matrix is the identity.  So Q = diag(w)^2 with w_n = |a_n|
-        prod_{j != k} G_j[n, n]^(1/2), and its nonzero spectrum is that of
-        diag(w) G_k diag(w): the squared singular values of H^dagger diag(w)
-        for G_k = H H^dagger.  The system's density is (a a^dagger) o C with
-        C = prod_j G_j^T = L L^dagger, that is F F^dagger for F = diag(a) L.
-        H and L come from _gram_factor and the rank-one a a^dagger is never
-        factored, so ideal and ready registers give the exact rank.
+    def check(self, gammas, first_step: int = 0) -> None:
+        """Refuse a density that is not one, naming the first step at fault.
+
+        The global state is pure, so its purity (tr rho)^2 = |psi|^4 must
+        stay within 1e-10 of 1, which holds the trace within 5e-11 of 1.  As
+        rho = diag(a) G diag(a)^dagger with G = (1 - gamma) I + gamma J,
+        Sylvester's law of inertia makes rho positive semidefinite exactly
+        when G is on the n' nonzero amplitudes: when 1 - gamma >= 0 and
+        1 + (n' - 1) gamma >= 0.
         """
-        grams = self.grams()
-        a = self.coefficients
-        if k is None:
-            c = np.ones((a.size, a.size), dtype=np.complex128)
-            for g in grams:
-                c *= g.T
-            return np.linalg.svd(a[:, None] * _gram_factor(c), compute_uv=False)
-        w = np.abs(a)
-        for j, g in enumerate(grams):
-            if j != k:
-                w = w * np.sqrt(g.diagonal().real)
-        return np.linalg.svd(_gram_factor(grams[k]).conj().T * w, compute_uv=False)
-
-    def joint_amplitudes(self) -> np.ndarray:
-        """The n prod_j d_j amplitudes of the joint state, flattened with the
-        system axis first and the registers after it in order; a sum of zero
-        terms is stored as +0.0."""
-        out = self.coefficients[:, None]
-        for x in self.stacks:
-            out = (out[:, :, None] * x[:, None, :]).reshape(out.shape[0], -1)
-        return out.reshape(-1) + 0.0
-
-
-def _amplitudes(system: StateVector, space: TensorSpace) -> np.ndarray:
-    """a_n = <n|system> for a state on ``space``: a copy, each zero as +0.0."""
-    if system.space != space:
-        raise SpaceMismatchError("system state lives off the model's system space")
-    return system.amplitudes + 0.0
-
-
-def _ready_rows(app: ApparatusModel, n: int) -> np.ndarray:
-    """The stack of a register that still holds its ready state in every branch."""
-    return np.repeat(app.pointer_ready.amplitudes[None, :], n, axis=0)
-
-
-def premeasure_form(system: StateVector, app: ApparatusModel) -> tuple[BranchForm, BranchForm]:
-    """The ready state and the state after ``premeasure(system, app, basis)``
-    in the computational basis of the system's space, as branch forms."""
-    a = _amplitudes(system, system.space)
-    return BranchForm(a, (_ready_rows(app, a.size),)), BranchForm(a, (app.pointers,))
-
-
-def chain_forms(spec: ChainSpec, initial_system: StateVector) -> list[BranchForm]:
-    """``chain_propagate`` as branch forms: the state before any step and
-    after every step, with one stack per link and the observer's last.  Step
-    k takes register k's stack from its ready state to its pointer states."""
-    a = _amplitudes(initial_system, spec.system_space)
-    registers = spec.links + (spec.observer,)
-    stacks = [_ready_rows(app, a.size) for app in registers]
-    forms = [BranchForm(a, tuple(stacks))]
-    for k, app in enumerate(registers):
-        stacks[k] = app.pointers
-        forms.append(BranchForm(a, tuple(stacks)))
-    return forms
-
-
-def _chain_densities(spec: ChainSpec, initial_system: StateVector):
-    """The system density after each step of ``chain_propagate``, one step
-    at a time: len(links) + 1 matrices.
-
-    Each step multiplies the running product by the Gram matrix of the one
-    stack it changes, so K links take O(K) work and no form is kept.  A ready
-    register's Gram matrix is all ones, so each value is that of
-    ``system_density()`` of the matching ``chain_forms`` entry, up to the
-    sign of a zero."""
-    a = _amplitudes(initial_system, spec.system_space)
-    m = np.outer(a, a.conj())
-    for app in spec.links + (spec.observer,):
-        m = _decohere(m.copy(), (app.pointers,))
-        yield m
-
-
-def branch_forms(model: BranchingModel, system: StateVector) -> list[BranchForm]:
-    """``branch_and_recohere`` on ``model.ready_joint(system)`` as branch
-    forms: the ready state and the state after each of the three steps, with
-    the apparatus, env_record and env_reset stacks in that order.
-
-    The reset takes |pointer_n>|ready> to |ready>|record_n> in every branch.
-    It extends to a unitary only if it preserves inner products, that is if
-    the apparatus pointers and the env_reset records have the same Gram
-    matrix; a difference over VALIDITY_ATOL is refused.
-    """
-    a = _amplitudes(system, model.system_space)
-    registers = (model.apparatus, model.env_decohere, model.env_reset)
-    ready = [_ready_rows(reg, a.size) for reg in registers]
-    app, record, reset = (reg.pointers for reg in registers)
-    dev = np.abs(_gram(app) - _gram(reset)).max()
-    if dev > VALIDITY_ATOL:
-        raise ValidationError(
-            f"reset is not an isometry: apparatus pointer and env_reset record "
-            f"Gram matrices differ by {dev:.3e}"
-        )
-    stacks = (tuple(ready), (app, ready[1], ready[2]), (app, record, ready[2]), (ready[0], record, reset))
-    return [BranchForm(a, s) for s in stacks]
+        purity = self.trace**2
+        if not abs(purity - 1.0) <= 1e-10:
+            raise ValidationError(f"global purity drifted to {purity!r}")
+        g = np.asarray(gammas, dtype=np.float64).reshape(-1)
+        bad = ~((1.0 - g >= 0.0) & (1.0 + (self.support - 1) * g >= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(
+                f"system density not positive semidefinite at step {first_step + i}: "
+                f"decoherence factor {float(g[i])!r} for {self.support} nonzero amplitudes"
+            )

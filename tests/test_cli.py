@@ -655,23 +655,33 @@ def test_non_utf8_file_is_a_schema_violation(tmp_path, capsys):
     _both_reject(str(path), tmp_path / "out", capsys, "schema: not valid UTF-8")
 
 
+# The largest admitted n of the register kinds: ledger_quantum and the branch
+# kinds, chain at MAX_LINKS links, and premeasurement.
+REGISTER_LIMIT = 3_355_340
+CHAIN_LIMIT = 1_673_670
+PREMEASUREMENT_LIMIT = 1275
+
+
+def _sharp(n):
+    """n amplitudes in their shortest text: 1, then n - 1 zeros."""
+    return [1] + [0] * (n - 1)
+
+
 def test_memory_cap_rejects_before_allocating(tmp_path, capsys, monkeypatch):
-    # one link over the cap, and n=58 at the cap, whose 5001 registers of
-    # width 59 are charged over 1 GiB: both refused before any register is built
-    built = []
-    for name in ("ideal", "with_overlap"):
-        monkeypatch.setattr(cli.ApparatusModel, name, staticmethod(lambda *args, **kwargs: built.append(args)))
-    for n, links in ((2, 5001), (58, 5000)):
-        doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": links})
-        path = _write(tmp_path, "c.json", doc)
+    # one link over the cap, and one amplitude over the limit at the cap,
+    # whose summary.json text is charged over 1 GiB: both refused before any
+    # amplitude is parsed
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_amplitudes", lambda *args: parsed.append(args))
+    for n, links, field in ((2, 5001, "params.links"), (CHAIN_LIMIT + 1, 5000, "params.amplitudes")):
+        path = _write(tmp_path, "c.json", _scenario("chain", {"amplitudes": _sharp(n), "links": links}))
         start = time.perf_counter()
-        _both_reject(path, tmp_path / "out", capsys, "params.links")
+        _both_reject(path, tmp_path / "out", capsys, field)
         assert time.perf_counter() - start < 1.0
-    assert built == []
+    assert parsed == []
     monkeypatch.undo()
-    for n in (2, 57):
-        doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": 5000})
-        assert cli.validate_document(doc) == []
+    for n in (2, CHAIN_LIMIT):
+        assert cli.validate_document(_scenario("chain", {"amplitudes": _sharp(n), "links": 5000})) == []
     wide = _scenario("wigner", {"state": {"kind": "oscillator"}, "n_points": 16384})
     assert any("params.n_points" in d for d in cli.validate_document(wide))
     # the largest benchmark rung (n=3 with 4 links, D=3072) stays accepted
@@ -680,17 +690,16 @@ def test_memory_cap_rejects_before_allocating(tmp_path, capsys, monkeypatch):
 
 
 def test_chain_parse_builds_one_state_vector_per_register(monkeypatch):
-    # a register is a ready state and one pointer stack, and the system is
-    # read as its amplitudes: chain n=57 at MAX_LINKS links builds a
-    # StateVector for the system state and one for each ready state, none
-    # per pointer or system basis vector
+    # a register is one overlap and the system its amplitudes: chain n=57 at
+    # MAX_LINKS links builds no StateVector, for the system, a ready state,
+    # a pointer or a system basis vector
     n, links = 57, cli.MAX_LINKS
     built = []
     post_init = StateVector.__post_init__
     monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(1) or post_init(self))
     doc = _scenario("chain", {"amplitudes": [1.0 / math.sqrt(n)] * n, "links": links})
     assert cli.validate_document(doc) == []
-    assert len(built) <= links + 2
+    assert built == []
 
 
 def _histories(dim, slices, **extra):
@@ -773,18 +782,20 @@ def test_parse_charges_bound_the_measured_peak(tmp_path, monkeypatch):
         _master(200, [0.5, 3.0]),
         _master(4, [0.01 * i for i in range(20_000)]),
     ]
-    # The register kinds at their limits, where the charge is also at most 4x
-    # the peak: chain n=2 at MAX_LINKS, the branch kinds at n=2 with the
-    # largest env_dim (about 950 MB each).  premeasurement at n=1276 and
-    # ledger_quantum at n=2271 take 25 s and 4 min even untraced, so they
-    # stand in at n=120 and n=300, where the charge/peak ratios (1.30, 1.57)
-    # are already those at the limits (1.29, 1.62).
+    # The register kinds near their limits, where the charge is also at most
+    # 4x the peak: chain n=2 at MAX_LINKS, and n large enough that the
+    # per-amplitude share dominates, with the 17-digit [re, im] pairs that
+    # take the most per amplitude (the limits themselves need sharper files:
+    # their [re, im] pairs would be refused as over MAX_SCENARIO_BYTES).
+    # premeasurement at its limit takes 25 s even untraced, so it stands in
+    # at n=120, where the charge/peak ratio is about that at the limit.
     frontier = [
         _scenario("chain", {"amplitudes": _random_amplitudes(2), "links": 5000, "overlap": 0.4}),
-        _scenario("branch_recohere", {"amplitudes": _random_amplitudes(2), "env_dim": 3728131}),
-        _scenario("ledger_branching", {"amplitudes": _random_amplitudes(2), "env_dim": 3728131}),
+        _scenario("chain", {"amplitudes": _random_amplitudes(20_000), "links": 5000, "overlap": 0.4}),
+        _scenario("branch_recohere", {"amplitudes": _random_amplitudes(20_000), "env_dim": 10**30}),
+        _scenario("ledger_branching", {"amplitudes": _random_amplitudes(20_000), "env_dim": 10**30}),
         _scenario("premeasurement", {"amplitudes": _random_amplitudes(120), "pointer_overlap": 0.3}),
-        _scenario("ledger_quantum", {"amplitudes": _random_amplitudes(300)}),
+        _scenario("ledger_quantum", {"amplitudes": _random_amplitudes(20_000)}),
     ]
     charged = []
     real = cli._fits
@@ -946,19 +957,50 @@ def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):
     start = time.perf_counter()
     _both_reject(path, tmp_path / "out", capsys, "params.amplitudes")
     assert time.perf_counter() - start < 1.0
-    # the limits the README states
-    refused = []
-    for kind, n in (("premeasurement", 1276), ("ledger_quantum", 2271)):
-        assert cli.validate_document(_scenario(kind, {"amplitudes": [1.0 / math.sqrt(n)] * n})) == []
-        refused.append((kind, {"amplitudes": [1.0 / math.sqrt(n + 1)] * (n + 1)}, "params.amplitudes"))
-    assert cli.validate_document(_scenario("ledger_branching", {"amplitudes": [R2, R2], "env_dim": 3728131})) == []
-    for kind in ("branch_recohere", "ledger_branching"):
-        refused.append((kind, {"amplitudes": [R2, R2], "env_dim": 3728132}, "params.env_dim"))
-    for kind, params, field in refused:
+    # the limit the README states
+    n = PREMEASUREMENT_LIMIT
+    assert cli.validate_document(_scenario("premeasurement", {"amplitudes": _sharp(n)})) == []
+    path = _write(tmp_path, "over.json", _scenario("premeasurement", {"amplitudes": _sharp(n + 1)}))
+    _both_reject(path, tmp_path / "out", capsys, "params.amplitudes")
+
+
+def test_register_limits_are_pinned(tmp_path, capsys):
+    # ledger_quantum and the branch kinds hold O(n) values whatever env_dim
+    # is: n = REGISTER_LIMIT is accepted and one more amplitude is refused
+    # before any is parsed, as at CHAIN_LIMIT for chain at MAX_LINKS links
+    for kind, params in (("ledger_quantum", {}), ("branch_recohere", {"env_dim": 10**30})):
+        assert cli.validate_document(_scenario(kind, {"amplitudes": _sharp(REGISTER_LIMIT), **params})) == []
+    refused = [
+        ("ledger_quantum", {"amplitudes": _sharp(REGISTER_LIMIT + 1)}),
+        ("branch_recohere", {"amplitudes": _sharp(REGISTER_LIMIT + 1)}),
+        ("ledger_branching", {"amplitudes": _sharp(REGISTER_LIMIT + 1), "env_dim": 10**30}),
+        ("chain", {"amplitudes": _sharp(CHAIN_LIMIT + 1), "links": cli.MAX_LINKS}),
+    ]
+    for kind, params in refused:
         path = _write(tmp_path, f"{kind}.json", _scenario(kind, params))
         start = time.perf_counter()
-        _both_reject(path, tmp_path / "out", capsys, field)
+        _both_reject(path, tmp_path / "out", capsys, "params.amplitudes")
         assert time.perf_counter() - start < 1.0
+    # an env_dim below n + 1 is refused under its name
+    path = _write(tmp_path, "small.json", _scenario("ledger_branching", {"amplitudes": [R3, R3, R3], "env_dim": 3}))
+    _both_reject(path, tmp_path / "out", capsys, "params.env_dim")
+
+
+def test_huge_env_dim_runs_as_the_smallest(tmp_path):
+    # the env registers hold ideal records, so env_dim changes no artifact
+    # and costs no memory: 10^30 writes what n + 1 writes
+    for kind in ("branch_recohere", "ledger_branching"):
+        outs = []
+        for env_dim in (4, 10**30):
+            doc = _scenario(kind, {"amplitudes": [0.6, [0.0, 0.48], [0.64, 0.0]], "env_dim": env_dim})
+            outs.append(tmp_path / f"{kind}_{len(outs)}")
+            start = time.perf_counter()
+            assert cli.run(_write(tmp_path, f"{kind}.json", doc), out_dir=str(outs[-1])) == 0
+            assert time.perf_counter() - start < 1.0
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert names and names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (kind, name)
 
 
 def test_chain_beyond_a_dense_unitary_validates_and_runs(tmp_path, capsys):

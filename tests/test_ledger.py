@@ -21,13 +21,11 @@ from decolab.hilbert import (
 )
 from decolab.histories import ProjectorSet, decohere_projectors
 from decolab.measurement import (
+    BRANCH_CYCLE,
     ApparatusModel,
-    BranchForm,
     BranchingModel,
     branch_and_recohere,
-    branch_forms,
     premeasure,
-    premeasure_form,
 )
 from decolab.ledger import (
     ClassicalJoint,
@@ -260,30 +258,24 @@ def test_pure_product_rows_have_exactly_zero_marginal_entropy():
 
 
 def test_marginal_entropy_sum_reads_the_schmidt_spectra():
+    # an ideal pointer's marginal and the system's it decohered both have the
+    # spectrum |c|^2: the squared Schmidt coefficients of the joint state,
+    # those at or below SCHMIDT_CUTOFF dropped
     rng = np.random.default_rng(12)
-    c = rng.normal(size=4) + 1j * rng.normal(size=4)
-    c /= np.linalg.norm(c)
-    rows = []
-    for d in (3, 4, 5):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        rows.append(np.repeat((v / np.linalg.norm(v))[None, :], 4, axis=0))
-    # every branch holds the same rotated register states: a product of the
-    # system with each register, whose Gram matrices are all-ones up to
-    # round-off, so every register's sum is an exact 0
-    product = ledger._marginal_entropies(BranchForm(c, tuple(rows)))
-    assert product[1:] == [0.0, 0.0, 0.0]
-    assert product[0] == 0.0
-    stacks = []
-    for d in (3, 4, 5):
-        x = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
-        stacks.append(x / np.linalg.norm(x, axis=1, keepdims=True))
-    form = BranchForm(c, tuple(stacks))
-    space = TensorSpace((("system", 4), ("a", 3), ("b", 4), ("c", 5)))
-    psi = StateVector(space, form.joint_amplitudes())
-    got = ledger._marginal_entropies(form)
-    for label, s in zip(space.labels, got):
-        want = shannon_entropy(np.clip(partial_trace(psi, label).eigenvalues(), 0.0, None))
-        assert abs(s - want) < CROSS_ATOL
+    for n, tiny in ((4, False), (5, True)):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c[0] = 0.0
+        if tiny:
+            c[1] = 1e-13
+        c /= np.linalg.norm(c)
+        space = TensorSpace((("system", n),))
+        joint = premeasure(StateVector(space, c), ApparatusModel.ideal("pointer", n), computational_basis(space))
+        want = _dense_marginal_entropies(joint, ("system", "pointer"))
+        assert max(abs(w - ledger._spectrum_entropy(c)) for w in want) < CROSS_ATOL
+        row = quantum_collapse_ledger(c)[1]
+        assert abs(row.s_physical - sum(want)) < CROSS_ATOL
+    # one amplitude above the cutoff: a product state, of entropy exactly 0
+    assert ledger._spectrum_entropy(np.array([1.0, 1e-13, 0.0])) == 0.0
 
 
 def test_quantum_ledger_pure_rows_have_exactly_zero_ensemble_entropy():
@@ -295,15 +287,11 @@ def test_quantum_ledger_pure_rows_have_exactly_zero_ensemble_entropy():
 
 
 def test_branching_ledger_refuses_an_unnormalized_state(monkeypatch):
-    real = ledger.branch_forms
-
-    def leaky(model, system):
-        s0, s1, s2, s3 = real(model, system)
-        return s0, s1, BranchForm(1.01 * s2.coefficients, s2.stacks), s3
-
-    monkeypatch.setattr(ledger, "branch_forms", leaky)
-    with pytest.raises(ValidationError, match="normalization"):
-        branching_ledger(np.array([1.0, 1.0]) / np.sqrt(2))
+    real = ledger._validated_amplitudes
+    monkeypatch.setattr(ledger, "_validated_amplitudes", lambda c: 1.01 * real(c))
+    for build in (branching_ledger, quantum_collapse_ledger):
+        with pytest.raises(ValidationError, match="global purity drifted to 1.0406"):
+            build(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
 def test_branching_ledger_physical_entropy_grows_then_plateaus():
@@ -314,18 +302,20 @@ def test_branching_ledger_physical_entropy_grows_then_plateaus():
     assert values[2] > values[1]
 
 
-def test_cli_ledger_branching_builds_its_registers_once(tmp_path, monkeypatch):
-    # the run takes the model its parse built; branching_ledger builds its own
-    built = []
-    real = BranchingModel.ideal
-    monkeypatch.setattr(BranchingModel, "ideal", staticmethod(lambda *args, **kwargs: built.append(args) or real(*args, **kwargs)))
+def test_branching_ledger_validates_its_amplitudes_once(tmp_path, monkeypatch):
+    # the cli run writes the rows of branching_ledger, which validates its
+    # amplitudes once and builds no register model
+    calls = []
+    real = ledger._validated_amplitudes
+    monkeypatch.setattr(ledger, "_validated_amplitudes", lambda c: calls.append(1) or real(c))
+    monkeypatch.setattr(BranchingModel, "ideal", None)
+    rows = branching_ledger(np.array([0.6, 0.8]), env_dim=5)
+    assert len(calls) == 1
     doc = {"schema": "decolab/scenario/v1", "kind": "ledger_branching", "params": {"amplitudes": [0.6, 0.8], "env_dim": 5}}
     path = tmp_path / "l.json"
     path.write_text(json.dumps(doc))
     assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
-    assert len(built) == 1
-    rows = branching_ledger(np.array([0.6, 0.8]), env_dim=5)
-    assert len(built) == 2
+    assert len(calls) == 2
     text = (tmp_path / "o" / "ledger.csv").read_text().split("\n")
     assert [line.split(",")[0] for line in text[1:-1]] == [r.step for r in rows]
     assert [float(line.split(",")[2]) for line in text[1:-1]] == [r.s_physical for r in rows]
@@ -336,7 +326,7 @@ def test_branching_ledger_rejects_small_environment():
         branching_ledger(np.array([1.0, 1.0, 1.0]) / np.sqrt(3), env_dim=2)
 
 
-# ---- the branch form against the dense ledger ----
+# ---- the closed form against the dense ledger ----
 
 
 def _dense_marginal_entropies(state, labels):
@@ -362,23 +352,31 @@ def _dense_branching_entropies(amplitudes, env_dim):
     return [_dense_marginal_entropies(state, initial.space.labels) for state in states]
 
 
+def _closed_form_entropies(c, cycle):
+    """Each row's marginal entropies in the closed form: the system's, then
+    each register's, of the spectrum |c|^2 or, for a ready register and a
+    system that no register decohered, exactly 0."""
+    h = ledger._spectrum_entropy(c)
+    return [[0.0 if np.prod(overlaps) == 1.0 else h] + [0.0 if g == 1.0 else h for g in overlaps] for overlaps in cycle]
+
+
 def _ledger_deviation(amplitudes, env_dim):
     """The largest deviation of the branching and quantum ledgers from the
     dense route; every marginal entropy that is exactly 0 there must be
     exactly 0 here, and every ensemble entropy of a pure row exactly 0."""
     c = np.asarray(amplitudes, dtype=complex)
-    model = BranchingModel.ideal(c.size, env_dim=env_dim)
-    system = StateVector(model.system_space, c)
+    system = StateVector(TensorSpace((("system", c.size),)), c)
     dense = _dense_branching_entropies(c, env_dim)
-    got = [ledger._marginal_entropies(form) for form in branch_forms(model, system)]
+    got = _closed_form_entropies(c, BRANCH_CYCLE)
     app = ApparatusModel.ideal("pointer", c.size)
     states = (tensor(system, app.pointer_ready), premeasure(system, app, computational_basis(system.space)))
     dense += [_dense_marginal_entropies(state, ("system", "pointer")) for state in states]
-    got += [ledger._marginal_entropies(form) for form in premeasure_form(system, app)]
+    got += _closed_form_entropies(c, ((1.0,), (0.0,)))
     dev = 0.0
     for want, have in zip(dense, got, strict=True):
         for w, h in zip(want, have, strict=True):
             assert h == 0.0 or w != 0.0, (want, have)
+            assert w == 0.0 or h != 0.0, (want, have)
             dev = max(dev, abs(w - h))
     rows = branching_ledger(c, env_dim=env_dim) + quantum_collapse_ledger(c)[:2]
     assert [r.s_ensemble for r in rows] == [0.0] * 6

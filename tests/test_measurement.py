@@ -9,7 +9,6 @@ from decolab import cli, measurement, serialize
 from decolab.entanglement import decoherence_factor, linear_entropy
 from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, SpaceMismatchError, ValidationError
 from decolab.hilbert import (
-    DensityOperator,
     StateVector,
     TensorSpace,
     basis_state,
@@ -21,22 +20,18 @@ from decolab.hilbert import (
     tensor_many,
 )
 from decolab.measurement import (
+    BRANCH_CYCLE,
     ApparatusModel,
     BranchingModel,
-    BranchForm,
     ChainSpec,
+    Decoherence,
     _complete_orthonormal,
     _controlled_shift,
-    _chain_densities,
-    _gram_factor,
     _transport_unitary,
     branch_and_recohere,
-    branch_forms,
-    chain_forms,
     chain_propagate,
     measurement_unitary,
     premeasure,
-    premeasure_form,
     record_states_with_overlap,
 )
 
@@ -59,13 +54,12 @@ def test_record_states_overlap_matrix():
 
 def test_apparatus_overlaps_and_shifts_are_computed_on_demand():
     app = ApparatusModel.with_overlap("r", 3, 0.4, dim=6)
-    # the model keeps its states only; the overlaps the register kinds read
-    # are the Gram matrix of the pointer stack
+    # the model keeps its states only; their overlaps are the Gram matrix of
+    # the pointer stack, (1 - c) I + c J
     assert set(vars(app)) == {"space", "pointer_ready", "pointers"}
     assert app.pointers.shape == (3, 6) and app.n_outcomes == 3
     want = [[np.vdot(a, b) for b in app.pointers] for a in app.pointers]
-    gram = measurement._gram(app.pointers)
-    assert np.abs(gram - np.array(want)).max() < CROSS_ATOL
+    assert np.abs(np.array(want) - (0.6 * np.eye(3) + 0.4)).max() < CROSS_ATOL
     # one completion of the ready state serves every shift, bit for bit
     ready = app.pointer_ready.amplitudes
     for v_n, p in zip(app.shift_unitaries(), app.pointers):
@@ -276,7 +270,7 @@ def _dense_steps(model):
     """The three steps of the branch cycle as D x D matrices on the joint space."""
     full = model.joint_space()
     basis = computational_basis(model.system_space)
-    shifts = [_dense_shift(basis, reg, full) for reg in (model.apparatus, model.env_decohere)]
+    shifts = [_dense_shift(basis, reg, full) for reg in (model.apparatus, model.env_record)]
     reset = model.apparatus.space.concat(model.env_reset.space)
     return shifts + [embed_matrix(model.reset_unitary(), reset, full)]
 
@@ -387,20 +381,20 @@ def test_chain_csv_emitter(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
-    # the per-value reference: serialize.fmt on each field of each step
-    system, spec = cli._parse_document(doc)[1][2]
-    forms = chain_forms(spec, system)
+    # the per-value reference: serialize.fmt on each field of each step, the
+    # decoherence factor the running product of the overlaps
+    amplitudes, overlaps = cli._parse_document(doc)[1][2]
+    dec = Decoherence.from_amplitudes(amplitudes)
     lines = ["step,off_diagonal,system_linear_entropy,global_purity"]
-    for step in (1, 2, 3):
-        m = forms[step].system_density()
-        off = np.abs(m)
-        np.fill_diagonal(off, 0.0)
-        fields = (off.max(), linear_entropy(DensityOperator(system.space, m)), float(np.trace(m).real) ** 2)
+    gamma = 1.0
+    for step, g in enumerate(overlaps, start=1):
+        gamma *= float(g)
+        fields = (dec.off_diagonal_max(gamma), dec.linear_entropy(gamma), dec.trace**2)
         lines.append(",".join([str(step)] + [serialize.fmt(x) for x in fields]))
     assert (tmp_path / "o" / "chain.csv").read_text() == "\n".join(lines) + "\n"
 
 
-# ---- the branch form against the dense routes ----
+# ---- the closed form against the dense routes ----
 
 
 def _random_system(rng, n, zero=False):
@@ -411,129 +405,119 @@ def _random_system(rng, n, zero=False):
     return StateVector(TensorSpace((("system", n),)), c / np.linalg.norm(c))
 
 
-def _random_apparatus(rng, label, n, dim):
-    """A register whose ready and pointer states are random complex unit
-    vectors: complex overlaps, and a ready state off every basis vector."""
-    space = TensorSpace(((label, dim),))
-
-    def unit():
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return v / np.linalg.norm(v)
-
-    return ApparatusModel(space, StateVector(space, unit()), np.array([unit() for _ in range(n)]))
+def _random_overlaps(rng, n, links):
+    """``links`` real overlaps of either sign, from 0.9 (-1/(n-1)) to 0.9."""
+    return rng.uniform(-0.9 / (n - 1), 0.9, size=links)
 
 
-def _random_chain(rng, n, links, extra=2):
-    """``links`` links with register dimensions from n + 1 to n + 1 +
-    ``extra``: every other link on average has real pointer overlaps of
-    either sign, the rest random complex ready and pointer states."""
-    lower = -1.0 / (n - 1)
-    apps = []
-    for i in range(links):
-        dim = n + 1 + int(rng.integers(0, extra + 1))
-        if rng.random() < 0.5:
-            apps.append(ApparatusModel.with_overlap(f"link{i}", n, float(rng.uniform(0.9 * lower, 0.9)), dim=dim))
-        else:
-            apps.append(_random_apparatus(rng, f"link{i}", n, dim))
-    observer = ApparatusModel.ideal("observer", n, dim=n + 1 + int(rng.integers(0, extra + 1)))
-    return ChainSpec(TensorSpace((("system", n),)), tuple(apps), observer)
+def _random_chain(rng, n, overlaps, extra=2):
+    """A chain with links of these overlaps and an ideal observer, each of a
+    register width from n + 1 to n + 1 + ``extra``."""
+    def width():
+        return n + 1 + int(rng.integers(0, extra + 1))
+
+    apps = tuple(ApparatusModel.with_overlap(f"link{i}", n, float(g), dim=width()) for i, g in enumerate(overlaps))
+    return ChainSpec(TensorSpace((("system", n),)), apps, ApparatusModel.ideal("observer", n, dim=width()))
 
 
-def _dense_schmidt(state, label):
-    """The Schmidt coefficients of subsystem ``label`` against the rest of ``state``."""
-    amps = state.amplitudes.reshape(state.space.dims)
-    axis = state.space.axis(label)
-    return np.linalg.svd(np.moveaxis(amps, axis, 0).reshape(amps.shape[axis], -1), compute_uv=False)
-
-
-def _form_deviation(state, form, labels):
-    """The largest difference between a dense joint state and its branch form:
-    the system density, its off-diagonal magnitudes and populations
-    (decoherence_factor of partial_trace), its linear entropy, the joint
-    amplitudes, and the Schmidt coefficients of the system and of each
-    register."""
+def _closed_form_deviation(state, dec, gamma, amplitudes):
+    """The largest difference between the system density of a dense joint
+    state and the closed form at decoherence factor ``gamma``: the density
+    itself, its largest off-diagonal magnitude and populations
+    (decoherence_factor of partial_trace), its purity and linear entropy, and
+    the global purity (tr rho)^2."""
     rho = partial_trace(state, "system")
     off, pops = decoherence_factor(rho, computational_basis(rho.space))
-    m = form.system_density()
-    form_off = np.abs(m)
-    np.fill_diagonal(form_off, 0.0)
+    a = amplitudes
+    closed = (1.0 - gamma) * np.diag(dec.populations) + gamma * np.outer(a, a.conj())
     devs = [
-        np.abs(rho.matrix - m).max(),
-        np.abs(off - form_off).max(),
-        np.abs(pops - m.diagonal().real).max(),
-        abs(linear_entropy(rho) - linear_entropy(DensityOperator(rho.space, m))),
-        np.abs(form.joint_amplitudes() - state.amplitudes).max(),
+        np.abs(rho.matrix - closed).max(),
+        abs(off.max() - dec.off_diagonal_max(gamma)),
+        np.abs(pops - dec.populations).max(),
+        abs(rho.purity() - dec.purity(gamma)),
+        abs(linear_entropy(rho) - dec.linear_entropy(gamma)),
+        abs(float(np.trace(rho.matrix).real) ** 2 - dec.trace**2),
     ]
-    for k, label in enumerate(["system"] + list(labels)):
-        dense = np.sort(_dense_schmidt(state, label))[::-1]
-        got = np.sort(form.schmidt_values(None if k == 0 else k - 1))[::-1]
-        size = max(dense.size, got.size)
-        devs.append(np.abs(np.pad(dense, (0, size - dense.size)) - np.pad(got, (0, size - got.size))).max())
     return float(max(devs))
 
 
-def _chain_deviation(spec, system):
-    """The largest deviation of chain_forms from chain_propagate, over every step."""
-    labels = [link.space.labels[0] for link in spec.links] + [spec.observer.space.labels[0]]
-    pairs = zip(chain_propagate(spec, system), chain_forms(spec, system), strict=True)
-    return max(_form_deviation(state, form, labels) for state, form in pairs)
+def _chain_deviation(overlaps, spec, system):
+    """The largest deviation of the closed form from chain_propagate, over
+    every step: gamma is 1 before any step, the running product of the
+    overlaps after each link, and 0 after the observer."""
+    gammas = np.concatenate(([1.0], np.cumprod(overlaps), [0.0]))
+    dec = Decoherence.from_amplitudes(system.amplitudes)
+    dec.check(gammas)
+    pairs = zip(chain_propagate(spec, system), gammas, strict=True)
+    return max(_closed_form_deviation(state, dec, g, system.amplitudes) for state, g in pairs)
 
 
 def _branch_deviation(model, system):
-    """The largest deviation of branch_forms from branch_and_recohere, over every step."""
+    """The largest deviation of the closed form from branch_and_recohere on
+    the ready state and after each step, with BRANCH_CYCLE's overlaps, and
+    of the apparatus fidelity: sum p while it is ready, else 0."""
     initial = model.ready_joint(system)
     states = (initial,) + branch_and_recohere(initial, model)
-    labels = ("apparatus", "env_record", "env_reset")
-    pairs = zip(states, branch_forms(model, system), strict=True)
-    return max(_form_deviation(state, form, labels) for state, form in pairs)
+    dec = Decoherence.from_amplitudes(system.amplitudes)
+    ready = model.apparatus.pointer_ready.amplitudes
+    devs = []
+    for state, overlaps in zip(states, BRANCH_CYCLE, strict=True):
+        gamma = float(np.prod(overlaps))
+        dec.check(gamma)
+        devs.append(_closed_form_deviation(state, dec, gamma, system.amplitudes))
+        fidelity = np.vdot(ready, partial_trace(state, "apparatus").matrix @ ready).real
+        devs.append(abs(fidelity - (dec.trace if overlaps[0] == 1.0 else 0.0)))
+    return max(devs)
 
 
 def test_chain_forms_match_the_dense_chain():
+    # the closed form of each step of a chain: overlaps of either sign,
+    # zero amplitudes and registers wider than n + 1
     rng = np.random.default_rng(1201)
     for n in (2, 3, 4):
         for links, zero in ((0, False), (1, True), (2, False), (3, True)):
-            spec = _random_chain(rng, n, links)
-            assert _chain_deviation(spec, _random_system(rng, n, zero)) < CROSS_ATOL, (n, links)
+            overlaps = _random_overlaps(rng, n, links)
+            spec = _random_chain(rng, n, overlaps)
+            assert _chain_deviation(overlaps, spec, _random_system(rng, n, zero)) < CROSS_ATOL, (n, links)
 
 
-def test_chain_densities_are_the_forms_densities_one_gram_per_step(monkeypatch):
-    # each density the running product of one Gram matrix per step, with the
-    # values of system_density()
+def _gram_product_densities(amplitudes, overlaps):
+    """The system density after each link, the running Hadamard product of
+    a a^dagger with one Gram matrix of record_states_with_overlap per link."""
+    a = np.asarray(amplitudes)
+    m = np.outer(a, a.conj())
+    for g in overlaps:
+        x = record_states_with_overlap(a.size, float(g), a.size + 1)
+        m = m * (x.conj() @ x.T).T
+        yield m
+
+
+def test_chain_densities_are_the_forms_densities_one_gram_per_step():
+    # long products of overlaps, one Gram matrix per step as the reference:
+    # up to 400 links, where a dense chain would need n (n + 1)^401 amplitudes
     rng = np.random.default_rng(1207)
-    grams = []
-    real = measurement._gram
-    monkeypatch.setattr(measurement, "_gram", lambda x: grams.append(x.shape) or real(x))
     for n in (2, 3, 5):
-        for links in (0, 1, 4, 30):
-            overlaps = rng.uniform(-0.9 / (n - 1), 0.9, size=links)
-            apps = tuple(ApparatusModel.with_overlap(f"link{i}", n, float(g)) for i, g in enumerate(overlaps))
-            spec = ChainSpec(TensorSpace((("system", n),)), apps, ApparatusModel.ideal("observer", n))
-            system = _random_system(rng, n, zero=links == 1)
-            grams.clear()
-            densities = list(_chain_densities(spec, system))
-            assert len(grams) == links + 1
-            forms = chain_forms(spec, system)
-            assert len(densities) == len(forms) - 1
-            for m, form in zip(densities, forms[1:]):
-                assert np.array_equal(m, form.system_density())
-    # random complex ready states: every entry of a ready Gram matrix is
-    # |r|^2, 1 only within round-off, and so are the densities
-    for _ in range(10):
-        spec = _random_chain(rng, 3, 4)
-        system = _random_system(rng, 3)
-        for m, form in zip(_chain_densities(spec, system), chain_forms(spec, system)[1:], strict=True):
-            assert np.abs(m - form.system_density()).max() < CROSS_ATOL
+        for links in (1, 4, 30, 400):
+            overlaps = _random_overlaps(rng, n, links)
+            a = _random_system(rng, n, zero=links == 4).amplitudes
+            dec = Decoherence.from_amplitudes(a)
+            for gamma, m in zip(np.cumprod(overlaps), _gram_product_densities(a, overlaps), strict=True):
+                closed = (1.0 - gamma) * np.diag(dec.populations) + gamma * np.outer(a, a.conj())
+                assert np.abs(m - closed).max() < CROSS_ATOL, (n, links)
+                off = np.abs(m)
+                np.fill_diagonal(off, 0.0)
+                assert abs(off.max() - dec.off_diagonal_max(gamma)) < CROSS_ATOL
+                assert abs(np.vdot(m, m).real - dec.purity(gamma)) < CROSS_ATOL
 
 
 def test_chain_forms_give_the_decoherence_dial():
     # 0.5 g^k after k links of overlap g, as acceptance criterion 5 states
     n, g = 2, 0.6
-    links = tuple(ApparatusModel.with_overlap(f"link{i}", n, g) for i in range(10))
-    spec = ChainSpec(TensorSpace((("system", n),)), links, ApparatusModel.ideal("observer", n))
-    forms = chain_forms(spec, _plus(spec.system_space))
-    for k, form in enumerate(forms[:-1]):
-        assert abs(form.system_density()[0, 1] - 0.5 * g**k) < CROSS_ATOL
-    assert np.abs(forms[-1].system_density() - 0.5 * np.eye(2)).max() < CROSS_ATOL
+    dec = Decoherence.from_amplitudes(_plus(TensorSpace((("system", n),))).amplitudes)
+    for k in range(10):
+        assert abs(dec.off_diagonal_max(g**k) - 0.5 * g**k) < CROSS_ATOL
+    assert dec.off_diagonal_max(0.0) == 0.0
+    assert np.abs(dec.populations - 0.5).max() < CROSS_ATOL
 
 
 def test_branch_forms_match_branch_and_recohere():
@@ -544,118 +528,69 @@ def test_branch_forms_match_branch_and_recohere():
             assert _branch_deviation(model, _random_system(rng, n, zero)) < CROSS_ATOL, (n, env_dim)
 
 
-def test_premeasure_form_joint_amplitudes_are_the_dense_state_bitwise():
-    # joint_state.json is unchanged: a_n times the pointer entries, as the shift gives them
+def test_premeasure_form_joint_amplitudes_are_the_dense_state_bitwise(tmp_path):
+    # joint_state.json prints a_n times the pointer entries, as the shift
+    # gives them, and system_density.json the dense partial trace
     rng = np.random.default_rng(1203)
     for n in (2, 3, 5):
         sys_space = TensorSpace((("system", n),))
         basis = computational_basis(sys_space)
-        for app in (ApparatusModel.ideal("pointer", n), ApparatusModel.with_overlap("pointer", n, 0.3)):
+        for g in (0.0, 0.3, -0.2):
             system = _random_system(rng, n, zero=n == 3)
-            _ready, form = premeasure_form(system, app)
-            assert form.joint_amplitudes().tobytes() == premeasure(system, app, basis).amplitudes.tobytes()
+            params = {"amplitudes": serialize.complex_pairs(system.amplitudes), "pointer_overlap": g}
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": "premeasurement", "params": params}))
+            assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
+            system = StateVector(sys_space, cli._parse_document(json.loads(path.read_text()))[1][2][0].amplitudes)
+            joint = premeasure(system, ApparatusModel.with_overlap("pointer", n, g), basis)
+            assert (tmp_path / "o" / "joint_state.json").read_text() == joint.to_json()
+            rho = json.loads((tmp_path / "o" / "system_density.json").read_text())["matrix"]
+            got = np.array([[complex(*z) for z in row] for row in rho])
+            assert np.abs(got - partial_trace(joint, "system").matrix).max() < CROSS_ATOL
 
 
-def test_form_builders_read_the_system_on_the_model_space():
-    # the coefficients are a copy of the amplitudes; a state on another space,
-    # or a register with another outcome count, is refused
-    spec = ChainSpec.from_scenario({"system_dim": 2, "links": [{}]})
+def test_positivity_check_refuses_a_factor_below_the_lower_bound():
+    # rho is positive semidefinite exactly for -1/(n' - 1) <= gamma <= 1, n'
+    # the number of nonzero amplitudes; the check names the first step at fault
+    a = np.full(3, 1.0 / np.sqrt(3.0))
+    dec = Decoherence.from_amplitudes(a)
+    dec.check([1.0, 0.0, -0.5])
+    for bad in (-0.5 - 1e-12, 1.0 + 1e-12, float("nan")):
+        with pytest.raises(ValidationError, match=f"at step 3: decoherence factor {bad!r} for 3 nonzero"):
+            dec.check([1.0, 0.2, bad], first_step=1)
+    # a zero amplitude leaves n' = 2, which admits gamma down to -1
+    dec = Decoherence.from_amplitudes(np.array([0.6, 0.0, 0.8]))
+    dec.check(-1.0)
+    with pytest.raises(ValidationError, match="for 2 nonzero amplitudes"):
+        dec.check(-1.0 - 1e-12)
+    # the smallest eigenvalue of the closed form changes sign at the bound
+    for gamma in (-0.5 + 1e-9, -0.5 - 1e-9):
+        rho = (1.0 - gamma) * np.diag(np.abs(a) ** 2) + gamma * np.outer(a, a)
+        assert (np.linalg.eigvalsh(rho).min() >= 0.0) == (gamma >= -0.5)
+    with pytest.raises(ValidationError, match="global purity drifted to 1.0406"):
+        Decoherence.from_amplitudes(1.01 * a).check(1.0)
+
+
+def test_branch_reset_with_unequal_grams_is_refused():
+    # the reset takes |pointer_n>|ready> to |ready>|record_n>, a unitary only
+    # if the apparatus pointers and the env_reset records have one Gram matrix
     model = BranchingModel.ideal(2)
-    system = _plus(spec.system_space)
-    forms = chain_forms(spec, system) + branch_forms(model, system)
-    assert not any(np.shares_memory(f.coefficients, system.amplitudes) for f in forms)
-    other = _plus(TensorSpace((("other", 2),)))
-    for build in (chain_forms, lambda *a: list(_chain_densities(*a))):
-        with pytest.raises(SpaceMismatchError, match="system space"):
-            build(spec, other)
-    with pytest.raises(SpaceMismatchError, match="system space"):
-        branch_forms(model, other)
-    with pytest.raises(SpaceMismatchError, match="stack"):
-        premeasure_form(_plus(TensorSpace((("system", 3),))), ApparatusModel.ideal("p", 2))
-
-
-def test_gram_factor_keeps_the_exact_rank_of_ideal_and_ready_registers():
-    for n in (1, 2, 5):
-        ones = _gram_factor(np.ones((n, n)))
-        assert ones.shape == (n, 1) and np.array_equal(ones, np.ones((n, 1)))
-        eye = _gram_factor(np.eye(n))
-        assert np.array_equal(eye, np.eye(n))
-        assert _gram_factor(np.zeros((n, n))).shape == (n, 0)
-    rng = np.random.default_rng(1204)
-    x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    gram = x.conj() @ x.T  # rank 3
-    f = _gram_factor(gram)
-    assert f.shape == (4, 3)
-    assert np.abs(f @ f.conj().T - gram).max() < CROSS_ATOL
-
-
-def test_schmidt_values_of_a_product_form_are_one_exact_value():
-    # every register ready: the system is in a product with all of them
-    rng = np.random.default_rng(1205)
-    system = _random_system(rng, 3)
-    spec = _random_chain(rng, 3, 2)
-    ready = chain_forms(spec, system)[0]
-    for k in (None, 0, 1, 2):
-        s = ready.schmidt_values(k)
-        assert np.count_nonzero(s) == 1 and abs(s.max() - 1.0) < CROSS_ATOL, k
-
-
-def test_branch_reset_with_unequal_grams_is_refused(tmp_path, capsys, monkeypatch):
-    def skewed(n, env_dim=None):
-        model = _ideal_branching(n, env_dim=env_dim)
-        d = model.env_reset.space.total_dim
-        reset = ApparatusModel.with_overlap("env_reset", n, 0.3, dim=d)
-        return BranchingModel(model.system_space, model.apparatus, model.env_decohere, reset)
-
-    _ideal_branching = BranchingModel.ideal
-    model = skewed(2)
-    with pytest.raises(ValidationError, match="isometry"):
-        branch_forms(model, _plus(model.system_space))
-    monkeypatch.setattr(BranchingModel, "ideal", staticmethod(skewed))
-    for kind in ("branch_recohere", "ledger_branching"):
-        doc = {"schema": "decolab/scenario/v1", "kind": kind, "params": {"amplitudes": [0.6, 0.8]}}
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(doc))
-        assert cli.run(str(path), out_dir=str(tmp_path / kind)) == 3
-        assert "isometry" in capsys.readouterr().err
-
-
-def test_unnormalized_stacks_match_the_dense_state():
-    # rows of every norm, so each Gram diagonal enters the fidelity and the
-    # Schmidt values
-    rng = np.random.default_rng(1206)
-    n, dims = 3, (4, 2, 5)
-    stacks = tuple(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)) for d in dims)
-    a = rng.normal(size=n) + 1j * rng.normal(size=n)
-    form = BranchForm(a / np.sqrt(np.trace(BranchForm(a, stacks).system_density()).real), stacks)
-    space = TensorSpace((("system", n),) + tuple((f"r{k}", d) for k, d in enumerate(dims)))
-    psi = StateVector(space, form.joint_amplitudes())
-    assert np.abs(form.system_density() - partial_trace(psi, "system").matrix).max() < CROSS_ATOL
-    for k, d in enumerate(dims):
-        ready = rng.normal(size=d) + 1j * rng.normal(size=d)
-        want = np.vdot(ready, partial_trace(psi, f"r{k}").matrix @ ready).real
-        assert abs(cli._ready_fidelity(form, k, ready) - want) < CROSS_ATOL * abs(want)
-        dense = np.sort(_dense_schmidt(psi, f"r{k}"))[::-1][:n]
-        assert np.abs(np.sort(form.schmidt_values(k))[::-1] - dense).max() < CROSS_ATOL
+    d = model.env_reset.space.total_dim
+    reset = ApparatusModel.with_overlap("env_reset", 2, 0.3, dim=d)
+    skewed = BranchingModel(model.system_space, model.apparatus, model.env_record, reset)
+    with pytest.raises(ValidationError, match="orthonormal"):
+        branch_and_recohere(skewed.ready_joint(_plus(skewed.system_space)), skewed)
 
 
 def test_register_runs_refuse_a_state_that_lost_its_norm(tmp_path, capsys, monkeypatch):
-    def leaky(builder):
-        def build(*args):
-            forms = builder(*args)
-            return [BranchForm(1.01 * f.coefficients, f.stacks) for f in forms]
-        return build
-
-    def leaky_densities(*args):
-        return (1.01**2 * m for m in _chain_densities(*args))
-
-    monkeypatch.setattr(cli, "premeasure_form", leaky(premeasure_form))
-    monkeypatch.setattr(cli, "_chain_densities", leaky_densities)
-    monkeypatch.setattr(cli, "branch_forms", leaky(branch_forms))
+    real = Decoherence.from_amplitudes
+    monkeypatch.setattr(Decoherence, "from_amplitudes", lambda a: real(1.01 * np.asarray(a)))
     for kind, params in (
         ("premeasurement", {"amplitudes": [0.6, 0.8]}),
         ("chain", {"amplitudes": [0.6, 0.8], "links": 2}),
         ("branch_recohere", {"amplitudes": [0.6, 0.8]}),
+        ("ledger_quantum", {"amplitudes": [0.6, 0.8]}),
+        ("ledger_branching", {"amplitudes": [0.6, 0.8]}),
     ):
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": kind, "params": params}))

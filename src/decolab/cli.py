@@ -7,12 +7,18 @@ Commands:
     decolab --version
 
 Every artifact is a pure function of (scenario, seed): reruns are
-byte-identical.  Each artifact is written and hashed chunk by chunk as it is
-produced (wigner.csv one q column at a time, records.json one record at a
-time), and manifest.json records its
-sha256 and size.  Exit codes: 0 success, 2 schema violation, 3 numerical
-invariant violation during the run (or any other failure, reported in one
-line), 4 I/O failure.
+byte-identical.  Every artifact and manifest.json take one write path
+(_Emitter._write): the file is opened with os.open, its chunks are gathered
+into blocks of WRITE_BLOCK_BYTES, each written with os.write (again on a
+short write) and hashed on the way, and the file is closed whatever fails.
+Each artifact is written as it is produced: wigner.csv one q column at a
+time, and every JSON artifact (joint_state.json, system_density.json,
+records.json, schmidt.json, both summary.json files, wigner.meta.json and
+the manifest) by the one JSON writer, serialize.json_chunks, a block of
+floats at a time, from the arrays the objects hand it.  manifest.json
+records each artifact's sha256 and size.  Exit codes: 0 success, 2 schema
+violation, 3 numerical invariant violation during the run (or any other
+failure, reported in one line), 4 I/O failure.
 
 ``validate`` and ``run`` apply the same parse: one function per kind reads
 the parameters, fills in defaults and builds the library objects the run
@@ -39,15 +45,15 @@ builds a register model, and only premeasurement forms its pointer rows and
 n x n density, for joint_state.json and system_density.json.  Charged are:
 
 * every register kind, from its n amplitudes (_fits_registers, filed under
-  params.amplitudes and checked before they are parsed):
-  REGISTER_AMPLITUDE_BYTES each, REGISTER_RUN_BYTES, REGISTER_BYTES per
-  chain link, for chain the 2 n floats of summary.json at JSON_FLOAT_BYTES
-  each, and for premeasurement the n (n + 1) amplitudes of joint_state.json
-  at RECORD_AMPLITUDE_BYTES each and PREMEASURE_SQUARES n x n arrays.
-  Accepted are ledger_quantum, branch_recohere and ledger_branching up to
-  n = 3355340 at any env_dim, chain at MAX_LINKS links up to n = 1673670,
-  and premeasurement up to n = 1275; more links are refused under
-  params.links;
+  params.amplitudes and checked before they are parsed, with one type scan
+  and one numpy conversion): REGISTER_AMPLITUDE_BYTES each,
+  REGISTER_RUN_BYTES, REGISTER_BYTES per chain link, for premeasurement
+  PREMEASURE_SQUARES n x n arrays, and for chain and premeasurement
+  JSON_TEXT_BYTES for the JSON writer, which holds one block of floats and
+  its text whatever the artifact's size.  Accepted are ledger_quantum,
+  branch_recohere and ledger_branching up to n = 3355340 at any env_dim,
+  chain at MAX_LINKS links up to n = 3344064, and premeasurement up to
+  n = 2270; more links are refused under params.links;
 * histories: the Heisenberg projector families, the H class operators,
   their products with rho and a conjugate copy (3 H dim^2 values, H the
   product of the outcome counts) plus the H x H decoherence functional,
@@ -64,18 +70,20 @@ n x n density, for joint_state.json and system_density.json.  Charged are:
   MAX_ARTIFACT_BYTES (1 GiB): 2048 points are accepted and 4096 refused,
   both filed under params.n_points;
 * collapse_mc: one value per trial for its outcome, one block of the seed
-  replay at REPLAY_SEED_BYTES per seed, and one record's pre and post states
-  (records.json is written one record at a time) plus one more amplitude per
-  outcome, at RECORD_AMPLITUDE_BYTES each, filed under params.amplitudes;
-  more than MAX_TRIALS trials are refused under params.trials; and the text
-  of records.json, min(record_limit, trials) records of 2 n amplitudes at
+  replay at REPLAY_SEED_BYTES per seed, COLLAPSE_OUTCOME_BYTES per outcome,
+  one record's pre and post states at RECORD_AMPLITUDE_BYTES per amplitude
+  (records.json is printed one record and one block of floats at a time)
+  and JSON_TEXT_BYTES, filed under params.amplitudes (2095103 outcomes are
+  accepted with a record, 2793471 without); more than MAX_TRIALS trials are
+  refused under params.trials; and the text of records.json,
+  min(record_limit, trials) records of 2 n amplitudes at
   RECORD_PAIR_TEXT_BYTES each plus RECORD_TEXT_BYTES and the seed's digits,
   against MAX_ARTIFACT_BYTES, filed under params.record_limit (at 2000
-  amplitudes, 2913 records are accepted and 2914 refused);
-* schmidt: the state's d_A d_B amplitudes at SCHMIDT_STATE_BYTES each and
-  the min(d_A, d_B) (d_A + d_B) amplitudes of schmidt.json's vectors at
-  SCHMIDT_AMPLITUDE_BYTES each, filed under params.dims: 927 x 927 is
-  accepted and 928 x 928 refused;
+  amplitudes, 3190 records are accepted and 3191 refused);
+* schmidt: the state's d_A d_B amplitudes at SCHMIDT_STATE_BYTES each, the
+  min(d_A, d_B) (d_A + d_B) amplitudes of schmidt.json's vectors at
+  SCHMIDT_AMPLITUDE_BYTES each and JSON_TEXT_BYTES, filed under
+  params.dims: 2188 x 2188 is accepted and 2189 x 2189 refused;
 * master: for n states and T times, the k = min(T, max(1, 2^16 / n^2)) times
   of a block at once, k + 1 n x n shares at MASTER_ENTRY_BYTES per entry,
   and the T (n + 1) values of master.csv at MASTER_VALUE_BYTES each, filed
@@ -88,6 +96,7 @@ n x n density, for joint_state.json and system_density.json.  Charged are:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -178,28 +187,41 @@ MAX_SCENARIO_BYTES = MAX_DENSE_BYTES // DECODE_BYTES_PER_BYTE
 # `decolab run`, about 0.35 s of it start-up (2 CPUs, numpy 2.4.6).
 MAX_TRIALS = 10**6
 
-# Bytes a collapse record amplitude takes while records.json is built: its
-# [re, im] list and its JSON text (451 measured in a joint state, ~420 here).
-RECORD_AMPLITUDE_BYTES = 451
+# Bytes the JSON writer and the write path hold while one artifact is
+# printed, whatever its size: a block of serialize.JSON_BLOCK_VALUES floats
+# and their texts, the text gathered into a chunk, and the chunks gathered
+# for one write call.  370-550 kB measured under tracemalloc (Python 3.11)
+# for arrays of 10^6 values of 24-byte floats, rounded up.
+JSON_TEXT_BYTES = 1 << 20
+
+# Bytes a collapse_mc run takes per outcome, and per amplitude of a record
+# while records.json is printed, rounded up from tracemalloc peaks of whole
+# runs (Python 3.11, numpy 2.4.6).  An outcome is its decoded [re, im] pair,
+# the parsed amplitude, the Born table and its line of collapse.csv: 305 B
+# at 200 000 outcomes of 17-digit pairs, whatever the record limit.  A
+# record's amplitude is its post state's basis vector and StateVector copy,
+# 32 B; its pre state is the system's.
+COLLAPSE_OUTCOME_BYTES = 384
+RECORD_AMPLITUDE_BYTES = 64
 
 # Bytes of records.json text, at most, per amplitude and per record besides
 # its amplitudes and seed.  An amplitude is an [re, im] pair of two floats of
-# up to MAX_FMT_LEN bytes at ten spaces of indent, in brackets at eight, with
+# up to MAX_FMT_LEN bytes at eight spaces of indent, in brackets at six, with
 # its commas and line feeds; the rest of a record, its keys, outcome,
 # probability, space, indent and braces, measured 391 bytes at most (floats
 # of 24 bytes, an n of eight digits), rounded up.
-RECORD_PAIR_TEXT_BYTES = 2 * serialize.MAX_FMT_LEN + 44
+RECORD_PAIR_TEXT_BYTES = 2 * serialize.MAX_FMT_LEN + 36
 RECORD_TEXT_BYTES = 512
 
 # Bytes a schmidt run takes per amplitude of the vectors schmidt.json lists
 # and per amplitude of the state, rounded up from the peak RSS of fresh runs
-# (d_A x d_B = 700 x 700, 983 x 983 and 16 x 60000; Python 3.11, numpy
-# 2.4.6): 525 and 95, besides 40 MiB for the interpreter, so that a run at
-# the limit stays under 1 GiB.  A vector amplitude is its SVD column, its
-# StateVector copy, its [re, im] list and its JSON text, four spaces deeper
-# than a joint state's (482 bytes under tracemalloc, against 449); a state
-# amplitude is the state, its reshaped copy and the SVD's work.
-SCHMIDT_AMPLITUDE_BYTES = 576
+# (d_A x d_B = 700 x 700, 1000 x 1000, 1400 x 1400 and 16 x 60000; Python
+# 3.11, numpy 2.4.6): 46 and 43, besides 44 MiB for the interpreter, so that
+# a run at the limit stays under 1 GiB.  A vector amplitude is its SVD
+# column and its StateVector copy; schmidt.json is printed a block at a
+# time.  A state amplitude is the state, its reshaped copy and the SVD's
+# work.
+SCHMIDT_AMPLITUDE_BYTES = 64
 SCHMIDT_STATE_BYTES = 96
 
 # Bytes one seed of a replay block takes while sample_outcomes draws its
@@ -224,16 +246,11 @@ REGISTER_RUN_BYTES = 32 * 1024
 REGISTER_BYTES = 512
 REGISTER_AMPLITUDE_BYTES = 320
 
-# Bytes a float printed by the indented JSON encoder takes while its text is
-# built (serialize.dumps): the Python float, its repr and the joined text,
-# 128 B measured for 17-digit floats, rounded up.
-JSON_FLOAT_BYTES = 160
-
-# n x n complex arrays a premeasurement run is charged besides the text of
-# joint_state.json: the density and its DensityOperator copy, the Gram
-# matrix, the pointer rows and joint amplitudes, and eigvalsh's workspace,
-# with room for what tracemalloc does not see (a fresh run at n = 1276
-# peaked at 919 MiB).
+# n x n complex arrays a premeasurement run is charged: the density and its
+# DensityOperator copy, the Gram matrix, the pointer rows and joint
+# amplitudes, and eigvalsh's workspace, with room for what tracemalloc does
+# not see.  Fresh runs peak at about 44 MiB plus 83 B per n^2 (n = 1275,
+# 1800 and 2600: 171, 298 and 578 MiB), and 68 B per n^2 under tracemalloc.
 PREMEASURE_SQUARES = 13
 
 
@@ -339,31 +356,56 @@ def _fits(entries: int, field: str, diags: list[str]) -> bool:
     return False
 
 
-def _fits_registers(
-    n: int, diags: list[str], links: int = 0, floats: int = 0, text: int = 0, square: int = 0
-) -> bool:
+def _fits_registers(n: int, diags: list[str], links: int = 0, square: int = 0, json_bytes: int = 0) -> bool:
     """Whether a register run on n amplitudes fits, filed under
     params.amplitudes: REGISTER_RUN_BYTES, REGISTER_BYTES per chain link,
-    REGISTER_AMPLITUDE_BYTES per amplitude, ``floats`` floats printed by the
-    indented JSON encoder at JSON_FLOAT_BYTES each, ``text`` amplitudes
-    printed as JSON at RECORD_AMPLITUDE_BYTES each, and ``square`` n x n
-    arrays."""
-    extra = REGISTER_RUN_BYTES + REGISTER_BYTES * links + REGISTER_AMPLITUDE_BYTES * n
-    extra += JSON_FLOAT_BYTES * floats + RECORD_AMPLITUDE_BYTES * text
+    REGISTER_AMPLITUDE_BYTES per amplitude, ``square`` n x n arrays, and
+    ``json_bytes`` for the printing of a JSON artifact."""
+    extra = REGISTER_RUN_BYTES + REGISTER_BYTES * links + REGISTER_AMPLITUDE_BYTES * n + json_bytes
     return _fits(square * n * n + extra // 16, "params.amplitudes", diags)
+
+
+def _number_types(types) -> bool:
+    """Whether values of these types are numbers, as _is_number takes them
+    before their finiteness is checked."""
+    return all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types)
+
+
+def _amplitude_array(raw: list) -> np.ndarray | None:
+    """The complex values of a list of numbers and [re, im] pairs, from one
+    numpy conversion after a scan of the entries' types; None if any entry
+    is not a finite number or a pair of them (a boolean is not a number)."""
+    types = set(map(type, raw))
+    pairs = not _number_types(types)
+    if pairs:
+        lists = {t for t in types if issubclass(t, list)}
+        if not _number_types(types - lists):
+            return None
+        if types != lists:
+            raw = [x if isinstance(x, list) else (x, 0) for x in raw]
+        if set(map(len, raw)) != {2} or not _number_types(set(map(type, itertools.chain.from_iterable(raw)))):
+            return None
+    try:
+        if pairs:
+            values = np.fromiter(itertools.chain.from_iterable(raw), np.float64, 2 * len(raw))
+        else:
+            values = np.fromiter(raw, np.float64, len(raw))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(np.complex128) if pairs else values.astype(np.complex128)
 
 
 def _parse_amplitudes(raw, diags: list[str], field: str) -> np.ndarray | None:
     if not isinstance(raw, list) or len(raw) < 2:
         diags.append(f"{field}: expected a list of two or more amplitudes")
         return None
-    out = np.empty(len(raw), dtype=np.complex128)
-    for i, item in enumerate(raw):
-        z = _complex(item)
-        if z is None:
-            diags.append(f"{field}[{i}]: expected a number or an [re, im] pair")
-            return None
-        out[i] = z
+    out = _amplitude_array(raw)
+    if out is None:
+        i = next(i for i, item in enumerate(raw) if _complex(item) is None)
+        diags.append(f"{field}[{i}]: expected a number or an [re, im] pair")
+        return None
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > 1e-6:
         diags.append(f"{field}: amplitudes are not normalized (norm {norm:.12g})")
@@ -406,11 +448,10 @@ def _parse_ledger_quantum(params, seed, diags):
 
 
 def _parse_premeasurement(params, seed, diags):
-    # joint_state.json prints the n (n + 1) joint amplitudes, and
-    # system_density.json, once that text is gone, the n^2 entries of the
-    # density.
+    # joint_state.json and system_density.json print the joint amplitudes
+    # and the density, which are among the squares, a block at a time.
     n = _amplitude_count(params)
-    if not _fits_registers(n, diags, text=n * (n + 1), square=PREMEASURE_SQUARES):
+    if not _fits_registers(n, diags, square=PREMEASURE_SQUARES, json_bytes=JSON_TEXT_BYTES):
         return None
     system = _system_state(params, diags)
     g = _number(params, "pointer_overlap", "params", diags, default=0.0)
@@ -426,9 +467,9 @@ def _parse_chain(params, seed, diags):
         diags.append(f"params.links: {k} links, over the cap of {MAX_LINKS}")
     if diags:
         return None
-    # summary.json prints two floats per amplitude
+    # summary.json prints two arrays of n floats, a block at a time
     n = _amplitude_count(params)
-    if not _fits_registers(n, diags, links=k, floats=2 * n):
+    if not _fits_registers(n, diags, links=k, json_bytes=JSON_TEXT_BYTES):
         return None
     amps = _parse_amplitudes(params.get("amplitudes"), diags, "params.amplitudes")
     if params.get("overlaps") is None:
@@ -469,12 +510,12 @@ def _parse_collapse_mc(params, seed, diags):
         diags.append(f"params.trials: {trials} trials, over the cap of {MAX_TRIALS}")
     if diags:
         return None
-    # A record lists a pre and a post state of n amplitudes; one more per
-    # outcome covers the decoded scenario, the Born table and collapse.csv.
+    # Each outcome's share, and one record's pre and post states of n
+    # amplitudes while records.json is printed.
     n = system.space.total_dim
-    amplitudes = (2 * min(limit, 1) + 1) * n
-    replay = min(trials, _REPLAY_BLOCK) * REPLAY_SEED_BYTES // 16
-    _fits(trials + replay + amplitudes * RECORD_AMPLITUDE_BYTES // 16, "params.amplitudes", diags)
+    outcomes = n * COLLAPSE_OUTCOME_BYTES + 2 * min(limit, 1) * n * RECORD_AMPLITUDE_BYTES + JSON_TEXT_BYTES
+    replay = min(trials, _REPLAY_BLOCK) * REPLAY_SEED_BYTES
+    _fits(trials + (replay + outcomes) // 16, "params.amplitudes", diags)
     # records.json: each record's pre and post states of n amplitudes.
     record_bytes = 2 * n * RECORD_PAIR_TEXT_BYTES + RECORD_TEXT_BYTES + len(str(seed + trials))
     text_bytes = min(limit, trials) * record_bytes
@@ -554,7 +595,7 @@ def _parse_schmidt(params, seed, diags):
     # amplitudes, besides the state's d_A d_B.  No state is built before this.
     d_a = math.prod(space.dim_of(label) for label in set(system))
     d_b = space.total_dim // d_a
-    vectors = min(d_a, d_b) * (d_a + d_b) * SCHMIDT_AMPLITUDE_BYTES
+    vectors = min(d_a, d_b) * (d_a + d_b) * SCHMIDT_AMPLITUDE_BYTES + JSON_TEXT_BYTES
     if not _fits((vectors + space.total_dim * SCHMIDT_STATE_BYTES) // 16, "params.dims", diags):
         return None
     state = params.get("state", {"kind": "random"})
@@ -803,25 +844,58 @@ def validate_document(doc) -> list[str]:
 # ---- run: one function per kind, taking only what its parse built ----
 
 
+# Bytes of chunks an artifact gathers before it makes one write call.
+WRITE_BLOCK_BYTES = 1 << 16
+
+
+def _write_block(fd: int, digest, chunks: list) -> int:
+    """Write the chunks as one block, repeating the call on a short write,
+    hash them, and return their size."""
+    block = memoryview(b"".join(chunks))
+    digest.update(block)
+    size = len(block)
+    while block:
+        block = block[os.write(fd, block) :]
+    return size
+
+
 class _Emitter:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.entries: list[dict] = []
 
-    def write_chunks(self, name: str, chunks) -> None:
-        """Write the byte chunks to ``name`` as they arrive, hashing them on
-        the way, and list the file with its sha256 and size."""
+    def _write(self, name: str, chunks) -> dict:
+        """Write the byte chunks to ``name`` as they arrive, on the raw file
+        descriptor, and hash them on the way: the one path every artifact
+        and the manifest take.  Chunks are gathered until they hold
+        WRITE_BLOCK_BYTES, then written with one call, repeated on a short
+        write."""
         digest = serialize.sha256()
         size = 0
-        with open(os.path.join(self.out_dir, name), "wb") as fh:
+        fd = os.open(os.path.join(self.out_dir, name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            pending, held = [], 0
             for chunk in chunks:
-                fh.write(chunk)
-                digest.update(chunk)
-                size += len(chunk)
-        self.entries.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
+                pending.append(chunk)
+                held += len(chunk)
+                if held >= WRITE_BLOCK_BYTES:
+                    size += _write_block(fd, digest, pending)
+                    pending, held = [], 0
+            size += _write_block(fd, digest, pending)
+        finally:
+            os.close(fd)
+        return {"name": name, "sha256": digest.hexdigest(), "bytes": size}
+
+    def write_chunks(self, name: str, chunks) -> None:
+        """Write an artifact from its byte chunks and list it with its sha256
+        and size."""
+        self.entries.append(self._write(name, chunks))
 
     def write_text(self, name: str, text: str) -> None:
         self.write_chunks(name, (text.encode("utf-8"),))
+
+    def write_json(self, name: str, doc) -> None:
+        self.write_chunks(name, serialize.json_chunks(doc))
 
     def manifest(self, kind: str, seed: int, raw_bytes: bytes) -> None:
         doc = {
@@ -831,8 +905,7 @@ class _Emitter:
             "scenario_sha256": serialize.sha256_hex(raw_bytes),
             "files": sorted(self.entries, key=lambda e: e["name"]),
         }
-        with open(os.path.join(self.out_dir, "manifest.json"), "w", newline="") as fh:
-            fh.write(serialize.dumps(doc))
+        self._write("manifest.json", serialize.json_chunks(doc))
 
 
 def _check(cond: bool, message: str) -> None:
@@ -852,8 +925,8 @@ def _run_premeasurement(emit: _Emitter, system: StateVector, overlap: float, poi
     rho_sys = DensityOperator(system.space, m)
     pointer_space = TensorSpace((("pointer", pointers.shape[1]),))
     joint = StateVector(system.space.concat(pointer_space), (a[:, None] * pointers).reshape(-1) + 0.0)
-    emit.write_text("joint_state.json", joint.to_json())
-    emit.write_text("system_density.json", rho_sys.to_json())
+    emit.write_json("joint_state.json", joint.to_json_obj())
+    emit.write_json("system_density.json", rho_sys.to_json_obj())
     header = ["off_diagonal_max", "system_linear_entropy", "global_purity"]
     row = [dec.off_diagonal_max(overlap)], [dec.linear_entropy(overlap)], [dec.trace**2]
     emit.write_text("summary.csv", serialize.csv_text(header, *row))
@@ -874,11 +947,11 @@ def _run_chain(emit: _Emitter, amplitudes: np.ndarray, overlaps: np.ndarray) -> 
         "final populations deviate from the squared amplitudes",
     )
     summary = {
-        "final_populations": [float(x) for x in pops],
-        "born_probabilities": [float(x) for x in born],
+        "final_populations": pops,
+        "born_probabilities": born,
         "max_population_deviation": float(np.abs(pops - born).max()),
     }
-    emit.write_text("summary.json", serialize.dumps(summary))
+    emit.write_json("summary.json", summary)
 
 
 def _run_branch_recohere(emit: _Emitter, amplitudes: np.ndarray) -> None:
@@ -905,7 +978,7 @@ def _run_collapse_mc(emit: _Emitter, psi: StateVector, trials: int, limit: int, 
         CollapseRecord(int(k), float(probs[k]), psi, basis_state(psi.space, k), seed + i).to_json_obj()
         for i, k in enumerate(outcomes[:limit])
     )
-    emit.write_chunks("records.json", serialize.dumps_list_chunks(records))
+    emit.write_json("records.json", records)
 
 
 def _run_wigner(emit: _Emitter, state) -> None:
@@ -913,7 +986,7 @@ def _run_wigner(emit: _Emitter, state) -> None:
     emit.write_chunks("wigner.csv", wigner_csv_chunks(w))
     data, meta = wigner_binary(w)
     emit.write_chunks("wigner.bin", (data,))
-    emit.write_text("wigner.meta.json", meta)
+    emit.write_json("wigner.meta.json", meta)
     pos, mom = marginals(w)
     header = ["q", "position_density", "p", "momentum_density"]
     emit.write_text("marginals.csv", serialize.csv_text(header, w.q_grid, pos, w.p_grid, mom))
@@ -925,7 +998,7 @@ def _run_schmidt(emit: _Emitter, psi: StateVector, system: list[str]) -> None:
     _check(err <= 1e-10, f"reconstruction error {err!r}")
     doc = dec.to_json_obj()
     doc["reconstruction_error"] = err
-    emit.write_text("schmidt.json", serialize.dumps(doc))
+    emit.write_json("schmidt.json", doc)
     c = np.asarray(dec.coefficients, dtype=np.float64)
     header = ["k", "coefficient", "probability"]
     emit.write_text("coefficients.csv", serialize.csv_text(header, range(c.size), c, c * c))
@@ -954,10 +1027,7 @@ def _run_histories(emit: _Emitter, spec: HistorySpec) -> None:
     header = ["history", "probability", "single_sided_real", "single_sided_imag", "consistency_defect"]
     text = serialize.csv_text(header, names, probs, raws.real, raws.imag, [defect] * len(names))
     emit.write_text("histories.csv", text)
-    emit.write_text(
-        "summary.json",
-        serialize.dumps({"total_probability": total, "consistency_defect": defect}),
-    )
+    emit.write_json("summary.json", {"total_probability": total, "consistency_defect": defect})
 
 
 def _run_graham(emit: _Emitter, born: list[float], eps: float, n_values: list[int]) -> None:

@@ -54,7 +54,7 @@ class SchmidtDecomposition:
             "space": self.space.to_json_obj(),
             "system_labels": list(self.system_labels),
             "environment_labels": list(self.environment_labels),
-            "coefficients": [float(c) for c in self.coefficients],
+            "coefficients": self.coefficients,
             "system_vectors": [v.to_json_obj() for v in self.system_vectors],
             "environment_vectors": [v.to_json_obj() for v in self.environment_vectors],
             "degenerate": bool(self.degenerate),

@@ -8,7 +8,8 @@ use :func:`ray_equal` for phase-insensitive comparison.
 
 All values are immutable after construction (frozen dataclasses wrapping
 read-only arrays) and safe to share between threads.  States and densities
-are written as JSON (``to_json``) but never read back: scenarios give their
+are written as JSON (``to_json_obj``, a document of their arrays for
+serialize.json_chunks) but never read back: scenarios give their
 states as plain amplitude lists.  Every Hermitian check (densities,
 Hamiltonians, projectors and a Wigner grid's density samples) is
 :func:`_check_hermitian`, which takes the deviation one block of rows at a
@@ -22,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import serialize
 from .errors import SpaceMismatchError, ValidationError, VALIDITY_ATOL
 
 
@@ -129,11 +129,8 @@ class StateVector:
     def to_json_obj(self) -> dict:
         return {
             "space": self.space.to_json_obj(),
-            "amplitudes": serialize.complex_pairs(self.amplitudes),
+            "amplitudes": self.amplitudes,
         }
-
-    def to_json(self) -> str:
-        return serialize.dumps(self.to_json_obj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +160,8 @@ class DensityOperator:
     def to_json_obj(self) -> dict:
         return {
             "space": self.space.to_json_obj(),
-            "matrix": serialize.matrix_pairs(self.matrix),
+            "matrix": self.matrix,
         }
-
-    def to_json(self) -> str:
-        return serialize.dumps(self.to_json_obj())
 
 
 # Entries per row block of the Hermitian check: it holds one block's

@@ -431,20 +431,24 @@ def _binomial_deviant_weight(p1: float, n: int, epsilon: float) -> float:
         return total
     # log C(n, k) p1^k q^(n-k), rounded as lgamma(n+1) - (lgamma(k+1) +
     # lgamma(n-k+1)) + k log p1 + (n-k) log q, one float64 value per deviant
-    # k and nothing else of that size.
+    # k.  The lgamma sum is the same float for k and n - k, since addition
+    # commutes, so it is computed once, for j = min(k, n - k) up to the
+    # largest j of a deviant count: at most n / 2 + 1 sums, half a value per
+    # count more.
     log_n, log_p, log_q = math.lgamma(n + 1), math.log(p1), math.log1p(-p1)
+    top = max(min(len(head) - 1, n // 2), min(n - tail.start, n // 2))
+    sums = np.fromiter(
+        map(operator.add, map(math.lgamma, range(1, top + 2)), map(math.lgamma, range(n + 1, n - top, -1))),
+        dtype=np.float64, count=top + 1,
+    )
     logs = np.empty(len(head) + len(tail))
     at = 0
     for part in (head, tail):
         for lo in range(part.start, part.stop, _LOG_BLOCK):
             hi = min(lo + _LOG_BLOCK, part.stop)
-            k = np.arange(lo, hi, dtype=np.float64)
-            pair = np.fromiter(
-                map(operator.add, map(math.lgamma, range(lo + 1, hi + 1)),
-                    map(math.lgamma, range(n - lo + 1, n - hi + 1, -1))),
-                dtype=np.float64, count=hi - lo,
-            )
-            logs[at : at + hi - lo] = log_n - pair + k * log_p + (n - k) * log_q
+            ks = np.arange(lo, hi)
+            k = ks.astype(np.float64)
+            logs[at : at + hi - lo] = log_n - sums[np.minimum(ks, n - ks)] + k * log_p + (n - k) * log_q
             at += hi - lo
     peak = logs.max()
     logs -= peak

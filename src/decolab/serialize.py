@@ -12,15 +12,25 @@ takes each value's 17 digits from a 128-bit product with a power of ten,
 splits them into ASCII uint64 words by multiply-shift-mask, and builds a
 scientific-notation text as three uint64 words; only fixed-notation texts
 are gathered byte by byte.
-:func:`dumps_list_chunks` writes a JSON list one item at a time, with the
-bytes :func:`dumps` gives the whole list.
+
+Every JSON artifact is printed by one writer, :func:`json_chunks`: it yields,
+block by block, the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``
+and a line feed, for documents whose leaves may also be numpy float and
+complex arrays (a complex value printed as an [re, im] pair) and iterators
+(printed as lists, one item at a time).  It walks the document once, and
+prints each block of JSON_BLOCK_VALUES floats of an array with
+``float.__repr__``, the text json gives a finite float, laid into one fixed
+%r template; so a run holds one block's text, not the artifact's.
+:func:`dumps` is its joined text.
 """
 
 from __future__ import annotations
 
 import functools
-import json
+import math
+from collections.abc import Iterator
 from hashlib import sha256
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -329,30 +339,174 @@ def float_texts(values) -> np.ndarray:
     return out.view(f"S{MAX_FMT_LEN}").reshape(x.shape)
 
 
-def complex_pairs(vec: np.ndarray) -> list[list[float]]:
-    """Flatten a complex vector to [[re, im], ...]."""
-    return np.ascontiguousarray(vec, np.complex128).view(np.float64).reshape(-1, 2).tolist()
+# ---- JSON: one writer for every document ----
+#
+# json.dumps with an indent runs its pure-Python encoder, one generator step
+# per value, and needs the arrays as lists of Python floats; json_chunks
+# prints the same bytes from the arrays themselves.
+
+# Floats per block of an array's text.
+JSON_BLOCK_VALUES = 1024
+
+# Bytes of text json_chunks gathers before it yields them as one chunk.
+JSON_CHUNK_BYTES = 1 << 16
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def matrix_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    m = np.ascontiguousarray(mat, np.complex128)
-    return m.view(np.float64).reshape(*m.shape, 2).tolist()
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
 
 
-def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _walk(obj, ind: str, parts: list, tasks: list) -> None:
+    """Append the text of ``obj`` to ``parts``, its nested lines indented by
+    ``ind`` (a line feed and the spaces of its own level) and two spaces
+    per level below.  A numpy array or an iterator is left to a task, (place
+    in parts, texts, obj, ind), whose text is made only when it is reached."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = ind + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _walk(value, inner, parts, tasks)
+            sep = "," + inner
+        parts.append(ind + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = ind + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _walk(value, inner, parts, tasks)
+            sep = "," + inner
+        parts.append(ind + "}")
+    elif isinstance(obj, np.ndarray):
+        tasks.append((len(parts), _array_texts, obj, ind))
+    elif isinstance(obj, Iterator):
+        tasks.append((len(parts), _iterator_texts, obj, ind))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def dumps_list_chunks(items):
-    """The UTF-8 bytes of ``dumps(list(items))``, one chunk per item, so an
-    item is encoded only when it is reached: each item's text indented by
-    two spaces inside ``[`` and ``]`` lines, or ``[]`` for none."""
-    sep = b"[\n  "
+def _texts(parts: list, tasks: list):
+    """The text of a walk: its parts, joined between the tasks' texts."""
+    start = 0
+    for end, texts, obj, ind in tasks:
+        yield "".join(parts[start:end])
+        yield from texts(obj, ind)
+        start = end
+    yield "".join(parts[start:])
+
+
+def _iterator_texts(items, ind: str):
+    """A JSON list of the iterator's items, each walked when it is reached."""
+    inner = ind + "  "
+    sep = "[" + inner
     for item in items:
-        yield sep + dumps(item)[:-1].replace("\n", "\n  ").encode("utf-8")
-        sep = b",\n  "
-    yield b"[]\n" if sep == b"[\n  " else b"\n]\n"
+        parts, tasks = [sep], []
+        _walk(item, inner, parts, tasks)
+        yield from _texts(parts, tasks)
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else ind + "]"
+
+
+def _item_template(shape: tuple, ind: str) -> str:
+    """The template of one array of ``shape`` whose own line is indented by
+    ``ind``: a %r field per value, laid out as json lays out nested lists."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    inner = ind + "  "
+    return "[" + ",".join([inner + _item_template(shape[1:], inner)] * shape[0]) + ind + "]"
+
+
+def _array_texts(a: np.ndarray, ind: str):
+    """A float array as nested lists, a complex one with an [re, im] pair
+    for each value, whose elements are Python floats (dtype characters "e",
+    "f" and "d", and "F" and "D" for complex).
+
+    The text is made a block of rows at a time, as many rows of the first
+    axis as hold JSON_BLOCK_VALUES floats and at least one, by one ``%`` call
+    on a template of %r fields.  The repr of a finite float has no "n", so a
+    block whose text has one holds a nan or inf, and is printed again as
+    json prints those.
+    """
+    if a.ndim == 0 or a.dtype.char not in "efdFD":
+        raise TypeError(f"an array of {a.ndim} dimensions and dtype {a.dtype} is not a JSON array")
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a)
+        a = a.view(a.real.dtype).reshape(a.shape + (2,))
+    if a.shape[0] == 0:
+        yield "[]"
+        return
+    inner = ind + "  "
+    item = inner + _item_template(a.shape[1:], inner)
+    step = max(1, JSON_BLOCK_VALUES // max(math.prod(a.shape[1:]), 1))
+    template = ",".join([item] * min(step, a.shape[0]))
+    sep = "["
+    for start in range(0, a.shape[0], step):
+        block = a[start : start + step]
+        if len(block) < step and start:
+            template = ",".join([item] * len(block))
+        values = tuple(block.ravel().tolist())
+        text = template % values
+        if "n" in text:
+            text = template.replace("%r", "%s") % tuple(map(_float_text, values))
+        yield sep + text
+        sep = ","
+    yield ind + "]"
+
+
+def json_chunks(doc):
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    in chunks of about JSON_CHUNK_BYTES.
+
+    ``doc`` is made of dicts with str keys, lists, tuples, strings, ints,
+    floats, booleans and None, as json takes them, and two more leaves:
+    numpy float and complex arrays, printed as the nested lists of their
+    values with an [re, im] pair for each complex value, and iterators,
+    printed as lists whose items are walked one at a time.
+    """
+    parts: list = []
+    tasks: list = []
+    _walk(doc, "\n", parts, tasks)
+    parts.append("\n")
+    pending, size = [], 0
+    for text in _texts(parts, tasks):
+        pending.append(text)
+        size += len(text)
+        if size >= JSON_CHUNK_BYTES:
+            yield "".join(pending).encode()
+            pending, size = [], 0
+    if pending:
+        yield "".join(pending).encode()
+
+
+def dumps(doc) -> str:
+    """Canonical JSON: sorted keys, two-space indent, trailing newline; the
+    joined text of :func:`json_chunks`."""
+    return b"".join(json_chunks(doc)).decode()
 
 
 def sha256_hex(data: bytes) -> str:

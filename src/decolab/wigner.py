@@ -329,8 +329,8 @@ def wigner_csv_chunks(w: WignerGrid):
             yield (q + q.join(p_lines)) % tuple(column.tolist())
 
 
-def wigner_binary(w: WignerGrid) -> tuple[bytes, str]:
-    """Row-major little-endian float64 dump plus the text of its JSON metadata."""
+def wigner_binary(w: WignerGrid) -> tuple[bytes, dict]:
+    """Row-major little-endian float64 dump plus its JSON metadata document."""
     data = np.ascontiguousarray(w.values, dtype="<f8").tobytes()
     meta = {
         "dtype": "<f8",
@@ -344,4 +344,4 @@ def wigner_binary(w: WignerGrid) -> tuple[bytes, str]:
         "dp": w.dp,
         "p_min": float(w.p_grid[0]),
     }
-    return data, serialize.dumps(meta)
+    return data, meta

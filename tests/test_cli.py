@@ -62,15 +62,113 @@ def test_dumps_is_stable():
     assert out.endswith("\n")
 
 
+def _stdlib_dumps(doc):
+    """The reference text of serialize.json_chunks: the stdlib json.dumps of
+    the document with its arrays as lists, an [re, im] pair per complex
+    value, and its iterators as lists."""
+
+    def plain(obj):
+        if isinstance(obj, np.ndarray):
+            return (np.stack([obj.real, obj.imag], axis=-1) if obj.dtype.kind == "c" else obj).tolist()
+        if isinstance(obj, dict):
+            return {key: plain(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)) or hasattr(obj, "__next__"):
+            return [plain(value) for value in obj]
+        return obj
+
+    return json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+
+
 def test_pairs_match_the_per_element_loop_text():
     rng = np.random.default_rng(8)
     z = rng.normal(size=(25, 40)) + 1j * rng.normal(size=(25, 40))
     z[0, :4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1e300)]
     loop = [[[float(x.real), float(x.imag)] for x in row] for row in z]
-    assert serialize.dumps(serialize.matrix_pairs(z)) == serialize.dumps(loop)
-    assert serialize.dumps(serialize.matrix_pairs(z.T)) == serialize.dumps([list(c) for c in zip(*loop)])
-    assert serialize.dumps(serialize.complex_pairs(z[:, 3])) == serialize.dumps([r[3] for r in loop])
-    assert serialize.dumps(serialize.complex_pairs(z)) == serialize.dumps([p for r in loop for p in r])
+
+    def stdlib(doc):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    assert serialize.dumps(z) == stdlib(loop)
+    assert serialize.dumps(z.T) == stdlib([list(c) for c in zip(*loop)])
+    assert serialize.dumps(z[:, 3]) == stdlib([r[3] for r in loop])
+    assert serialize.dumps(z.ravel()) == stdlib([p for r in loop for p in r])
+
+
+# Floats json prints in each of its layouts: the shortest repr, scientific
+# from 1e16 and below 1e-4, and the signed zero and the smallest subnormal.
+_SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, 1e-4, 9999999999999998.0)
+
+
+def _random_array(rng, size, kind):
+    """A float vector (kind "f"), complex vector ("c") or complex matrix
+    ("m") of ``size`` floats or about that, from finite random bit patterns
+    with the special floats mixed in."""
+    bits = rng.integers(0, 2**64, size=2 * size + 2, dtype=np.uint64).view(np.float64)
+    values = bits[np.isfinite(bits)][: 2 * size]
+    values = np.concatenate([values, np.zeros(max(0, 2 * size - values.size))])
+    picks = rng.random(values.size) < 0.1
+    values[picks] = rng.choice(_SPECIAL_FLOATS, size=int(picks.sum()))
+    if kind == "f":
+        return values[:size]
+    z = values.view(np.complex128)[: size // 2]
+    if kind == "c":
+        return z
+    cols = int(rng.integers(0, 4))
+    return z[: (z.size // cols) * cols].reshape(-1, cols) if cols else z[:0].reshape(int(rng.integers(0, 3)), 0)
+
+
+def _random_document(rng, depth=3):
+    """A random document of dicts, lists, scalars and arrays of the shapes
+    json_chunks takes, with non-ASCII keys and strings and ints past 2^63."""
+    block = serialize.JSON_BLOCK_VALUES
+    kind = int(rng.integers(0, 9 if depth else 6))
+    if kind == 0:
+        return [None, True, False][int(rng.integers(0, 3))]
+    if kind == 1:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 2**40))
+    if kind == 2:
+        return float(rng.choice(_SPECIAL_FLOATS)) if rng.random() < 0.5 else float(rng.normal())
+    if kind == 3:
+        return "".join(rng.choice(list("aé\"\\\n\u2028😀z"), size=int(rng.integers(0, 6))))
+    if kind in (4, 5):
+        size = int(rng.choice([0, 1, 2, 5, block - 1, block, block + 1, 2 * block + 2]))
+        return _random_array(rng, size, "fcm"[int(rng.integers(0, 3))])
+    if kind in (6, 7):
+        return {
+            "".join(rng.choice(list("abé😀"), size=int(rng.integers(0, 4)))): _random_document(rng, depth - 1)
+            for _ in range(int(rng.integers(0, 4)))
+        }
+    return [_random_document(rng, depth - 1) for _ in range(int(rng.integers(0, 4)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_json_chunks_match_the_stdlib_text(seed):
+    doc = _random_document(np.random.default_rng(seed))
+    want = _stdlib_dumps(doc).encode()
+    assert b"".join(serialize.json_chunks(doc)) == want
+    assert serialize.dumps(doc) == want.decode()
+    # a list given as an iterator is walked one item at a time
+    if isinstance(doc, list):
+        assert b"".join(serialize.json_chunks(iter(doc))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(max_size=4)
+        | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL_FLOATS),
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+        max_leaves=16,
+    )
+)
+def test_json_chunks_match_the_stdlib_text_on_plain_documents(doc):
+    assert b"".join(serialize.json_chunks(doc)) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_json_chunks_print_non_finite_floats_as_json_does():
+    doc = {"x": np.array([1.0, np.nan, -np.inf]), "y": [float("inf")], "z": np.array([[np.nan + 1j]])}
+    assert serialize.dumps(doc) == _stdlib_dumps(doc)
 
 
 def test_csv_text_picks_each_field_from_the_column_dtype():
@@ -445,7 +543,7 @@ def _reference_collapse_mc(psi, trials, limit, seed):
         ",".join([str(i), serialize.fmt(born[i]), str(int(counts[i])), serialize.fmt(counts[i] / trials)])
         for i in range(len(basis))
     ]
-    return "\n".join(lines) + "\n", serialize.dumps(records)
+    return "\n".join(lines) + "\n", _stdlib_dumps(records)
 
 
 def test_collapse_mc_matches_one_collapse_per_trial(tmp_path):
@@ -475,7 +573,7 @@ def test_records_json_is_written_one_record_at_a_time(tmp_path):
         assert cli.run(_write(tmp_path, f"r{limit}.json", doc), out_dir=str(out)) == 0
         psi = cli._parse_document(doc)[1][2][0]
         records = [collapse(psi, computational_basis(psi.space), 9 + i).to_json_obj() for i in range(limit)]
-        assert (out / "records.json").read_bytes() == serialize.dumps(records).encode()
+        assert (out / "records.json").read_bytes() == _stdlib_dumps(records).encode()
     # 2000 amplitudes: ten records peak within one record's charge of one
     # record, where the whole list held them all (17.8 MB against 1.9 MB)
     amps = _random_amplitudes(2000)
@@ -658,8 +756,8 @@ def test_non_utf8_file_is_a_schema_violation(tmp_path, capsys):
 # The largest admitted n of the register kinds: ledger_quantum and the branch
 # kinds, chain at MAX_LINKS links, and premeasurement.
 REGISTER_LIMIT = 3_355_340
-CHAIN_LIMIT = 1_673_670
-PREMEASUREMENT_LIMIT = 1275
+CHAIN_LIMIT = 3_344_064
+PREMEASUREMENT_LIMIT = 2270
 
 
 def _sharp(n):
@@ -668,9 +766,8 @@ def _sharp(n):
 
 
 def test_memory_cap_rejects_before_allocating(tmp_path, capsys, monkeypatch):
-    # one link over the cap, and one amplitude over the limit at the cap,
-    # whose summary.json text is charged over 1 GiB: both refused before any
-    # amplitude is parsed
+    # one link over the cap, and one amplitude over the limit at the cap:
+    # both refused before any amplitude is parsed
     parsed = []
     monkeypatch.setattr(cli, "_parse_amplitudes", lambda *args: parsed.append(args))
     for n, links, field in ((2, 5001, "params.links"), (CHAIN_LIMIT + 1, 5000, "params.amplitudes")):
@@ -863,22 +960,24 @@ def test_collapse_mc_trials_and_records_are_charged(tmp_path, capsys):
     start = time.perf_counter()
     _both_reject(path, tmp_path / "out", capsys, "params.trials")
     assert time.perf_counter() - start < 1.0
-    # 800 000 amplitudes: one record's pre and post states are over the cap,
-    # the Born table and collapse.csv alone are not
-    amps = [1.0] + [0.0] * 799_999
-    diags = cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": 1}))
-    assert len(diags) == 1 and diags[0].startswith("params.amplitudes:") and "cap" in diags[0]
-    assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": 0})) == []
+    # the largest outcome counts: 2 095 103 with one record's pre and post
+    # states, and 2 793 471 outcomes with no record
+    for limit, n in ((1, 2_095_103), (0, 2_793_471)):
+        amps = [1.0] + [0.0] * (n - 1)
+        assert cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": limit})) == []
+        amps.append(0.0)
+        diags = cli.validate_document(_scenario("collapse_mc", {"amplitudes": amps, "trials": 1, "record_limit": limit}))
+        assert len(diags) == 1 and diags[0].startswith("params.amplitudes:") and "cap" in diags[0]
 
 
 def test_records_json_text_is_bounded_in_the_parse(tmp_path, capsys):
     # min(record_limit, trials) records of 2 x 2000 amplitudes, at most
-    # 368 519 bytes of text each: 2913 fit under the artifact cap, 2914 do not
+    # 336 519 bytes of text each: 3190 fit under the artifact cap, 3191 do not
     amps = _random_amplitudes(2000)
-    for trials, limit in ((10**6, 2913), (2913, 10**6)):
+    for trials, limit in ((10**6, 3190), (3190, 10**6)):
         doc = _scenario("collapse_mc", {"amplitudes": amps, "trials": trials, "record_limit": limit})
         assert cli.validate_document(doc) == []
-    for trials, limit in ((10**6, 2914), (2914, 10**6)):
+    for trials, limit in ((10**6, 3191), (3191, 10**6)):
         path = _write(tmp_path, "c.json", _scenario("collapse_mc", {"amplitudes": amps, "trials": trials, "record_limit": limit}))
         start = time.perf_counter()
         _both_reject(path, tmp_path / "out", capsys, "params.record_limit")
@@ -903,11 +1002,11 @@ def _schmidt(d_a, d_b):
 
 
 def test_schmidt_json_is_charged(tmp_path, capsys):
-    # schmidt.json lists min(d_A, d_B) (d_A + d_B) amplitudes: 927 x 927 fits
-    # the cap at SCHMIDT_AMPLITUDE_BYTES each, with SCHMIDT_STATE_BYTES per
-    # amplitude of the state, and 928 x 928 does not
-    assert cli.validate_document(_schmidt(927, 927)) == []
-    for doc in (_schmidt(928, 928), _schmidt(4096, 4096)):
+    # schmidt.json lists min(d_A, d_B) (d_A + d_B) amplitudes: 2188 x 2188
+    # fits the cap at SCHMIDT_AMPLITUDE_BYTES each, with SCHMIDT_STATE_BYTES
+    # per amplitude of the state, and 2189 x 2189 does not
+    assert cli.validate_document(_schmidt(2188, 2188)) == []
+    for doc in (_schmidt(2189, 2189), _schmidt(4096, 4096)):
         path = _write(tmp_path, "s.json", doc)
         start = time.perf_counter()
         _both_reject(path, tmp_path / "out", capsys, "params.dims")
@@ -918,10 +1017,14 @@ def test_schmidt_json_is_charged(tmp_path, capsys):
     _both_reject(path, tmp_path / "out", capsys, "params.system")
     assert time.perf_counter() - start < 1.0
     # d_A and d_B are the products of the dims on each side of the cut
-    for d, ok in ((927, True), (928, False)):
+    for d, ok in ((2188, True), (2189, False)):
         doc = _scenario("schmidt", {"dims": [["a", d], ["b", 1], ["c", d]], "system": ["c", "b"]})
         diags = cli.validate_document(doc)
         assert diags == [] if ok else diags[0].startswith("params.dims:"), (d, diags)
+    # the widest states of 16 and 2 rows, where the state's share dominates
+    for d_a, d_b in ((16, 419_014), (2, 3_352_165)):
+        assert cli.validate_document(_schmidt(d_a, d_b)) == []
+        assert cli.validate_document(_schmidt(d_a, d_b + 1))[0].startswith("params.dims:")
 
 
 def _master(n, times, seed=0):
@@ -950,8 +1053,7 @@ def test_premeasurement_is_charged_for_the_slice_route(tmp_path, capsys):
     doc = _scenario("premeasurement", {"amplitudes": _random_amplitudes(100), "pointer_overlap": 0.2})
     assert cli.validate_document(doc) == []
     assert cli.run(_write(tmp_path, "p.json", doc), out_dir=str(tmp_path / "o")) == 0
-    # n=5000: joint_state.json alone would take 5000 x 5001 amplitudes at
-    # RECORD_AMPLITUDE_BYTES each (11 GB)
+    # n=5000: its PREMEASURE_SQUARES n x n arrays alone would take 5.2 GB
     doc = _scenario("premeasurement", {"amplitudes": _random_amplitudes(5000)})
     path = _write(tmp_path, "big.json", doc)
     start = time.perf_counter()

@@ -699,6 +699,20 @@ def test_graham_log_route_matches_the_lgamma_list_bitwise(monkeypatch):
     assert graham_deviant_norm([0.5, 0.5], 4000, 0.6) == 0.0
 
 
+def test_graham_log_route_reads_mirrored_lgamma_sums_bitwise():
+    # the route computes lgamma(k+1) + lgamma(n-k+1) once for k and n - k,
+    # the same float since addition commutes: every bit of the formula stays
+    # whether the deviant counts lie on both sides of n / 2, below it only,
+    # or above it only, with p1 on either side of 1/2
+    cases = [(n, p1, eps) for n in (1001, 10**5) for p1, eps in (
+        (0.3, 1e-3), (0.7, 1e-3), (0.45, 0.2), (0.55, 0.2), (0.9, 0.3), (0.1, 0.3), (0.5, 0.01),
+    )]
+    cases += [(10**6, 0.3, 1e-4), (10**6, 0.8, 0.25), (10**6, 0.2, 0.25)]
+    for n, p1, eps in cases:
+        want = _reference_log_binomial(p1, n, eps)
+        assert graham_deviant_norm([p1, 1.0 - p1], n, eps).hex() == want.hex(), (n, p1, eps)
+
+
 def test_row_sums_add_in_numpy_row_order_bitwise():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 5, 7, 8, 9, 16, 130):

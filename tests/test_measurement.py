@@ -537,13 +537,15 @@ def test_premeasure_form_joint_amplitudes_are_the_dense_state_bitwise(tmp_path):
         basis = computational_basis(sys_space)
         for g in (0.0, 0.3, -0.2):
             system = _random_system(rng, n, zero=n == 3)
-            params = {"amplitudes": serialize.complex_pairs(system.amplitudes), "pointer_overlap": g}
+            params = {"amplitudes": [[z.real, z.imag] for z in system.amplitudes.tolist()], "pointer_overlap": g}
             path = tmp_path / "p.json"
             path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": "premeasurement", "params": params}))
             assert cli.run(str(path), out_dir=str(tmp_path / "o")) == 0
             system = StateVector(sys_space, cli._parse_document(json.loads(path.read_text()))[1][2][0].amplitudes)
             joint = premeasure(system, ApparatusModel.with_overlap("pointer", n, g), basis)
-            assert (tmp_path / "o" / "joint_state.json").read_text() == joint.to_json()
+            pairs = [[z.real, z.imag] for z in joint.amplitudes.tolist()]
+            want = json.dumps({"amplitudes": pairs, "space": joint.space.to_json_obj()}, sort_keys=True, indent=2)
+            assert (tmp_path / "o" / "joint_state.json").read_text() == want + "\n"
             rho = json.loads((tmp_path / "o" / "system_density.json").read_text())["matrix"]
             got = np.array([[complex(*z) for z in row] for row in rho])
             assert np.abs(got - partial_trace(joint, "system").matrix).max() < CROSS_ATOL

@@ -286,8 +286,7 @@ def test_csv_and_binary_emitters(tmp_path, monkeypatch):
     assert lines[0] == "q,position_density,p,momentum_density"
     assert len(lines) == 1 + 64
 
-    raw, meta_text = wigner_binary(w)
-    meta = json.loads(meta_text)
+    raw, meta = wigner_binary(w)
     data = np.frombuffer(raw, dtype=np.float64).reshape(meta["shape"])
     assert np.array_equal(data, w.values)
     assert meta["dtype"] == "<f8"

@@ -617,6 +617,40 @@ def test_run_unwritable_output_is_exit_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     assert cli.run(path, out_dir=str(blocker / "sub")) == 4
+    # an artifact's path that os.open cannot open, and the manifest's
+    for name in ("graham.csv", "manifest.json"):
+        (tmp_path / name / name).mkdir(parents=True)
+        assert cli.run(path, out_dir=str(tmp_path / name)) == 4
+
+
+def test_write_path_writes_whole_blocks_and_closes_the_file_when_its_chunks_fail(tmp_path):
+    # a block is written once its chunks hold WRITE_BLOCK_BYTES; a failure
+    # after it leaves that block on disk and the descriptor closed
+    def chunks():
+        yield b"x" * (cli.WRITE_BLOCK_BYTES - 1)
+        yield b"y"
+        yield b"z"
+        raise RuntimeError("chunk failed")
+
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError):
+        cli._Emitter(str(tmp_path)).write_chunks("a.bin", chunks())
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert (tmp_path / "a.bin").read_bytes() == b"x" * (cli.WRITE_BLOCK_BYTES - 1) + b"y"
+
+
+def test_write_path_repeats_short_writes(tmp_path, monkeypatch):
+    # os.write may write less than it is given; the rest is written again
+    real = os.write
+    calls = []
+    monkeypatch.setattr(os, "write", lambda fd, data: calls.append(len(data)) or real(fd, bytes(data[:1000])))
+    data = bytes(range(256)) * 40
+    emit = cli._Emitter(str(tmp_path))
+    emit.write_chunks("a.bin", (data[:7000], data[7000:]))
+    monkeypatch.undo()
+    assert (tmp_path / "a.bin").read_bytes() == data
+    assert emit.entries == [{"name": "a.bin", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}]
+    assert calls == [10240 - 1000 * i for i in range(11)]
 
 
 # ---- entry point ----

@@ -45,8 +45,8 @@ builds a register model, and only premeasurement forms its pointer rows and
 n x n density, for joint_state.json and system_density.json.  Charged are:
 
 * every register kind, from its n amplitudes (_fits_registers, filed under
-  params.amplitudes and checked before they are parsed, with one type scan
-  and one numpy conversion): REGISTER_AMPLITUDE_BYTES each,
+  params.amplitudes and checked before they are parsed by one type scan and
+  one numpy conversion): REGISTER_AMPLITUDE_BYTES each,
   REGISTER_RUN_BYTES, REGISTER_BYTES per chain link, for premeasurement
   PREMEASURE_SQUARES n x n arrays, and for chain and premeasurement
   JSON_TEXT_BYTES for the JSON writer, which holds one block of floats and

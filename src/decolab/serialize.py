@@ -9,9 +9,9 @@ produces in byte chunks, one q column each, from :func:`float_texts`: the
 FLOAT_FIELD bytes of a whole float64 array, computed with numpy integer
 arithmetic rather than one ``%`` call per value, so its digits match.  It
 takes each value's 17 digits from a 128-bit product with a power of ten,
-splits them into ASCII uint64 words by multiply-shift-mask, and builds a
-scientific-notation text as three uint64 words; only fixed-notation texts
-are gathered byte by byte.
+splits them into uint64 words of digit values by multiply-shift-mask, and
+builds every text, fixed or scientific notation, as three uint64 words from
+one table of layouts.
 
 Every JSON artifact is printed by one writer, :func:`json_chunks`: it yields,
 block by block, the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``
@@ -78,15 +78,6 @@ _EXP_MIN, _EXP_MAX = -324, 308
 
 # The word offsets, in bits, of a text's three little-endian uint64 words.
 _WORD_BITS = np.array([[0], [64], [128]], np.uint64)
-
-# ASCII "0" in each byte of a word of eight digits.
-_ASCII_ZEROS = np.uint64(0x3030303030303030)
-
-# Columns of the source row a fixed-notation text is laid out from: the 17
-# digits, then the bytes of _SOURCE_TAIL, the last a NUL for padding.
-_ZERO, _POINT, _MINUS, _NUL = 17, 18, 19, 20
-_SOURCE_TAIL = b"0.-\0"
-
 
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
@@ -224,82 +215,70 @@ def _exponent_words() -> np.ndarray:
 
 
 @functools.cache
-def _scientific_marks() -> tuple[np.ndarray, np.ndarray]:
-    """(marks, ends) by code digits * 2 + negative: the three words of the
-    bytes a scientific text adds to its digit values (any minus sign, the
-    "0" of each significant digit and the point after the first, if more
-    follow), and the bit at which its exponent starts."""
-    marks = np.zeros((3, 36), np.uint64)
-    ends = np.zeros(36, np.uint64)
-    for nd in range(1, 18):
-        for neg in range(2):
-            text = b"-" * neg + b"0" + b"." * (nd > 1) + b"0" * (nd - 1)
-            marks[:, nd * 2 + neg] = np.frombuffer(text.ljust(24, b"\0"), "<u8")
-            ends[nd * 2 + neg] = 8 * len(text)
-    return marks, ends
+def _layout_table() -> np.ndarray:
+    """The layout of each code ((L * 17 + digits - 1) * 2 + negative, with
+    L = k + 4 for fixed-notation decimal exponents k from -4 to 16 and 21 for
+    scientific notation, as eight uint64 rows:
+
+    0: the bit at which the 17 digit values are placed: after any minus
+       sign and, when k < 0, after the "0" and the -k - 1 leading zeros of
+       the text, which the move of rows 1-3 splits with the point;
+    1-3: the three words of a mask of the bytes at and above the point,
+       which move up one byte to make room for it;
+    4-6: the three words of the marks: any minus sign, "0" in each digit's
+       byte ("0" | d is the digit d in ASCII) and in the "0.000" before the
+       first digit, and the point if a digit follows it;
+    7: the bit at which the exponent word goes: past bit 191 for fixed
+       notation, so that every shift of it gives 0.
+
+    A scientific text is laid out as one with k = 0, then given its exponent.
+    """
+    table = np.zeros((8, 22 * 17 * 2), np.uint64)
+    for code in range(table.shape[1]):
+        notation, nd, neg = code // 34, code // 2 % 17 + 1, code % 2
+        k = notation - 4 if notation < 21 else 0
+        after = nd - 1 - k  # digit places after the point
+        marks = b"-" * neg + b"0" * (max(k, 0) + 1) + (b"." + b"0" * after if after > 0 else b"")
+        upper = (1 << 192) - (1 << 8 * (neg + max(k, 0) + 1))
+        table[:, code] = [
+            8 * (neg + max(-k, 0)),
+            *((upper >> shift) & (2**64 - 1) for shift in (0, 64, 128)),
+            *np.frombuffer(marks.ljust(24, b"\0"), "<u8"),
+            8 * len(marks) if notation == 21 else 192,
+        ]
+    return table
 
 
-def _scientific(first, words, nd, k, negative) -> np.ndarray:
-    """The scientific texts of every row, as three uint64 words each in a
-    (3, n) array: a minus sign if negative, the first digit, the point and
-    the digits up to the last significant one, then the exponent."""
-    marks, ends = _scientific_marks()
-    code = nd * 2 + negative
-    sign = negative.astype(np.uint64) << np.uint64(3)  # 8 bits for a minus sign
+def _layout(first, words, code, k) -> np.ndarray:
+    """The texts of every value, as three little-endian uint64 words each in
+    a (3, n) array, from its digits, its layout code and its decimal
+    exponent k (see _layout_table)."""
+    table = _layout_table()
+    at = np.take(table[0], code)
+    # the digit values: the first at bit `at`, the other 16 after it
     out = np.empty((3, first.size), np.uint64)
-    # digit values: the first at byte 0, the others from byte 2, all one
-    # byte later after a minus sign; the bytes after the last significant
-    # digit are zero
-    out[0] = first << sign
-    shift = sign + np.uint64(16)
+    out[0] = first << at
+    shift = at + np.uint64(8)
     out[0] |= words[0] << shift
     out[1] = words[1] << shift
-    shift = np.uint64(64) - shift
+    shift = np.uint64(56) - at
     out[1] |= words[0] >> shift
     out[2] = words[1] >> shift
-    out |= np.take(marks, code, axis=1)
-    # the exponent word at bit `end`, across the word boundaries: a shift
-    # count past 63, including a wrapped negative one, gives 0 in numpy
-    end = np.take(ends, code)
+    # the bytes at and above the point up one byte, across word boundaries
+    high = np.take(table[1:4], code, axis=1)
+    high &= out
+    out ^= high
+    out[1:] |= high[:2] >> np.uint64(56)
+    high <<= np.uint64(8)
+    out |= high
+    out |= np.take(table[4:7], code, axis=1)
+    # the exponent word at bit `end`: a shift count past 63, including a
+    # wrapped negative one, gives 0 in numpy
+    end = np.take(table[7], code)
     exponent = np.take(_exponent_words(), k - _EXP_MIN)
     out |= exponent << (end - _WORD_BITS)
     out |= exponent >> (_WORD_BITS - end)
     return out
-
-
-@functools.cache
-def _layouts() -> np.ndarray:
-    """The source column of each output byte of a fixed-notation text, one
-    row per layout code ((k + 4) * 17 + digits - 1) * 2 + negative, for
-    decimal exponents k from -4 to 16 and 1 to 17 significant digits."""
-    grids = np.meshgrid(np.arange(-4, 17), np.arange(1, 18), np.arange(2), indexing="ij")
-    x, nd, neg = (g.reshape(-1, 1) for g in grids)
-    ip = np.where(x < 0, 1, x + 1)  # places before the point
-    z = np.maximum(-x, 0)  # zeros before the first digit
-    nf = np.maximum(z + nd - ip, 0)  # places after the point
-    end = ip + nf + (nf > 0)  # the end of the number
-    r = np.arange(MAX_FMT_LEN) - neg  # the place in the number, after any minus sign
-    digit = r - (r > ip) - z
-    idx = np.where(digit < 0, _ZERO, digit)
-    idx = np.where(r == ip, _POINT, idx)
-    idx = np.where((r >= 0) & (r < end), idx, _NUL)
-    return np.where(r < 0, _MINUS, idx).astype(np.uint8)
-
-
-def _fixed(first, words, nd, k, negative) -> np.ndarray:
-    """The fixed-notation texts of rows with decimal exponents -4 to 16, as
-    an (n, MAX_FMT_LEN) uint8 array gathered from per-row source bytes."""
-    n = first.size
-    src = np.empty((n, _NUL + 1), np.uint8)
-    src[:, 0] = first + np.uint64(ord("0"))
-    digits = np.empty((n, 2), "<u8")
-    digits[...] = words.T
-    digits |= _ASCII_ZEROS
-    src[:, 1:17] = digits.view(np.uint8)
-    src[:, _ZERO:] = np.frombuffer(_SOURCE_TAIL, np.uint8)
-    code = ((k + 4) * 17 + nd - 1) * 2 + negative
-    index = np.arange(0, src.size, src.shape[1])[:, None] + np.take(_layouts(), code, axis=0)
-    return np.take(src.ravel(), index)
 
 
 def float_texts(values) -> np.ndarray:
@@ -311,9 +290,9 @@ def float_texts(values) -> np.ndarray:
     a 128-bit table of powers of ten, and an exact route near ties (see
     _decimal).  The layout is that of ``%g``: fixed notation for decimal
     exponents -4 to 16, else scientific with an exponent of at least two
-    digits, trailing zeros and a bare point stripped.  Scientific texts are
-    assembled as uint64 words (_scientific), fixed ones gathered byte by
-    byte (_fixed); a route with no rows is not run.  Non-finite values
+    digits, trailing zeros and a bare point stripped.  Every text, fixed or
+    scientific, is assembled as three uint64 words by one layout step
+    (_layout) from a table indexed by its layout code.  Non-finite values
     raise ValueError.
     """
     x = np.asarray(values, dtype=np.float64)
@@ -325,17 +304,10 @@ def float_texts(values) -> np.ndarray:
     d[zero] = 0
     k[zero] = 0
     first, words = _digit_words(d)
-    nd = _significant_digits(words)
-    negative = np.signbit(flat)
-    fixed = (k >= -4) & (k < 17)
-    if fixed.all():
-        out = _fixed(first, words, nd, k, negative)
-    else:
-        out = np.empty((flat.size, 3), "<u8")
-        out[...] = _scientific(first, words, nd, k, negative).T
-        if fixed.any():
-            rows = np.flatnonzero(fixed)
-            out[rows] = _fixed(first[rows], words[:, rows], nd[rows], k[rows], negative[rows]).view("<u8")
+    notation = np.where((k >= -4) & (k < 17), k + 4, 21)
+    code = (notation * 17 + _significant_digits(words) - 1) * 2 + np.signbit(flat)
+    out = np.empty((flat.size, 3), "<u8")
+    out[...] = _layout(first, words, code, k).T
     return out.view(f"S{MAX_FMT_LEN}").reshape(x.shape)
 
 

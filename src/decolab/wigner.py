@@ -301,10 +301,11 @@ def two_packet_mixture(
 _CSV_BLOCK_VALUES = 8192
 
 # Bytes float_texts holds while it prints one such block, rounded up from
-# the 385 per value measured on a block of fixed-notation values, the
-# kind that takes the byte gather (tracemalloc; the blocks of the
-# benchmark's Wigner grids, over 90% scientific, peak at 237).
-CSV_BLOCK_BYTES = _CSV_BLOCK_VALUES * 400
+# the 237 per value measured (tracemalloc) on blocks of fixed-notation
+# values, of scientific ones and of both mixed with zeros and -0.0, each
+# passed as the transposed view that wigner_csv_chunks passes.  The peak is
+# that of the 17-digit products (serialize._decimal), whatever the notation.
+CSV_BLOCK_BYTES = _CSV_BLOCK_VALUES * 256
 
 
 def wigner_csv_chunks(w: WignerGrid):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decolab import cli, serialize
+from decolab import cli, serialize, wigner
 from decolab.dynamics import collapse
 from decolab.hilbert import StateVector, computational_basis
 
@@ -265,6 +265,16 @@ def test_float_texts_fraction_word_is_within_its_error_bound():
         assert 0 <= exact - (dv << 64 | wv) < serialize._FRACTION_ERROR, v
 
 
+# The decimal exponents of each notation class of a FLOAT_FIELD text: the 21
+# fixed-notation exponents -4 to 16, one each, then scientific notation with
+# two- and with three-digit exponents.  With 1 to 17 significant digits and
+# the sign they make the 23 * 17 * 2 layout codes of float_texts.
+_LAYOUT_CLASSES = [[k] for k in range(-4, 17)] + [
+    [*range(-99, -4), *range(17, 100)],
+    [*range(-307, -99), *range(100, 309)],
+]
+
+
 def _layout_value(rng, exponents, digits):
     """A positive double whose FLOAT_FIELD text has one of the decimal
     ``exponents`` and exactly ``digits`` significant digits."""
@@ -280,36 +290,59 @@ def _layout_value(rng, exponents, digits):
 
 
 def test_float_texts_match_the_float_field_on_every_layout_code():
-    # one value per layout code: 21 fixed-notation exponents (-4 to 16) and
-    # scientific notation with two- and three-digit exponents, times 1 to 17
-    # significant digits, times the sign
+    # one value per layout code
     rng = np.random.default_rng(24)
-    classes = [[k] for k in range(-4, 17)]
-    classes.append([*range(-99, -4), *range(17, 100)])
-    classes.append([*range(-307, -99), *range(100, 309)])
     values = []
-    for exponents in classes:
+    for exponents in _LAYOUT_CLASSES:
         for digits in range(1, 18):
             value = _layout_value(rng, exponents, digits)
             values += [value, -value]
-    values = np.array(values)
-    assert values.size == 23 * 17 * 2
+    # and zero and -0.0, whose digits are all zero
+    values = np.array(values + [0.0, -0.0])
+    assert values.size == 23 * 17 * 2 + 2
     fixed = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e17)
     assert fixed.sum() == 21 * 17 * 2
-    # both routes in one call, and each alone
-    for x in (values, values[fixed], values[~fixed]):
+    # every code in one call, fixed and scientific notation alone, and 2-D
+    for x in (values, values[fixed], values[~fixed], values.reshape(-1, 28)):
         _assert_float_texts(x)
 
 
-def test_float_texts_run_only_the_routes_their_rows_take(monkeypatch):
-    calls = []
-    for route in ("_fixed", "_scientific"):
-        real = getattr(serialize, route)
-        monkeypatch.setattr(serialize, route, lambda *a, real=real, route=route: calls.append(route) or real(*a))
-    for x, routes in (([-12.0], ["_fixed"]), ([1e-20], ["_scientific"]), ([0.5, -1e300], ["_scientific", "_fixed"])):
-        calls.clear()
-        _assert_float_texts(x)
-        assert calls == routes, x
+def _fixed_values(rng, size):
+    """Doubles of both signs whose FLOAT_FIELD texts are in fixed notation:
+    |x| in [1e-4, 1e17), from decimals of 1 to 17 significant digits."""
+    digits = rng.integers(1, 18, size=size)
+    d = rng.integers(10 ** (digits - 1), 10**digits, dtype=np.uint64)
+    d += (d % np.uint64(10) == 0).astype(np.uint64)  # a nonzero last digit
+    e = rng.integers(-4, 17, size=size) - digits + 1  # d * 10^e has decimal exponent -4 to 16
+    x = np.where(e >= 0, d * 10.0 ** np.maximum(e, 0), d / 10.0 ** np.maximum(-e, 0))
+    return np.where(rng.random(size) < 0.5, x, -x)
+
+
+def test_float_texts_peak_within_the_wigner_block_charge():
+    # blocks of fixed-notation values, of scientific ones, and of both mixed
+    # with zeros and -0.0, each passed as the transposed view of a block of
+    # q columns that wigner_csv_chunks passes
+    rng = np.random.default_rng(25)
+    n = wigner._CSV_BLOCK_VALUES
+    bits = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64).view(np.float64)
+    scientific = bits[np.isfinite(bits) & ((np.abs(bits) < 1e-4) | (np.abs(bits) >= 1e17))][:n]
+    fixed = _fixed_values(rng, n)
+    quarter = n // 4
+    mixed = rng.permutation(np.concatenate([fixed[: 2 * quarter], scientific[:quarter], np.zeros(quarter // 2),
+                                            np.full(quarter - quarter // 2, -0.0)]))
+    for block in (fixed, scientific, mixed):
+        assert block.size == n
+        block = block.reshape(64, -1).T
+        serialize.float_texts(block)  # the cached tables, made once per process
+        tracemalloc.start()
+        try:
+            serialize.float_texts(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= wigner.CSV_BLOCK_BYTES, peak / n
+
+
 
 
 @settings(max_examples=200, deadline=None)

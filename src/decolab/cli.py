@@ -793,9 +793,10 @@ def _parse_graham(params, seed, diags):
         return None
     # Three or more outcomes enumerate every composition of n into m parts,
     # unless epsilon > 1 leaves no deviant branch.  They are weighed in blocks
-    # of bounded size, but the charge stays at the integer and float arrays of
-    # the whole enumeration, two complex values per entry, which also bounds
-    # the work.
+    # of bounded size, from per-outcome tables of about 3 m (n + 1) values,
+    # fewer than the m C(n + m - 1, m - 1) entries of the enumeration.  The
+    # charge stays at the integer and float arrays of the whole enumeration,
+    # two complex values per entry, which bounds the tables and the work.
     m = len(born or ())
     if m >= 3 and (eps is None or eps <= 1.0):
         terms = _build(diags, field, _multinomial_terms, n, m)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dynamics import Hamiltonian, _check_projector, propagator
 from .errors import SpaceMismatchError, ValidationError, VALIDITY_ATOL
@@ -485,32 +486,88 @@ def graham_deviant_norm(born_p, n_trials: int, epsilon: float) -> float:
         return _binomial_deviant_weight(float(p[0]), n, eps)
     m = p.size
     _multinomial_terms(n, m)
+    # Per-outcome tables over the counts c = 0..n: whether c / n lies within
+    # epsilon of p_i, and c log p_i, -inf for a count on an outcome of
+    # probability 0.
+    counts = np.arange(n + 1)
+    close = np.abs(counts / n - p[:, None]) < eps
     log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    # Each term keeps the rounding of a sum over one composition at a time:
-    # log n!/prod c! adds the lgamma values left to right from 0, each
-    # composition's sum of c log p is numpy's sum over one row, and the
-    # terms accumulate in lexicographic order.  graham.csv stays reproducible
-    # to the last bit.  The blocks are worked on column by column, one
-    # outcome's counts in each row of ``cols``.
-    total = 0.0
+    c_log_p = counts * log_p[:, None]
+    c_log_p[p == 0.0, 1:] = -np.inf
+    lgamma = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
+    logs = (_trinomial_logs if m == 3 else _multinomial_logs)(n, close, c_log_p, lgamma)
+    # The terms accumulate in lexicographic order, and each keeps the rounding
+    # of a sum over one composition at a time (see _multinomial_logs), so
+    # graham.csv stays reproducible to the last bit.
+    #
+    # exp is taken only of the terms that can move the running sum T.  The
+    # terms are >= 0, so T is at least every term added so far; if peak is
+    # the log of one of them, ulp(T) > exp(peak) 2^-53.  A term whose log x
+    # is below peak - 54 ln 2 - 1 is then under ulp(T) / 2e, and T + exp(x)
+    # rounds to T: it is skipped.  The factor 1/e covers the error of libm's
+    # exp and of the subtraction.  Each row is tested against the largest log
+    # in the rows and blocks before it, whose own term was tested against a
+    # smaller bound and so was added.  Logs of -inf are never added.
+    total, peak = 0.0, -np.inf
+    for x in logs:
+        bounds = np.maximum.accumulate(np.append(peak, x.max(axis=1)))
+        peak = bounds[-1]
+        for term in map(math.exp, x[x > bounds[:-1, None] - _NEGLIGIBLE].tolist()):
+            total += term
+    return total
+
+
+# A term exp(x) with x below an earlier x by more than this adds less than
+# half an ulp to a running sum of nonnegative terms.
+_NEGLIGIBLE = 54 * math.log(2.0) + 1.0
+
+
+def _multinomial_logs(n: int, close: np.ndarray, c_log_p: np.ndarray, lgamma: np.ndarray):
+    """The log of every multinomial term, block by block in lexicographic
+    order, one composition per row: lgamma(n + 1) less the lgamma(c + 1)
+    added left to right, plus the c log p summed as numpy sums one row.  A
+    composition within epsilon of p, or impossible, has log -inf."""
+    m = len(close)
+    offsets = np.arange(0, m * (n + 1), n + 1)[:, None]  # each outcome's row in the flat tables
+    close, c_log_p = close.ravel(), c_log_p.ravel()
     for prefix, parts in _composition_blocks(n, m):
         cols = _compositions(n, m, parts, prefix).T
-        deviant = (np.abs(cols / n - p[:, None]) >= eps).any(axis=0)
-        possible = ~(cols[p == 0.0] > 0).any(axis=0)
-        cols = cols[:, deviant & possible]
-        # lgamma(1) = lgamma(2) = 0, so a part that stays below 2 throughout
-        # the block adds exact zeros: its counts are skipped.
-        below = n - sum(prefix) - parts[0]  # bounds every part after the head
-        tops = (*prefix, parts[-1]) + (below,) * (m - len(prefix) - 1)
-        log_multinomial = np.zeros(cols.shape[1])
-        for col, top in zip(cols, tops):
-            if top > 1:
-                log_multinomial += lgamma[col]
-        log_w = lgamma[n] - log_multinomial + _row_sums(cols * log_p[:, None])
-        for x in log_w.tolist():
-            total += math.exp(x)
-    return total
+        at = cols + offsets
+        x = lgamma[n] - _left_sums(lgamma[cols]) + _row_sums(c_log_p[at])
+        x[close[at].all(axis=0)] = -np.inf
+        yield x[:, None]
+
+
+def _trinomial_logs(n: int, close: np.ndarray, c_log_p: np.ndarray, lgamma: np.ndarray):
+    """_multinomial_logs for three outcomes, to the same bits, with the
+    compositions (h, j, n - h - j) laid out as rows h and columns j, which
+    read row by row is lexicographic order.  The first two parts are read by
+    broadcasting, and the last from a window over its table reversed, whose
+    row h, column j holds the entry for n - h - j; past j = n - h the window
+    reads padding, where the log is -inf.  Nothing is gathered, and a block
+    of rows holds at most _COMPOSITION_BLOCK values (one row at least), one
+    per composition where _multinomial_logs holds m."""
+
+    def last(table, pad):
+        ext = np.concatenate((table[::-1], np.full(n, pad)))
+        return as_strided(ext, (n + 1, n + 1), ext.strides * 2, writeable=False)
+
+    last_lgamma, last_c_log_p, last_close = last(lgamma, 0.0), last(c_log_p[2], -np.inf), last(close[2], True)
+    head = 0
+    while head <= n:
+        j = slice(0, n + 1 - head)
+        h = slice(head, min(n + 1, head + max(1, _COMPOSITION_BLOCK // j.stop)))
+        head = h.stop
+        x = lgamma[h, None] + lgamma[j]
+        x += last_lgamma[h, j]
+        np.subtract(lgamma[n], x, out=x)
+        c_log_p_sum = c_log_p[0, h, None] + c_log_p[1, j]
+        c_log_p_sum += last_c_log_p[h, j]
+        x += c_log_p_sum
+        inside = close[0, h, None] & close[1, j]
+        inside &= last_close[h, j]
+        x[inside] = -np.inf
+        yield x
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -519,6 +576,15 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     from 8 on."""
     if len(terms) >= 8:
         return np.ascontiguousarray(terms.T).sum(axis=1)
+    return _left_sums(terms)
+
+
+def _left_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of ``terms``, each column added left to right."""
+    if len(terms) >= 8:
+        # accumulate adds the rows in order; from 8 rows on it is cheaper
+        # than one numpy call per row
+        return np.add.accumulate(terms, axis=0)[-1]
     out = terms[0].copy()
     for row in terms[1:]:
         out += row

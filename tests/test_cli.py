@@ -275,17 +275,29 @@ _LAYOUT_CLASSES = [[k] for k in range(-4, 17)] + [
 ]
 
 
-def _layout_value(rng, exponents, digits):
-    """A positive double whose FLOAT_FIELD text has one of the decimal
-    ``exponents`` and exactly ``digits`` significant digits."""
-    for _ in range(10**4):
-        k = int(rng.choice(exponents))
-        middle = rng.integers(0, 10, max(digits - 2, 0))
-        text = "".join(map(str, [rng.integers(1, 10), *middle, *rng.integers(1, 10, min(digits - 1, 1))]))
-        value = float(f"{text[0]}.{text[1:]}e{k}")
-        printed = Decimal(serialize.FLOAT_FIELD % value).normalize()
-        if len(printed.as_tuple().digits) == digits and printed.adjusted() == k:
-            return value
+def _layout_values(rng, exponents, digits, size):
+    """``size`` positive doubles whose FLOAT_FIELD texts have one of the
+    decimal ``exponents`` and exactly ``digits`` significant digits.
+
+    Each candidate is built from a decimal of that many digits, with a
+    nonzero last digit, and a drawn exponent, a batch at a time.  The
+    rounding to a double leaves only some of them printing that decimal
+    back, so the candidates whose FLOAT_FIELD texts have the wanted layout
+    are kept."""
+    wanted = set(exponents)
+    out = []
+    for _ in range(100):
+        d = rng.integers(10 ** (digits - 1), 10**digits, size=max(64, 8 * size), dtype=np.uint64)
+        d += (d % np.uint64(10) == 0).astype(np.uint64)
+        with np.errstate(over="ignore"):  # past the largest double at exponent 308
+            x = d / 10.0 ** (digits - 1) * 10.0 ** rng.choice(exponents, size=d.size)
+        x = x[np.isfinite(x)]
+        for value in x.tolist():
+            printed = Decimal(serialize.FLOAT_FIELD % value).normalize()
+            if len(printed.as_tuple().digits) == digits and printed.adjusted() in wanted:
+                out.append(value)
+                if len(out) == size:
+                    return np.array(out)
     raise AssertionError(f"no double prints {digits} digits at exponents {exponents}")
 
 
@@ -295,7 +307,7 @@ def test_float_texts_match_the_float_field_on_every_layout_code():
     values = []
     for exponents in _LAYOUT_CLASSES:
         for digits in range(1, 18):
-            value = _layout_value(rng, exponents, digits)
+            value = _layout_values(rng, exponents, digits, 1)[0]
             values += [value, -value]
     # and zero and -0.0, whose digits are all zero
     values = np.array(values + [0.0, -0.0])

@@ -622,28 +622,64 @@ def test_compositions_are_all_of_them_in_lexicographic_order(monkeypatch):
             assert np.array_equal(np.concatenate(blocks), comp)
 
 
+# p and epsilon of the graham_m3 scenario of perfbench's histories workload
+# at seed 0.
+_GRAHAM_M3_SEED0 = [0.3522140957260531, 0.2704954408791542, 0.37729046339479266]
+_GRAHAM_M3_SEED0_EPS = 0.0687507715727785
+
+
 def test_graham_multinomial_matches_composition_loop_bitwise(monkeypatch):
     rng = np.random.default_rng(31337)
     largest_n = {3: 250, 4: 30, 5: 15, 6: 10, 7: 8, 8: 7, 9: 6, 10: 5, 11: 5, 12: 4}
     cases = [(3, n) for n in (1, 2, 3, 7, 20, 64, 150, 250)]
     cases += [(m, int(rng.integers(1, largest_n[m] + 1))) for m in range(4, 13) for _ in range(2)]
     cases += [(m, largest_n[m]) for m in range(4, 13)]
+    drawn = []
     for m, n in cases:
         p = rng.dirichlet(np.ones(m))
         if rng.random() < 0.4:
             p[rng.choice(m, size=int(rng.integers(1, m - 1)), replace=False)] = 0.0
             p /= p.sum()
-        for eps in (float(rng.uniform(0.02, 0.4)), 0.9, 1.5):
-            ref = _reference_graham(p, n, eps)
+        drawn += [(p, n, eps) for eps in (float(rng.uniform(0.02, 0.4)), 0.9, 1.5)]
+    # terms skipped as too small to move the sum: the seed-0 graham_m3
+    # workload case, most of whose terms are skipped at n = 300; outcomes
+    # far apart in probability; and terms that underflow to 0.0
+    drawn += [
+        (_GRAHAM_M3_SEED0, 300, _GRAHAM_M3_SEED0_EPS),
+        ([0.98, 0.01, 0.01], 200, 1e-3),
+        ([1.0 - 2e-6, 1e-6, 1e-6], 250, 0.05),
+    ]
+    for p, n, eps in drawn:
+        ref = _reference_graham(p, n, eps)
+        assert graham_deviant_norm(p, n, eps) == ref
+        with monkeypatch.context() as mp:
+            mp.setattr(decolab.histories, "_COMPOSITION_BLOCK", 1)  # one row per block
             assert graham_deviant_norm(p, n, eps) == ref
-            with monkeypatch.context() as mp:
-                mp.setattr(decolab.histories, "_COMPOSITION_BLOCK", 1)  # one row per block
-                assert graham_deviant_norm(p, n, eps) == ref
     # epsilon hit exactly by a relative frequency: 6/8 - 1/2 == 1/4
     p, n, eps = [0.5, 0.25, 0.25], 8, 0.25
     assert np.abs(_compositions(n, 3, range(n + 1)) / n - p).max(axis=1).tolist().count(eps) > 0
     assert graham_deviant_norm(p, n, eps) == _reference_graham(p, n, eps)
     assert graham_deviant_norm(p, n, eps) > graham_deviant_norm(p, n, np.nextafter(eps, 1.0))
+
+
+def test_graham_takes_exp_only_of_terms_that_can_move_the_sum(monkeypatch):
+    # 44 190 of the 45 451 compositions of 300 into three parts are deviant;
+    # most of them lie too far below an earlier term to change the sum
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+    want = graham_deviant_norm(_GRAHAM_M3_SEED0, 300, _GRAHAM_M3_SEED0_EPS)
+    monkeypatch.setattr(decolab.histories, "math", CountingMath())
+    assert graham_deviant_norm(_GRAHAM_M3_SEED0, 300, _GRAHAM_M3_SEED0_EPS) == want
+    assert 0 < len(calls) < 44_190 // 2
 
 
 def _reference_binomial(p1, n, eps):

@@ -581,8 +581,9 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 def _left_sums(terms: np.ndarray) -> np.ndarray:
     """Sum over axis 0 of ``terms``, each column added left to right."""
-    if len(terms) >= 8:
-        # accumulate adds the rows in order; from 8 rows on it is cheaper
+    if terms.shape[1] < 128:
+        # accumulate adds the rows in order too, in one call, but walks each
+        # column down its stride; below about 128 columns that is cheaper
         # than one numpy call per row
         return np.add.accumulate(terms, axis=0)[-1]
     out = terms[0].copy()

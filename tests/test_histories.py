@@ -752,7 +752,7 @@ def test_graham_log_route_reads_mirrored_lgamma_sums_bitwise():
 def test_row_sums_add_in_numpy_row_order_bitwise():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 5, 7, 8, 9, 16, 130):
-        for rows in (1, 2, 37):
+        for rows in (1, 2, 37, 200):
             terms = rng.normal(size=(m, rows)) * 10.0 ** rng.integers(-8, 9, size=(m, rows))
             want = np.ascontiguousarray(terms.T).sum(axis=1)
             assert decolab.histories._row_sums(terms).tobytes() == want.tobytes()

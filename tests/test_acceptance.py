@@ -4,12 +4,15 @@ Each test prints one `[acceptance] criterion NN PASS/FAIL` line; `pytest -v`
 additionally shows one PASSED/FAILED row per criterion.
 """
 
+import csv
+import json
 import math
 from contextlib import contextmanager
 
 import numpy as np
 import scipy.stats
 
+from decolab import cli
 from decolab.dynamics import Hamiltonian, collapse, propagator, schrodinger_evolve, von_neumann_evolve
 from decolab.entanglement import (
     decoherence_factor,
@@ -84,6 +87,17 @@ def _random_unitary(d):
 def _uniform(space):
     d = space.total_dim
     return StateVector(space, np.ones(d, dtype=complex) / math.sqrt(d))
+
+
+def _run_table(tmp_path, kind, params, table):
+    """The rows of ``table``, as dicts of floats, written by ``decolab run``
+    on a scenario of ``kind``."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": kind, "params": params}))
+    out = tmp_path / kind
+    assert cli.run(str(path), out_dir=str(out)) == 0
+    with open(out / table, newline="") as fh:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
 
 
 def test_criterion_01_unitarity_and_purity():
@@ -210,7 +224,7 @@ def test_criterion_04_wigner_suite():
             assert np.abs(direct - wigner_transform(state).values).max() <= 1e-8
 
 
-def test_criterion_05_decoherence_dial():
+def test_criterion_05_decoherence_dial(tmp_path):
     with criterion(5, "chain off-diagonal equals 0.5 g^k"):
         for g in (0.0, 0.25, 0.5, 0.9):
             spec = ChainSpec.from_scenario(
@@ -225,9 +239,15 @@ def test_criterion_05_decoherence_dial():
             for k in range(1, 6):
                 off, _ = decoherence_factor(partial_trace(states[k], "system"), basis)
                 assert abs(off[0, 1] - 0.5 * abs(g) ** k) <= 1e-12
+            # what a chain run writes: one row of chain.csv per link
+            uniform = [1.0 / math.sqrt(2.0)] * 2
+            rows = _run_table(tmp_path, "chain", {"amplitudes": uniform, "links": 5, "overlap": g}, "chain.csv")
+            assert [row["step"] for row in rows] == [1, 2, 3, 4, 5]
+            for k, row in enumerate(rows, start=1):
+                assert abs(row["off_diagonal"] - 0.5 * abs(g) ** k) <= 1e-12
 
 
-def test_criterion_06_recoherence():
+def test_criterion_06_recoherence(tmp_path):
     with criterion(6, "apparatus returns to ready while the system stays mixed"):
         for n in (2, 3):
             model = BranchingModel.ideal(n)
@@ -240,6 +260,12 @@ def test_criterion_06_recoherence():
             assert abs(fidelity - 1.0) <= 1e-10
             rho_sys = partial_trace(s3, "system")
             assert np.abs(rho_sys.matrix - np.eye(n) / n).max() <= 1e-10
+            # what a branch_recohere run writes at step 3, after the reset
+            uniform = [1.0 / math.sqrt(n)] * n
+            rows = _run_table(tmp_path, "branch_recohere", {"amplitudes": uniform}, "branch.csv")
+            assert rows[3]["step"] == 3
+            assert abs(rows[3]["apparatus_fidelity"] - 1.0) <= 1e-10
+            assert abs(rows[3]["system_linear_entropy"] - (1.0 - 1.0 / n)) <= 1e-10
 
 
 def test_criterion_07_master_equation_suite():

@@ -87,8 +87,10 @@ n x n density, for joint_state.json and system_density.json.  Charged are:
 * master: for n states and T times, the k = min(T, max(1, 2^16 / n^2)) times
   of a block at once, k + 1 n x n shares at MASTER_ENTRY_BYTES per entry,
   and the T (n + 1) values of master.csv at MASTER_VALUE_BYTES each, filed
-  under params.rates: at one time n = 2590 is accepted and 2591 refused, at
-  10^4 times n = 962 and 963;
+  under params.rates: at one time the charge accepts n = 2590 and refuses
+  2591, at 10^4 times n = 962 and 963.  Only short rate texts reach 2590:
+  with 17-digit rates MAX_SCENARIO_BYTES refuses the file from about
+  n = 1050;
 * a histories dim above 406 (its projector family holds dim^3 values), or a
   graham n of 2^26 or more.
 """

@@ -4,7 +4,7 @@ Subsystems are declared as an ordered list of (label, dimension) pairs.  The
 flattened index runs row-major over that order, first-listed subsystem
 slowest-varying, so ``basis_state(space, (1, 0))`` on a (2, 3) space sits at
 flat index 3.  Global phase is physically irrelevant but is stored as given;
-use :func:`ray_equal` for phase-insensitive comparison.
+use :meth:`StateVector.ray_equal` for phase-insensitive comparison.
 
 All values are immutable after construction (frozen dataclasses wrapping
 read-only arrays) and safe to share between threads.  States and densities
@@ -218,13 +218,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.space.concat(b.space), np.kron(a.amplitudes, b.amplitudes))
 
 
-def tensor_many(*states: StateVector) -> StateVector:
-    out = states[0]
-    for s in states[1:]:
-        out = tensor(out, s)
-    return out
-
-
 def _check_orthonormal_complete(basis: Sequence[StateVector], space: TensorSpace) -> None:
     d = space.total_dim
     if len(basis) != d:
@@ -272,66 +265,3 @@ def partial_trace(state, keep) -> DensityOperator:
     perm = keep_axes + env_axes + [n + i for i in keep_axes] + [n + i for i in env_axes]
     t = t.transpose(perm).reshape(dk, de, dk, de)
     return DensityOperator(sub, np.trace(t, axis1=1, axis2=3))
-
-
-def _front_axes(sub: TensorSpace, full: TensorSpace) -> list[int]:
-    """Axis order of ``full`` with ``sub``'s labels first, in ``sub``'s order.
-
-    Each of ``sub``'s labels must carry the same dimension in ``full``.
-    """
-    for label, dim in sub.subsystems:
-        if full.dim_of(label) != dim:
-            raise SpaceMismatchError(
-                f"label {label!r} has dimension {dim} in the operand "
-                f"but {full.dim_of(label)} in the target space"
-            )
-    front = [full.axis(label) for label in sub.labels]
-    return front + [i for i in range(len(full.dims)) if i not in front]
-
-
-def _local_operand(mat, sub: TensorSpace) -> np.ndarray:
-    """``mat`` as a complex128 (d_sub, d_sub) array."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    d_sub = sub.total_dim
-    if mat.shape != (d_sub, d_sub):
-        raise SpaceMismatchError(f"matrix shape {mat.shape} for dimension {d_sub}")
-    return mat
-
-
-def apply_local(
-    amplitudes: np.ndarray, op: np.ndarray, sub: TensorSpace, full: TensorSpace
-) -> np.ndarray:
-    """``embed_matrix(op, sub, full) @ amplitudes`` without forming the D x D matrix.
-
-    The ``sub`` axes of the amplitude tensor are moved to the front (in
-    ``sub``'s order), contracted with ``op`` and moved back: O(D * d_sub)
-    work and O(D) memory instead of O(D^2).
-    """
-    perm = _front_axes(sub, full)
-    op = _local_operand(op, sub)
-    t = np.asarray(amplitudes, dtype=np.complex128).reshape(full.dims).transpose(perm)
-    out = (op @ t.reshape(sub.total_dim, -1)).reshape(t.shape)
-    return out.transpose(np.argsort(perm)).reshape(-1)
-
-
-def embed_matrix(mat: np.ndarray, sub: TensorSpace, full: TensorSpace) -> np.ndarray:
-    """Lift an operator on ``sub`` to ``full`` by tensoring identity elsewhere.
-
-    Handles arbitrary label positions; ``sub``'s labels may appear anywhere
-    in ``full`` but must carry the same dimensions.  To act on a state,
-    :func:`apply_local` gives the same result without the D x D matrix.
-    """
-    front = _front_axes(sub, full)
-    big = _local_operand(mat, sub)
-    for axis in front[len(sub.dims) :]:
-        big = np.kron(big, np.eye(full.dims[axis], dtype=np.complex128))
-    dims = [full.dims[axis] for axis in front]
-    perm = list(np.argsort(front))
-    n = len(front)
-    t = big.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-    d = full.total_dim
-    return np.ascontiguousarray(t.reshape(d, d))
-
-
-def ray_equal(a: StateVector, b: StateVector, atol: float = VALIDITY_ATOL) -> bool:
-    return a.ray_equal(b, atol=atol)

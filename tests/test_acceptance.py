@@ -27,7 +27,6 @@ from decolab.hilbert import (
     TensorSpace,
     basis_state,
     computational_basis,
-    embed_matrix,
     partial_trace,
     random_state,
 )
@@ -49,15 +48,16 @@ from decolab.ledger import (
     quantum_collapse_ledger,
     reset_memory,
 )
-from decolab.measurement import (
+from decolab.wigner import marginals, oscillator_state, wigner_transform, wigner_via_kernel
+from dense_registers import (
     ApparatusModel,
     BranchingModel,
     ChainSpec,
     branch_and_recohere,
     chain_propagate,
+    embed_matrix,
     premeasure,
 )
-from decolab.wigner import marginals, oscillator_state, wigner_transform, wigner_via_kernel
 
 RNG = np.random.default_rng(20240401)
 LN2 = math.log(2.0)

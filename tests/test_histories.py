@@ -591,19 +591,30 @@ def _reference_graham(born_p, n, eps):
         return 0.0
     p = np.clip(np.asarray(born_p, dtype=np.float64), 0.0, 1.0)
     log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    p_list, log_p_list = p.tolist(), log_p.tolist()
     total = 0.0
     lg_n = math.lgamma(n + 1)
     for counts in _reference_compositions(n, p.size):
-        counts_arr = np.array(counts, dtype=np.float64)
-        if np.abs(counts_arr / n - p).max() < eps:
-            continue
-        if any(c > 0 and p[i] == 0.0 for i, c in enumerate(counts)):
+        if p.size < 8:
+            # numpy sums fewer than 8 values left to right from 0.0, so Python
+            # floats in that order give the bits of the array route below
+            if max(abs(c / n - q) for c, q in zip(counts, p_list)) < eps:
+                continue
+            log_p_sum = 0.0
+            for c, lq in zip(counts, log_p_list):
+                log_p_sum += c * lq
+        else:
+            counts_arr = np.array(counts, dtype=np.float64)
+            if np.abs(counts_arr / n - p).max() < eps:
+                continue
+            log_p_sum = float((counts_arr * log_p).sum())
+        if any(c > 0 and p_list[i] == 0.0 for i, c in enumerate(counts)):
             continue
         # left to right from 0, as `sum` adds floats before Python 3.12
         log_multinomial = 0
         for c in counts:
             log_multinomial += math.lgamma(c + 1)
-        total += math.exp(lg_n - log_multinomial + float((counts_arr * log_p).sum()))
+        total += math.exp(lg_n - log_multinomial + log_p_sum)
     return total
 
 

@@ -15,18 +15,11 @@ from decolab.hilbert import (
     StateVector,
     TensorSpace,
     computational_basis,
-    embed_matrix,
     partial_trace,
     tensor,
 )
 from decolab.histories import ProjectorSet, decohere_projectors
-from decolab.measurement import (
-    BRANCH_CYCLE,
-    ApparatusModel,
-    BranchingModel,
-    branch_and_recohere,
-    premeasure,
-)
+from decolab.measurement import BRANCH_CYCLE
 from decolab.ledger import (
     ClassicalJoint,
     LedgerRow,
@@ -37,6 +30,7 @@ from decolab.ledger import (
     quantum_collapse_ledger,
     reset_memory,
 )
+from dense_registers import ApparatusModel, BranchingModel, branch_and_recohere, embed_matrix, premeasure
 
 LN2 = math.log(2.0)
 

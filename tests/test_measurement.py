@@ -1,11 +1,14 @@
 """Pre-measurement unitaries, observation chains, branch/recohere cycle."""
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
-from decolab import cli, measurement, serialize
+import decolab
+from decolab import cli, hilbert, measurement, serialize
 from decolab.entanglement import decoherence_factor, linear_entropy
 from decolab.errors import CROSS_ATOL, VALIDITY_ATOL, SpaceMismatchError, ValidationError
 from decolab.hilbert import (
@@ -13,26 +16,25 @@ from decolab.hilbert import (
     TensorSpace,
     basis_state,
     computational_basis,
-    embed_matrix,
     partial_trace,
     random_state,
     tensor,
-    tensor_many,
 )
-from decolab.measurement import (
-    BRANCH_CYCLE,
+from decolab.measurement import BRANCH_CYCLE, Decoherence, record_states_with_overlap
+import dense_registers
+from dense_registers import (
     ApparatusModel,
     BranchingModel,
     ChainSpec,
-    Decoherence,
     _complete_orthonormal,
     _controlled_shift,
     _transport_unitary,
     branch_and_recohere,
     chain_propagate,
+    embed_matrix,
     measurement_unitary,
     premeasure,
-    record_states_with_overlap,
+    tensor_many,
 )
 
 RNG = np.random.default_rng(1003)
@@ -600,34 +602,20 @@ def test_register_runs_refuse_a_state_that_lost_its_norm(tmp_path, capsys, monke
         assert "global purity drifted to 1.0406" in capsys.readouterr().err
 
 
-def test_register_runs_apply_no_shift(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return func(*args, **kwargs)
-        return wrapper
-
-    for name in ("_controlled_shift", "_complete_orthonormal"):
-        monkeypatch.setattr(measurement, name, counted(name, getattr(measurement, name)))
-    monkeypatch.setattr(
-        ApparatusModel, "shift_unitaries", counted("shift_unitaries", ApparatusModel.shift_unitaries)
+def test_dense_register_routes_are_unreachable_from_the_package():
+    # the register kinds have one route, Decoherence: no name of the dense
+    # routes can be reached from the package or any of its modules
+    moved = (
+        "ApparatusModel", "BranchingModel", "ChainSpec", "premeasure", "chain_propagate",
+        "branch_and_recohere", "measurement_unitary", "_controlled_shift", "_checked_shifts",
+        "_complete_orthonormal", "_transport_unitary", "apply_local", "embed_matrix",
+        "_front_axes", "_local_operand", "tensor_many", "ray_equal",
     )
-    amps = [0.6, [0.0, 0.48], [0.64, 0.0]]
-    scenarios = {
-        "premeasurement": {"amplitudes": amps, "pointer_overlap": 0.3},
-        "chain": {"amplitudes": amps, "links": 3, "overlaps": [0.2, -0.3, 0.5]},
-        "branch_recohere": {"amplitudes": amps, "env_dim": 6},
-        "ledger_quantum": {"amplitudes": amps},
-        "ledger_branching": {"amplitudes": amps, "env_dim": 6},
-    }
-    for kind, params in scenarios.items():
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps({"schema": "decolab/scenario/v1", "kind": kind, "params": params}))
-        assert cli.run(str(path), out_dir=str(tmp_path / kind)) == 0
-    assert calls == []
-    # the wrappers do count: the dense route goes through them
-    premeasure(_plus(TensorSpace((("system", 2),))), ApparatusModel.ideal("p", 2),
-               computational_basis(TensorSpace((("system", 2),))))
-    assert {"_controlled_shift", "shift_unitaries", "_complete_orthonormal"} <= set(calls)
+    modules = [decolab] + [
+        importlib.import_module(f"decolab.{info.name}") for info in pkgutil.iter_modules(decolab.__path__)
+    ]
+    assert measurement in modules and hilbert in modules
+    for module in modules:
+        assert [name for name in moved if hasattr(module, name)] == [], module.__name__
+    # and each of them but the deleted ray_equal wrapper names a reference here
+    assert [name for name in moved if hasattr(dense_registers, name)] == list(moved[:-1])

@@ -216,13 +216,14 @@ RECORD_PAIR_TEXT_BYTES = 2 * serialize.MAX_FMT_LEN + 36
 RECORD_TEXT_BYTES = 512
 
 # Bytes a schmidt run takes per amplitude of the vectors schmidt.json lists
-# and per amplitude of the state, rounded up from the peak RSS of fresh runs
+# and per amplitude of the state, besides 44 MiB for the interpreter, so
+# that a run at the limit stays under 1 GiB.  The peak RSS of fresh runs
 # (d_A x d_B = 700 x 700, 1000 x 1000, 1400 x 1400 and 16 x 60000; Python
-# 3.11, numpy 2.4.6): 46 and 43, besides 44 MiB for the interpreter, so that
-# a run at the limit stays under 1 GiB.  A vector amplitude is its SVD
-# column and its StateVector copy; schmidt.json is printed a block at a
-# time.  A state amplitude is the state, its reshaped copy and the SVD's
-# work.
+# 3.11, numpy 2.4.6) fits 61 and 13: a vector amplitude is its entry of the
+# SVD's factor stacks (schmidt.json prints them a block at a time) and its
+# share of the LAPACK work, min(d_A, d_B)^2, at which a square run peaks; a
+# state amplitude is the state, its reshaped copy and the SVD's work.  Both
+# were rounded up when every factor was also copied into a StateVector.
 SCHMIDT_AMPLITUDE_BYTES = 64
 SCHMIDT_STATE_BYTES = 96
 

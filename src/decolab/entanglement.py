@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import DensityOperator, StateVector, TensorSpace, _check_orthonormal_complete
+from .hilbert import DensityOperator, StateVector, TensorSpace
+from .hilbert import _check_orthonormal_complete, _split_axes
 
 SCHMIDT_CUTOFF = 1e-12
 DEGENERACY_ATOL = 1e-10
@@ -22,14 +23,20 @@ DEGENERACY_ATOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Coefficients and paired orthonormal factors of a bipartite pure state."""
+    """Coefficients and paired orthonormal factors of a bipartite pure state.
+
+    The factors are two read-only stacks, as the SVD returns them: the
+    system's as the columns of ``system_factors`` (d_A, r), the
+    environment's as the rows of ``environment_factors`` (r, d_B), each
+    indexed by the flattened order of its side's labels.
+    """
 
     space: TensorSpace
     system_labels: tuple[str, ...]
     environment_labels: tuple[str, ...]
     coefficients: np.ndarray
-    system_vectors: tuple[StateVector, ...]
-    environment_vectors: tuple[StateVector, ...]
+    system_factors: np.ndarray
+    environment_factors: np.ndarray
     degenerate: bool
 
     @property
@@ -37,26 +44,28 @@ class SchmidtDecomposition:
         return self.coefficients**2
 
     def reconstruct(self) -> StateVector:
-        """Sum of coefficient times system-vector times environment-vector."""
-        sys_dims = self.system_vectors[0].space.dims
-        env_dims = self.environment_vectors[0].space.dims
-        tens = np.zeros(sys_dims + env_dims, dtype=np.complex128)
-        for c, u, v in zip(self.coefficients, self.system_vectors, self.environment_vectors):
-            tens += c * np.tensordot(
-                u.amplitudes.reshape(sys_dims), v.amplitudes.reshape(env_dims), axes=0
-            )
-        order = list(self.system_labels) + list(self.environment_labels)
+        """Sum of coefficient times system factor times environment factor,
+        as the one product (U c) Vh."""
+        order = self.system_labels + self.environment_labels
+        tens = (self.system_factors * self.coefficients) @ self.environment_factors
+        tens = tens.reshape([self.space.dim_of(label) for label in order])
         perm = [order.index(label) for label in self.space.labels]
         return StateVector(self.space, tens.transpose(perm).reshape(-1))
 
     def to_json_obj(self) -> dict:
+        """Each factor is listed as the document of a state on its side."""
+
+        def states(labels, rows):
+            side = self.space.subspace(labels).to_json_obj()
+            return [{"space": side, "amplitudes": row} for row in rows]
+
         return {
             "space": self.space.to_json_obj(),
             "system_labels": list(self.system_labels),
             "environment_labels": list(self.environment_labels),
             "coefficients": self.coefficients,
-            "system_vectors": [v.to_json_obj() for v in self.system_vectors],
-            "environment_vectors": [v.to_json_obj() for v in self.environment_vectors],
+            "system_vectors": states(self.system_labels, self.system_factors.T),
+            "environment_vectors": states(self.environment_labels, self.environment_factors),
             "degenerate": bool(self.degenerate),
         }
 
@@ -69,38 +78,24 @@ def schmidt_decompose(psi: StateVector, system_labels) -> SchmidtDecomposition:
     p_k within DEGENERACY_ATOL) additionally allows basis rotations, which
     the ``degenerate`` flag records.
     """
-    if isinstance(system_labels, str):
-        system_labels = [system_labels]
     space = psi.space
-    wanted = set(system_labels)
-    for name in wanted:
-        space.axis(name)
-    sys_axes = [i for i, l in enumerate(space.labels) if l in wanted]
-    env_axes = [i for i, l in enumerate(space.labels) if l not in wanted]
-    if not sys_axes or not env_axes:
-        raise ValidationError("bipartition must split the space into two nonempty parts")
-    dims = space.dims
-    dk = int(np.prod([dims[i] for i in sys_axes]))
-    de = int(np.prod([dims[i] for i in env_axes]))
-    mat = psi.amplitudes.reshape(dims).transpose(sys_axes + env_axes).reshape(dk, de)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    kept = s > SCHMIDT_CUTOFF
-    s = s[kept]
-    u = u[:, kept]
-    vh = vh[kept, :]
+    sys_axes, env_axes = _split_axes(space, system_labels)
     sys_space = space.subspace([space.labels[i] for i in sys_axes])
     env_space = space.subspace([space.labels[i] for i in env_axes])
-    probs = s**2
-    degenerate = bool(np.any(np.abs(np.diff(probs)) < DEGENERACY_ATOL)) if s.size > 1 else False
-    coeffs = np.array(s, dtype=np.float64)
-    coeffs.setflags(write=False)
+    mat = psi.amplitudes.reshape(space.dims).transpose(sys_axes + env_axes)
+    u, s, vh = np.linalg.svd(mat.reshape(sys_space.total_dim, -1), full_matrices=False)
+    r = int(np.count_nonzero(s > SCHMIDT_CUTOFF))  # s is sorted descending
+    s, u, vh = s[:r], u[:, :r], vh[:r]
+    for a in (s, u, vh):
+        a.setflags(write=False)
+    degenerate = bool(np.any(np.abs(np.diff(s**2)) < DEGENERACY_ATOL))
     return SchmidtDecomposition(
         space=space,
-        system_labels=tuple(sys_space.labels),
-        environment_labels=tuple(env_space.labels),
-        coefficients=coeffs,
-        system_vectors=tuple(StateVector(sys_space, u[:, k]) for k in range(s.size)),
-        environment_vectors=tuple(StateVector(env_space, vh[k, :]) for k in range(s.size)),
+        system_labels=sys_space.labels,
+        environment_labels=env_space.labels,
+        coefficients=s,
+        system_factors=u,
+        environment_factors=vh,
         degenerate=degenerate,
     )
 

@@ -737,6 +737,24 @@ def test_python_dash_m_decolab(tmp_path):
         assert res.returncode == code
 
 
+def test_schmidt_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """schmidt at 64 x 64, as fresh runs under one and two OpenBLAS threads,
+    writes the same manifest.  This holds only below the sizes where LAPACK
+    splits the SVD's work: at 100 x 120 and above the two counts give
+    different bytes."""
+    path = _write(tmp_path, "s.json", _scenario("schmidt", {"dims": [["a", 64], ["b", 64]], "system": ["a"]}))
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"o{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run(
+            [sys.executable, "-m", "decolab", "run", path, "--out", str(out)], env=env, capture_output=True
+        )
+        assert res.returncode == 0, res.stderr
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 # One small scenario of each kind, as in the CI emit smoke test.
 SMOKE = {
     "premeasurement": {"amplitudes": [0.6, [0.0, 0.8]], "pointer_overlap": 0.3},
